@@ -50,7 +50,7 @@ def _is_throughput_key(key: str) -> bool:
     ``_per_second`` (``iterations_per_second``, ``activations_per_second``,
     prefixed variants like ``fast_activations_per_second`` and suffixed
     ones like ``iterations_per_second_n1000``) or the short form
-    ``it_per_s`` (the sharded-engine rows: ``sharded_it_per_s_n100000``),
+    ``it_per_s`` anywhere in the key (``vector_it_per_s``),
     plus ``speedup`` and its ``speedup_*`` / ``*_speedup`` variants.
     Parameter-ish fields (``n``, ``seconds``, ...) are never guarded.
     """

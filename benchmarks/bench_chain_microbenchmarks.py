@@ -106,8 +106,8 @@ def test_occupancy_grid_recenter_reuse_n100000(benchmark):
     repaint the existing planes in place instead of reallocating; at
     n=10^5-10^6 that turns the most common re-center from a
     window-sized allocation + Python-loop copy into two vectorized
-    scatters, which is what keeps the sharded engine's long runs from
-    stalling on drift."""
+    scatters, which is what keeps long large-n runs from stalling on
+    drift."""
     grid = OccupancyGrid(sorted(compact_disc(100_000).nodes))
     array_before = grid.array
     benchmark(grid.recenter)

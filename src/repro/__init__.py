@@ -50,7 +50,6 @@ from repro.core.kernels import (
     WeightKernel,
 )
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.sharded_chain import ShardedCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
 from repro.algorithms.shortcut_bridging import (
@@ -72,7 +71,7 @@ from repro.runtime import (
     scaling_time_jobs,
 )
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "COMPRESSION_THRESHOLD",
@@ -90,7 +89,6 @@ __all__ = [
     "CompressionTrace",
     "CompressionMarkovChain",
     "FastCompressionChain",
-    "ShardedCompressionChain",
     "VectorCompressionChain",
     "WeightKernel",
     "CompressionKernel",

@@ -33,29 +33,15 @@ the same differential contract the compression engines obey
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
-from repro.core.fast_chain import FastCompressionChain
+from repro.core.compression import ENGINES
 from repro.core.kernels import SeparationKernel
-from repro.core.markov_chain import CompressionMarkovChain, StepResult
-from repro.core.sharded_chain import ShardedCompressionChain
-from repro.core.vector_chain import VectorCompressionChain
+from repro.core.markov_chain import StepResult
 from repro.errors import AlgorithmError, ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.triangular import Node
 from repro.rng import DEFAULT_DRAW_BLOCK, RandomState, make_rng
-
-#: The engines a separation chain can run on.  All four compression
-#: engines drive the separation kernel; the vector engine evaluates the
-#: color plane and both uniform lanes inside its numpy pass, and the
-#: sharded engine fans that same evaluation out across grid tiles.
-SEPARATION_ENGINES: Dict[str, type] = {
-    "reference": CompressionMarkovChain,
-    "fast": FastCompressionChain,
-    "vector": VectorCompressionChain,
-    "sharded": ShardedCompressionChain,
-}
-
 
 @dataclass(frozen=True)
 class ColoredConfiguration:
@@ -146,20 +132,15 @@ class SeparationMarkovChain:
     seed:
         Seed or generator for reproducible runs.
     engine:
-        ``"reference"`` (default), ``"fast"``, ``"vector"`` or
-        ``"sharded"``; bit-identical trajectories for equal seeds.
-        ``fast`` is roughly an order of magnitude above ``reference`` at
-        ``n = 1000``; ``vector`` pulls ahead of ``fast`` as ``n`` grows
-        into the thousands, and ``sharded`` adds tile-parallel
-        evaluation for multi-core runs at ``n >= 10^5`` (see
+        ``"reference"`` (default), ``"fast"`` or ``"vector"`` — any key
+        of :data:`repro.core.ENGINES`; bit-identical trajectories for
+        equal seeds.  ``fast`` is roughly an order of magnitude above
+        ``reference`` at ``n = 1000``; ``vector`` pulls ahead of ``fast``
+        as ``n`` grows into the thousands (see
         ``benchmarks/BENCH_chain.json``).
     draw_block:
         Block size of the batched draw tape (engines compared in
         differential tests must use equal blocks).
-    engine_options:
-        Optional keyword arguments forwarded to the engine constructor
-        (e.g. ``{"tiles": (2, 2), "workers": 4}`` for
-        ``engine="sharded"``); ``None`` forwards nothing.
     """
 
     def __init__(
@@ -171,14 +152,13 @@ class SeparationMarkovChain:
         seed: RandomState = None,
         engine: str = "reference",
         draw_block: int = DEFAULT_DRAW_BLOCK,
-        engine_options: Optional[Dict[str, object]] = None,
     ) -> None:
         try:
-            engine_factory = SEPARATION_ENGINES[engine]
+            engine_factory = ENGINES[engine]
         except KeyError:
             raise ConfigurationError(
                 f"unknown separation engine {engine!r}; "
-                f"expected one of {sorted(SEPARATION_ENGINES)}"
+                f"expected one of {sorted(ENGINES)}"
             ) from None
         kernel = SeparationKernel(
             lam=lam,
@@ -190,21 +170,12 @@ class SeparationMarkovChain:
         self.lam = kernel.lam
         self.gamma = kernel.gamma
         self.swap_probability = kernel.swap_probability
-        try:
-            self.chain = engine_factory(
-                initial.configuration,
-                seed=seed,
-                draw_block=draw_block,
-                kernel=kernel,
-                **(engine_options or {}),
-            )
-        except TypeError as exc:
-            if not engine_options:
-                raise
-            raise ConfigurationError(
-                f"separation engine {engine!r} rejected engine_options "
-                f"{sorted(engine_options)}: {exc}"
-            ) from None
+        self.chain = engine_factory(
+            initial.configuration,
+            seed=seed,
+            draw_block=draw_block,
+            kernel=kernel,
+        )
 
     # ------------------------------------------------------------------ #
     # Observation

@@ -34,29 +34,14 @@ engine — bit-identical trajectories for equal seeds, enforced by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Set
 
-from repro.core.fast_chain import FastCompressionChain
+from repro.core.compression import ENGINES
 from repro.core.kernels import BridgingKernel
-from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.sharded_chain import ShardedCompressionChain
-from repro.core.vector_chain import VectorCompressionChain
 from repro.errors import AlgorithmError, ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.triangular import Node, neighbors
 from repro.rng import DEFAULT_DRAW_BLOCK, RandomState
-
-#: The engines a bridging chain can run on.  All four compression
-#: engines drive the bridging kernel; the vector engine evaluates the
-#: terrain plane inside its numpy pass, and the sharded engine fans
-#: that same evaluation out across grid tiles.
-BRIDGING_ENGINES: Dict[str, type] = {
-    "reference": CompressionMarkovChain,
-    "fast": FastCompressionChain,
-    "vector": VectorCompressionChain,
-    "sharded": ShardedCompressionChain,
-}
-
 
 @dataclass(frozen=True)
 class Terrain:
@@ -178,14 +163,11 @@ class BridgingMarkovChain:
     seed:
         Seed or generator for reproducible runs.
     engine:
-        ``"reference"`` (default), ``"fast"``, ``"vector"`` or
-        ``"sharded"``; bit-identical trajectories for equal seeds.
+        ``"reference"`` (default), ``"fast"`` or ``"vector"`` — any key
+        of :data:`repro.core.ENGINES`; bit-identical trajectories for
+        equal seeds.
     draw_block:
         Block size of the batched draw tape.
-    engine_options:
-        Optional keyword arguments forwarded to the engine constructor
-        (e.g. ``{"tiles": (2, 2), "workers": 4}`` for
-        ``engine="sharded"``); ``None`` forwards nothing.
     """
 
     def __init__(
@@ -197,35 +179,25 @@ class BridgingMarkovChain:
         seed: RandomState = None,
         engine: str = "reference",
         draw_block: int = DEFAULT_DRAW_BLOCK,
-        engine_options: Optional[Dict[str, object]] = None,
     ) -> None:
         try:
-            engine_factory = BRIDGING_ENGINES[engine]
+            engine_factory = ENGINES[engine]
         except KeyError:
             raise ConfigurationError(
                 f"unknown bridging engine {engine!r}; "
-                f"expected one of {sorted(BRIDGING_ENGINES)}"
+                f"expected one of {sorted(ENGINES)}"
             ) from None
         kernel = BridgingKernel(lam=lam, gamma=gamma, land=terrain.land)
         self.terrain = terrain
         self.engine = engine
         self.lam = kernel.lam
         self.gamma = kernel.gamma
-        try:
-            self.chain = engine_factory(
-                initial,
-                seed=seed,
-                draw_block=draw_block,
-                kernel=kernel,
-                **(engine_options or {}),
-            )
-        except TypeError as exc:
-            if not engine_options:
-                raise
-            raise ConfigurationError(
-                f"bridging engine {engine!r} rejected engine_options "
-                f"{sorted(engine_options)}: {exc}"
-            ) from None
+        self.chain = engine_factory(
+            initial,
+            seed=seed,
+            draw_block=draw_block,
+            kernel=kernel,
+        )
 
     # ------------------------------------------------------------------ #
     # Observation

@@ -5,9 +5,9 @@ compression, Section 3.1), the move-legality Properties 1 and 2, the
 Metropolis filter machinery, the high-level simulation API, and exact
 stationary-distribution analysis for small systems.
 
-The four engines
-----------------
-Algorithm M ships as four interchangeable engines:
+The three engines
+-----------------
+Algorithm M ships as three interchangeable engines:
 
 * :class:`~repro.core.markov_chain.CompressionMarkovChain` — the
   **reference engine**.  Hash-map state, move legality evaluated by the
@@ -32,14 +32,6 @@ Algorithm M ships as four interchangeable engines:
   with a conflict cut (see :mod:`repro.core.vector_chain`).  Use it for
   long runs at ``n`` in the thousands and beyond — 3-5x the fast engine
   from ``n = 1000`` to ``n = 20000``, and growing with ``n``.
-* :class:`~repro.core.sharded_chain.ShardedCompressionChain` — the
-  **sharded engine**.  The vector engine's pass with its snapshot
-  evaluation fanned out across a
-  :class:`~repro.lattice.tiling.TiledGrid` of rectangular tiles by a
-  thread pool, merged back into tape order before the (inherited)
-  sequential commit walk.  Use it for multi-core single-chain runs at
-  ``n`` in the ``10^5``–``10^6`` range; tile layout, halo width and
-  worker count never change the trajectory.
 
 **Weight kernels:** the engines' acceptance rule is pluggable
 (:mod:`repro.core.kernels`): the compression weight is the default
@@ -57,9 +49,8 @@ randomized invariant suite (``tests/core/test_chain_invariants.py``) and
 a committed golden trace pin this contract down; optimizations that
 change any engine's behaviour fail those tests rather than silently
 diverging.  :class:`~repro.core.compression.CompressionSimulation`
-selects an engine via its
-``engine="reference" | "fast" | "vector" | "sharded"`` parameter (and
-forwards engine-specific knobs through ``engine_options``).
+selects an engine via its ``engine="reference" | "fast" | "vector"``
+parameter.
 """
 
 from repro.core.properties import (
@@ -98,7 +89,6 @@ from repro.core.markov_chain import CompressionMarkovChain, StepResult
 from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
 from repro.core.moves import move_tables, move_tables_array
 from repro.core.vector_chain import VectorCompressionChain
-from repro.core.sharded_chain import ShardedCompressionChain
 from repro.core.compression import ENGINES, CompressionSimulation, CompressionTrace, TracePoint
 from repro.core.stationary import (
     StateSpace,
@@ -141,7 +131,6 @@ __all__ = [
     "FastCompressionChain",
     "OccupancyGrid",
     "VectorCompressionChain",
-    "ShardedCompressionChain",
     "move_tables",
     "move_tables_array",
     "ENGINES",

@@ -6,16 +6,13 @@ perimeter/edge metrics (the data behind Figures 2 and 10), detection of
 alpha-compression and beta-expansion, and convenience constructors for the
 standard starting configurations.
 
-Four interchangeable engines are available through the ``engine``
+Three interchangeable engines are available through the ``engine``
 parameter: ``"reference"`` — the transparent
 :class:`~repro.core.markov_chain.CompressionMarkovChain`; ``"fast"`` —
 the grid-based :class:`~repro.core.fast_chain.FastCompressionChain`,
-roughly an order of magnitude (or more) faster; ``"vector"`` — the
+roughly an order of magnitude (or more) faster; and ``"vector"`` — the
 block-vectorized :class:`~repro.core.vector_chain.VectorCompressionChain`,
-another 3-5x on top of ``"fast"`` at ``n >= 1000``; and ``"sharded"`` —
-the tile-parallel :class:`~repro.core.sharded_chain.
-ShardedCompressionChain` for multi-core single-chain runs at
-``n >= 10^5`` (shaped via ``engine_options``).  All four are
+another 3-5x on top of ``"fast"`` at ``n >= 1000``.  All three are
 bit-identical in trajectory for equal seeds.  Trace metrics are pulled
 from the engine's incrementally maintained counters, so recording a
 trace point no longer rebuilds the configuration from scratch.
@@ -32,7 +29,6 @@ from repro.lattice.geometry import max_perimeter, min_perimeter
 from repro.lattice.shapes import line as line_shape
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.sharded_chain import ShardedCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.rng import RandomState
 
@@ -41,7 +37,6 @@ ENGINES: Dict[str, type] = {
     "reference": CompressionMarkovChain,
     "fast": FastCompressionChain,
     "vector": VectorCompressionChain,
-    "sharded": ShardedCompressionChain,
 }
 
 
@@ -115,18 +110,9 @@ class CompressionSimulation:
     engine:
         ``"reference"`` (default) for the transparent engine, ``"fast"``
         for the grid-based production engine, ``"vector"`` for the
-        block-vectorized engine (fastest at ``n >= 1000``), ``"sharded"``
-        for the tile-parallel engine (multi-core single-chain runs at
-        ``n >= 10^5``).  All produce the same trajectory for the same
-        seed; see :mod:`repro.core.fast_chain`,
-        :mod:`repro.core.vector_chain` and :mod:`repro.core.sharded_chain`.
-    engine_options:
-        Optional keyword arguments forwarded to the engine constructor
-        beyond the common ``(initial, lam, seed)`` — e.g. ``{"tiles":
-        (2, 2), "workers": 4, "halo": 2}`` for ``engine="sharded"``.
-        Options an engine does not accept raise a
-        :class:`~repro.errors.ConfigurationError`; ``None`` (default)
-        forwards nothing.
+        block-vectorized engine (fastest at ``n >= 1000``).  All produce
+        the same trajectory for the same seed; see
+        :mod:`repro.core.fast_chain` and :mod:`repro.core.vector_chain`.
     trace_sink:
         Optional streaming hook: an object with an ``append(point)``
         method (e.g. :class:`repro.io.trace_store.TraceStoreSink`) that
@@ -145,7 +131,6 @@ class CompressionSimulation:
         seed: RandomState = None,
         engine: str = "reference",
         trace_sink: Optional[object] = None,
-        engine_options: Optional[Dict[str, object]] = None,
     ) -> None:
         try:
             engine_factory = ENGINES[engine]
@@ -154,18 +139,7 @@ class CompressionSimulation:
                 f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
             ) from None
         self.engine = engine
-        if engine_options:
-            try:
-                self.chain = engine_factory(
-                    initial, lam=lam, seed=seed, **engine_options
-                )
-            except TypeError as exc:
-                raise ConfigurationError(
-                    f"engine {engine!r} rejected engine_options "
-                    f"{sorted(engine_options)}: {exc}"
-                ) from None
-        else:
-            self.chain = engine_factory(initial, lam=lam, seed=seed)
+        self.chain = engine_factory(initial, lam=lam, seed=seed)
         self.lam = float(lam)
         self.n = initial.n
         self._pmin = min_perimeter(self.n)
@@ -185,7 +159,6 @@ class CompressionSimulation:
         seed: RandomState = None,
         engine: str = "reference",
         trace_sink: Optional[object] = None,
-        engine_options: Optional[Dict[str, object]] = None,
     ) -> "CompressionSimulation":
         """The paper's standard experiment: ``n`` particles starting in a line."""
         return cls(
@@ -194,7 +167,6 @@ class CompressionSimulation:
             seed=seed,
             engine=engine,
             trace_sink=trace_sink,
-            engine_options=engine_options,
         )
 
     # ------------------------------------------------------------------ #

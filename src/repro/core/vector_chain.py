@@ -267,8 +267,8 @@ class VectorCompressionChain(FastCompressionChain):
         re-centered window keeps its dimensions — the steady-state norm —
         the occupancy and color planes are rewritten in place, only the
         origin moves, and every grid-derived cache (offset arrays, scratch
-        planes, read-offset table, the sharded engine's tiling) stays
-        valid, so ``_bind_grid`` is skipped entirely.
+        planes, read-offset table) stays valid, so ``_bind_grid`` is
+        skipped entirely.
         """
         grid = self._grid
         old_pos = self._pos
@@ -371,7 +371,13 @@ class VectorCompressionChain(FastCompressionChain):
 
     def _advance_edge(self, limit: int) -> int:
         """The compression (``edge``) pass: acceptance is a pure function
-        of the ring mask."""
+        of the ring mask.
+
+        The pass evaluates every proposal against the grid snapshot in
+        numpy, then commits strictly sequentially: it stamps touched
+        cells, screens readers, walks accepted/conflicted events in tape
+        order, tallies counters and adapts the pass size.  The sequential
+        walk is what restores scalar semantics."""
         draws = self._draws
         start = draws.cursor
         stop = start + limit
@@ -383,38 +389,6 @@ class VectorCompressionChain(FastCompressionChain):
         sources = self._pos[indices]
         targets = sources + self._tape_direction_offsets[start:stop]
         rings = sources[:, None] + self._tape_ring_offsets[start:stop]
-        coded, accepted_positions, accepted_deltas = self._evaluate_edge(
-            sources, targets, rings, uniforms
-        )
-        return self._commit_edge(
-            limit,
-            indices,
-            directions,
-            uniforms,
-            sources,
-            targets,
-            rings,
-            coded,
-            accepted_positions,
-            accepted_deltas,
-        )
-
-    def _evaluate_edge(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        rings: np.ndarray,
-        uniforms: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Snapshot evaluation of one ``edge`` pass.
-
-        A pure function of the grid snapshot: every proposal's verdict
-        code plus the tentatively-accepted positions and their edge
-        deltas.  Because no state is written, any partition of the
-        proposals evaluates to the same result — the sharded engine
-        overrides exactly this method (and its ``_site``/``_color``
-        siblings) to fan the evaluation out across tiles.
-        """
         cells = self._cells_flat
         masks = self._cells_unsigned[rings] @ _RING_WEIGHTS
         # One verdict code per proposal: 0 = target occupied, 1 = five
@@ -427,26 +401,8 @@ class VectorCompressionChain(FastCompressionChain):
         legal_masks = masks[legal_positions]
         legal_delta = self._nb_after_arr[legal_masks] - self._nb_before_arr[legal_masks]
         metropolis_ok = uniforms[legal_positions] < self._acceptance_arr[legal_delta + 6]
-        return coded, legal_positions[metropolis_ok], legal_delta[metropolis_ok]
-
-    def _commit_edge(
-        self,
-        limit: int,
-        indices: np.ndarray,
-        directions: np.ndarray,
-        uniforms: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        rings: np.ndarray,
-        coded: np.ndarray,
-        accepted_positions: np.ndarray,
-        accepted_deltas: np.ndarray,
-    ) -> int:
-        """Commit one evaluated ``edge`` pass: stamp touched cells, screen
-        readers, walk accepted/conflicted events in tape order, tally
-        counters and adapt the pass size.  Strictly sequential — this is
-        the part that restores scalar semantics, shared verbatim by the
-        vector and sharded engines."""
+        accepted_positions = legal_positions[metropolis_ok]
+        accepted_deltas = legal_delta[metropolis_ok]
         pos = self._pos
         consumed = limit
         repairs: List[Tuple[int, int, int]] = []  # (position, snapshot class, true class)
@@ -683,37 +639,6 @@ class VectorCompressionChain(FastCompressionChain):
         sources = self._pos[indices]
         targets = sources + self._tape_direction_offsets[start:stop]
         rings = sources[:, None] + self._tape_ring_offsets[start:stop]
-        coded, accepted_positions, accepted_deltas = self._evaluate_site(
-            sources, targets, rings, uniforms
-        )
-        return self._commit_site(
-            limit,
-            indices,
-            directions,
-            uniforms,
-            sources,
-            targets,
-            rings,
-            coded,
-            accepted_positions,
-            accepted_deltas,
-        )
-
-    def _evaluate_site(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        rings: np.ndarray,
-        uniforms: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Snapshot evaluation of one ``edge_site`` pass.
-
-        Pure like :meth:`_evaluate_edge` — the terrain plane is static, so
-        the only snapshot state read is occupancy plus the fixed site
-        bytes.  Returns the verdict codes, tentatively-accepted positions
-        and their *edge* deltas (the site delta is recomputed from the
-        static plane at commit time).
-        """
         cells = self._cells_flat
         site = self._site_arr
         masks = self._cells_unsigned[rings] @ _RING_WEIGHTS
@@ -728,24 +653,8 @@ class VectorCompressionChain(FastCompressionChain):
         metropolis_ok = uniforms[legal_positions] < self._site_rows_flat[
             (site_delta + 1) * 13 + legal_delta + 6
         ]
-        return coded, legal_positions[metropolis_ok], legal_delta[metropolis_ok]
-
-    def _commit_site(
-        self,
-        limit: int,
-        indices: np.ndarray,
-        directions: np.ndarray,
-        uniforms: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        rings: np.ndarray,
-        coded: np.ndarray,
-        accepted_positions: np.ndarray,
-        accepted_deltas: np.ndarray,
-    ) -> int:
-        """Commit one evaluated ``edge_site`` pass.  Strictly sequential,
-        shared verbatim by the vector and sharded engines (see
-        :meth:`_commit_edge`)."""
+        accepted_positions = legal_positions[metropolis_ok]
+        accepted_deltas = legal_delta[metropolis_ok]
         pos = self._pos
         consumed = limit
         repairs: List[Tuple[int, int, int]] = []
@@ -977,43 +886,6 @@ class VectorCompressionChain(FastCompressionChain):
         targets = sources + self._tape_direction_offsets[start:stop]
         rings = sources[:, None] + self._tape_ring_offsets[start:stop]
         swap_attempt = uniforms2 < self._swap_probability
-        (
-            outcome,
-            accepted_move_positions,
-            accepted_move_deltas,
-            accepted_swap_positions,
-        ) = self._evaluate_color(sources, targets, rings, uniforms, swap_attempt)
-        return self._commit_color(
-            limit,
-            indices,
-            directions,
-            uniforms,
-            swap_attempt,
-            sources,
-            targets,
-            rings,
-            outcome,
-            accepted_move_positions,
-            accepted_move_deltas,
-            accepted_swap_positions,
-        )
-
-    def _evaluate_color(
-        self,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        rings: np.ndarray,
-        uniforms: np.ndarray,
-        swap_attempt: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Snapshot evaluation of one ``edge_color`` pass.
-
-        Pure over the occupancy and color snapshots: returns one outcome
-        code per proposal plus the tentatively-accepted movement positions
-        (with their edge deltas) and swap positions.  Like its ``edge``
-        and ``edge_site`` siblings this is the method the sharded engine
-        overrides to fan the evaluation out across tiles.
-        """
         cells = self._cells_flat
         color = self._color_arr
         neighbor_offsets = self._direction_offsets_arr
@@ -1073,31 +945,7 @@ class VectorCompressionChain(FastCompressionChain):
         swap_ok = uniforms[viable_positions] < self._swap_acceptance_arr[swap_delta + 10]
         accepted_swap_positions = viable_positions[swap_ok]
         outcome[accepted_swap_positions] = 8
-        return (
-            outcome,
-            accepted_move_positions,
-            legal_delta[metropolis_ok],
-            accepted_swap_positions,
-        )
-
-    def _commit_color(
-        self,
-        limit: int,
-        indices: np.ndarray,
-        directions: np.ndarray,
-        uniforms: np.ndarray,
-        swap_attempt: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        rings: np.ndarray,
-        outcome: np.ndarray,
-        accepted_move_positions: np.ndarray,
-        accepted_move_deltas: np.ndarray,
-        accepted_swap_positions: np.ndarray,
-    ) -> int:
-        """Commit one evaluated ``edge_color`` pass.  Strictly sequential,
-        shared verbatim by the vector and sharded engines (see
-        :meth:`_commit_edge`)."""
+        accepted_move_deltas = legal_delta[metropolis_ok]
         pos = self._pos
         consumed = limit
         resolved = 0

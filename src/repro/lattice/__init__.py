@@ -47,7 +47,6 @@ from repro.lattice.shapes import (
     hexagon,
     line,
     parallelogram,
-    property2_only_configuration,
     property2_witness,
     random_connected,
     random_hole_free,
@@ -55,7 +54,6 @@ from repro.lattice.shapes import (
     spiral,
     staircase,
 )
-from repro.lattice.tiling import MIN_HALO, TiledGrid
 from repro.lattice.enumeration import (
     count_configurations,
     count_configurations_by_perimeter,
@@ -108,15 +106,12 @@ __all__ = [
     "hexagon",
     "line",
     "parallelogram",
-    "property2_only_configuration",
     "property2_witness",
     "random_connected",
     "random_hole_free",
     "ring",
     "spiral",
     "staircase",
-    "MIN_HALO",
-    "TiledGrid",
     "count_configurations",
     "count_configurations_by_perimeter",
     "enumerate_configurations",

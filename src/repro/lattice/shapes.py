@@ -251,12 +251,6 @@ def property2_witness() -> tuple[ParticleConfiguration, Node, Node]:
     return (ParticleConfiguration(nodes), (0, 2), (0, 1))
 
 
-def property2_only_configuration() -> ParticleConfiguration:
-    """Deprecated name kept for convenience: the configuration of :func:`property2_witness`."""
-    configuration, _, _ = property2_witness()
-    return configuration
-
-
 def _validate_n(n: int) -> None:
     if n < 1:
         raise ConfigurationError(f"need at least one particle, got n={n}")

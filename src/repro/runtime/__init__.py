@@ -18,9 +18,8 @@ boundary, replica ensembles for mixing estimates, and n-scaling studies:
   policies (backoff, deterministic jitter, supervisor-enforced timeouts),
   quarantined :class:`~repro.runtime.supervision.JobFailure` records, and
   the runner-level fault-injection harness
-  (:class:`~repro.runtime.supervision.RunnerFaultPlan`; ``FaultPlan`` is
-  its deprecated alias — the amoebot-layer particle-fault injector of the
-  same name lives in :mod:`repro.amoebot.faults`).
+  (:class:`~repro.runtime.supervision.RunnerFaultPlan`; the amoebot-layer
+  particle-fault injector ``FaultPlan`` lives in :mod:`repro.amoebot.faults`).
 
 Quickstart::
 
@@ -58,7 +57,6 @@ from repro.runtime.results import ResultsTable
 from repro.runtime.supervision import (
     FAILURE_POLICIES,
     FAULT_ACTIONS,
-    FaultPlan,
     FaultSpec,
     RunnerFaultPlan,
     InjectedFault,
@@ -93,7 +91,6 @@ __all__ = [
     "FAULT_ACTIONS",
     "JOB_KINDS",
     "SEPARATION_JOB_KIND",
-    "FaultPlan",
     "FaultSpec",
     "RunnerFaultPlan",
     "InjectedFault",

@@ -89,8 +89,7 @@ def job_to_json(job: Job) -> Dict[str, Any]:
     untagged so documents written before the tags existed keep resuming.
     For the same reason a ``trace_store`` of ``None`` is omitted from the
     fingerprint (store-less jobs keep the exact payload shape they had
-    before streaming traces existed, so old documents keep resuming), and
-    an ``engine_options`` of ``None`` likewise.
+    before streaming traces existed, so old documents keep resuming).
     """
     try:
         payload = json.loads(json.dumps(asdict(job)))
@@ -101,8 +100,6 @@ def job_to_json(job: Job) -> Dict[str, Any]:
         ) from exc
     if payload.get("trace_store") is None:
         payload.pop("trace_store", None)
-    if payload.get("engine_options") is None:
-        payload.pop("engine_options", None)
     if isinstance(job, AmoebotJob):
         payload["job_type"] = "amoebot"
     elif isinstance(job, SeparationJob):

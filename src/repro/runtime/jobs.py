@@ -68,24 +68,6 @@ def _validate_trace_store(trace_store: Any) -> None:
         )
 
 
-def _validate_engine_options(engine_options: Any) -> None:
-    """Job-level validation of the optional engine keyword arguments.
-
-    Only the shape is checked here (a keyword dict that can round-trip a
-    JSON checkpoint); whether the selected engine accepts the options is
-    the engine constructor's call, made in the worker.
-    """
-    if engine_options is None:
-        return
-    if not isinstance(engine_options, dict) or not all(
-        isinstance(key, str) for key in engine_options
-    ):
-        raise ConfigurationError(
-            f"engine_options must be a dict of keyword arguments (string "
-            f"keys, JSON-able values), got {engine_options!r}"
-        )
-
-
 def _open_job_sink(job: "Job", n: int):
     """Create the streaming trace sink for a job, or ``None`` without one.
 
@@ -138,9 +120,9 @@ class ChainJob:
     initial_nodes:
         Explicit starting configuration as a tuple of ``(x, y)`` nodes.
     engine:
-        Algorithm M engine: ``"fast"`` (default), ``"vector"`` (fastest
-        single-core for ``n >= 1000``), ``"sharded"`` (tile-parallel
-        multi-core) or ``"reference"``.
+        Algorithm M engine, a key of :data:`repro.core.ENGINES`: ``"fast"``
+        (default), ``"vector"`` (fastest for ``n >= 1000``) or
+        ``"reference"``.
     kind:
         ``"trace"`` runs ``iterations`` steps recording a metrics trace;
         ``"compression_time"`` runs until alpha-compression (or budget).
@@ -166,14 +148,6 @@ class ChainJob:
         instead of embedding the trace inline.  ``None`` (default) keeps
         traces purely in memory, byte-identical to before the field
         existed.
-    engine_options:
-        Optional engine-constructor keyword arguments (plain JSON dict),
-        forwarded through
-        :class:`~repro.core.compression.CompressionSimulation` — e.g.
-        ``{"tiles": [2, 2], "workers": 4}`` for ``engine="sharded"``.
-        ``None`` (default) forwards nothing and is omitted from the
-        checkpoint fingerprint, so documents from before the field
-        existed keep resuming.
     """
 
     job_id: str
@@ -190,7 +164,6 @@ class ChainJob:
     check_every: int = 2000
     metadata: Dict[str, Any] = field(default_factory=dict)
     trace_store: Optional[str] = None
-    engine_options: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         if not _JOB_ID_PATTERN.match(self.job_id):
@@ -214,7 +187,6 @@ class ChainJob:
                 f"got {type(self.seed).__name__}"
             )
         _validate_trace_store(self.trace_store)
-        _validate_engine_options(self.engine_options)
         if self.kind == "trace":
             if self.iterations < 0:
                 raise ConfigurationError(
@@ -320,7 +292,6 @@ def run_job(job: ChainJob) -> ChainResult:
         seed=job.seed,
         engine=job.engine,
         trace_sink=sink,
-        engine_options=job.engine_options,
     )
     compression_time: Optional[int] = None
     if job.kind == "trace":
@@ -522,9 +493,8 @@ class SeparationJob:
 
     Attributes
     ----------
-    job_id, lam, seed, engine, iterations, record_every, metadata, engine_options:
-        As on :class:`ChainJob` (``engine`` is ``"fast"``,
-        ``"reference"``, ``"vector"`` or ``"sharded"``).
+    job_id, lam, seed, engine, iterations, record_every, metadata:
+        As on :class:`ChainJob`.
     gamma:
         Homogeneity bias (``> 1`` segregates, ``< 1`` integrates).
     swap_probability:
@@ -556,20 +526,17 @@ class SeparationJob:
     kind: str = SEPARATION_JOB_KIND
     metadata: Dict[str, Any] = field(default_factory=dict)
     trace_store: Optional[str] = None
-    engine_options: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
-        from repro.algorithms.separation import SEPARATION_ENGINES
-
         if not _JOB_ID_PATTERN.match(self.job_id):
             raise ConfigurationError(
                 f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
                 f"got {self.job_id!r}"
             )
-        if self.engine not in SEPARATION_ENGINES:
+        if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown separation engine {self.engine!r}; "
-                f"expected one of {sorted(SEPARATION_ENGINES)}"
+                f"expected one of {sorted(ENGINES)}"
             )
         if self.kind != SEPARATION_JOB_KIND:
             raise ConfigurationError(
@@ -591,7 +558,6 @@ class SeparationJob:
                 f"iterations must be non-negative, got {self.iterations}"
             )
         _validate_trace_store(self.trace_store)
-        _validate_engine_options(self.engine_options)
 
     def build_initial(self):
         """Materialize the colored starting configuration.
@@ -630,7 +596,6 @@ def run_separation_job(job: SeparationJob) -> ChainResult:
         swap_probability=job.swap_probability,
         seed=job.seed,
         engine=job.engine,
-        engine_options=job.engine_options,
     )
     initial_homogeneous = colored.homogeneous_edges()
     sink = _open_job_sink(job, chain.chain.n)
@@ -681,20 +646,17 @@ class BridgingJob:
     kind: str = BRIDGING_JOB_KIND
     metadata: Dict[str, Any] = field(default_factory=dict)
     trace_store: Optional[str] = None
-    engine_options: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
-        from repro.algorithms.shortcut_bridging import BRIDGING_ENGINES
-
         if not _JOB_ID_PATTERN.match(self.job_id):
             raise ConfigurationError(
                 f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
                 f"got {self.job_id!r}"
             )
-        if self.engine not in BRIDGING_ENGINES:
+        if self.engine not in ENGINES:
             raise ConfigurationError(
                 f"unknown bridging engine {self.engine!r}; "
-                f"expected one of {sorted(BRIDGING_ENGINES)}"
+                f"expected one of {sorted(ENGINES)}"
             )
         if self.kind != BRIDGING_JOB_KIND:
             raise ConfigurationError(
@@ -716,7 +678,6 @@ class BridgingJob:
                 f"iterations must be non-negative, got {self.iterations}"
             )
         _validate_trace_store(self.trace_store)
-        _validate_engine_options(self.engine_options)
 
     def build_terrain(self):
         """Materialize the V-shaped terrain described by the job."""
@@ -742,7 +703,6 @@ def run_bridging_job(job: BridgingJob) -> ChainResult:
         gamma=job.gamma,
         seed=job.seed,
         engine=job.engine,
-        engine_options=job.engine_options,
     )
     sink = _open_job_sink(job, chain.chain.n)
     trace = _trace_extension_chain(

@@ -283,12 +283,7 @@ class RunnerFaultPlan:
     This is the *runner-level* fault injector (raise/stall/``os._exit`` a
     worker attempt) — unrelated to
     :class:`repro.amoebot.faults.FaultPlan`, which injects crash/Byzantine
-    faults into the particles of a running amoebot system.  The two
-    classes shared the name ``FaultPlan`` until the rename; the old name
-    remains importable from this module as a deprecated alias so existing
-    code keeps working, but new code should use ``RunnerFaultPlan`` and
-    never risk grabbing the wrong injector from a ``from repro...``
-    import.
+    faults into the particles of a running amoebot system.
     """
 
     faults: Tuple[FaultSpec, ...] = ()
@@ -310,11 +305,6 @@ class RunnerFaultPlan:
             if fault.job_id == job_id and fault.attempt == attempt:
                 return fault
         return None
-
-
-#: Deprecated alias for :class:`RunnerFaultPlan` (the name collided with
-#: the amoebot-layer :class:`repro.amoebot.faults.FaultPlan`).
-FaultPlan = RunnerFaultPlan
 
 
 # ---------------------------------------------------------------------- #

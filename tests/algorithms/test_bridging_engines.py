@@ -3,12 +3,12 @@
 The shortcut-bridging chain of [2] runs on the shared engine stack via
 :class:`repro.core.kernels.BridgingKernel`; this file holds it to the
 same contract as the compression engines: lockstep
-reference/fast/vector/sharded bit-identity (the vector engine resolves proposals in numpy block passes
-against the terrain byte plane), block-run and mixed ``step()``/``run()``
+reference/fast/vector bit-identity (the vector engine resolves proposals
+in numpy block passes against the terrain byte plane), block-run and mixed ``step()``/``run()``
 agreement at every chunk boundary, randomized invariants (connectivity;
 the incrementally maintained gap occupancy ``g(sigma)`` against the
 from-scratch terrain recomputation), and a committed golden trace pinned
-on all four engines.
+on all three engines.
 """
 
 import json
@@ -61,11 +61,11 @@ LOCKSTEP_CASES = (
 )
 
 
-def engine_quartet(terrain, initial, lam, gamma, seed):
+def engine_trio(terrain, initial, lam, gamma, seed):
     kwargs = dict(lam=lam, gamma=gamma, seed=seed)
     return tuple(
         BridgingMarkovChain(initial, terrain, engine=engine, **kwargs)
-        for engine in ("reference", "fast", "vector", "sharded")
+        for engine in ("reference", "fast", "vector")
     )
 
 
@@ -82,10 +82,10 @@ def assert_same_final_state(fast, reference, context=""):
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
 def test_lockstep_trajectories_are_identical(name):
     terrain, initial, lam, gamma, iterations = _case(name)
-    reference, fast, vector, sharded = engine_quartet(terrain, initial, lam, gamma, seed=7)
+    reference, fast, vector = engine_trio(terrain, initial, lam, gamma, seed=7)
     for iteration in range(iterations):
         expected = reference.chain.step()
-        for label, chain in (("fast", fast), ("vector", vector), ("sharded", sharded)):
+        for label, chain in (("fast", fast), ("vector", vector)):
             actual = chain.chain.step()
             assert actual == expected, (
                 f"{name}: trajectories diverged at iteration {iteration}: "
@@ -93,7 +93,6 @@ def test_lockstep_trajectories_are_identical(name):
             )
     assert_same_final_state(fast, reference, name)
     assert_same_final_state(vector, reference, name)
-    assert_same_final_state(sharded, reference, name)
 
 
 @pytest.mark.slow
@@ -104,19 +103,16 @@ def test_block_runs_match_lockstep_runs(name):
     cut, checked against the fast engine's gap occupancy at every chunk
     boundary."""
     terrain, initial, lam, gamma, iterations = _case(name)
-    reference, fast, vector, sharded = engine_quartet(terrain, initial, lam, gamma, seed=19)
+    reference, fast, vector = engine_trio(terrain, initial, lam, gamma, seed=19)
     for chunk in (1, 37, 700, 1024, iterations):
         reference.run(chunk)
         fast.run(chunk)
         vector.run(chunk)
-        sharded.run(chunk)
         assert fast.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
         assert vector.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
         assert vector.gap_occupancy() == fast.gap_occupancy(), f"{name}@{chunk}"
-        assert sharded.gap_occupancy() == fast.gap_occupancy(), f"{name}@{chunk}"
     assert_same_final_state(fast, reference, name)
     assert_same_final_state(vector, reference, name)
-    assert_same_final_state(sharded, reference, name)
 
 
 @pytest.mark.slow
@@ -149,17 +145,15 @@ def test_long_run_with_grid_reallocation_matches_reference():
     on the vector engine the guard-band re-center also rebuilds the aux
     plane the block pass reads)."""
     terrain = v_shaped_terrain(4)
-    reference, fast, vector, sharded = engine_quartet(terrain, line(22), 1.0, 1.1, seed=13)
+    reference, fast, vector = engine_trio(terrain, line(22), 1.0, 1.1, seed=13)
     reference.run(150_000)
     fast.run(150_000)
     vector.run(150_000)
-    sharded.run(150_000)
     assert_same_final_state(fast, reference)
     assert_same_final_state(vector, reference)
-    assert_same_final_state(sharded, reference)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vector", "sharded"])
+@pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
 class TestInvariants:
     def test_gap_occupancy_matches_terrain_recomputation(self, engine):
         """The engines' incremental g(sigma) against the from-scratch count,
@@ -207,8 +201,11 @@ class TestWrapper:
         assert chain.step() in (True, False)
         vectorized = BridgingMarkovChain(initial, terrain, 4.0, 2.0, engine="vector")
         assert vectorized.engine == "vector"
-        with pytest.raises(ConfigurationError):
-            BridgingMarkovChain(initial, terrain, 4.0, 2.0, engine="warp")
+        for engine in ("warp", "sharded"):
+            with pytest.raises(
+                ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
+            ):
+                BridgingMarkovChain(initial, terrain, 4.0, 2.0, engine=engine)
 
     def test_fast_engine_reproduces_gap_aversion_tradeoff(self):
         """The headline behaviour of [2] on the production engine."""
@@ -238,7 +235,7 @@ class TestGoldenTrace:
         terrain = v_shaped_terrain(golden["arm_length"], opening=golden["opening"])
         return terrain, initial_bridge_configuration(terrain, golden["n"])
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector", "sharded"])
+    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
     def test_engine_reproduces_golden_trace(self, golden, setup, engine):
         terrain, initial = setup
         chain = BridgingMarkovChain(
@@ -272,7 +269,7 @@ class TestGoldenTrace:
         assert chain.chain.rejection_counts == final["rejection_counts"]
         assert sorted(list(node) for node in chain.chain.occupied) == final["occupied"]
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector", "sharded"])
+    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
     def test_engine_run_reproduces_golden_final_state(self, golden, setup, engine):
         terrain, initial = setup
         chain = BridgingMarkovChain(

@@ -5,9 +5,8 @@ The separation chain of [9] runs on the shared engine stack via
 same contract as the compression engines:
 
 * **Lockstep differential:** seeded identically, the reference
-  (hash-map), fast (grid + color byte plane), vector (numpy block
-  pass with aux-plane conflict cut) and sharded (tile-parallel
-  evaluation) engines must produce bit-identical trajectories — the
+  (hash-map), fast (grid + color byte plane) and vector (numpy block
+  pass with aux-plane conflict cut) engines must produce bit-identical trajectories — the
   same proposal each iteration, resolved the same way, movements and
   color swaps alike.
 * **Block-run differential:** the vector engine's ``run()`` resolves
@@ -19,7 +18,7 @@ same contract as the compression engines:
   across swaps, connectivity is preserved, and the incrementally
   maintained edge count matches a from-scratch recomputation.
 * **Golden trace:** a committed fixture pins the exact trajectory of a
-  standard start, so silent protocol changes fail loudly — on all four
+  standard start, so silent protocol changes fail loudly — on all three
   engines.
 """
 
@@ -58,11 +57,11 @@ LOCKSTEP_CASES = {
 }
 
 
-def engine_quartet(colored, lam, gamma, swap_probability, seed):
+def engine_trio(colored, lam, gamma, swap_probability, seed):
     kwargs = dict(lam=lam, gamma=gamma, swap_probability=swap_probability, seed=seed)
     return tuple(
         SeparationMarkovChain(colored, engine=engine, **kwargs)
-        for engine in ("reference", "fast", "vector", "sharded")
+        for engine in ("reference", "fast", "vector")
     )
 
 
@@ -80,12 +79,12 @@ def assert_same_final_state(fast, reference, context=""):
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
 def test_lockstep_trajectories_are_identical(name):
     colored, lam, gamma, swap_probability, iterations = LOCKSTEP_CASES[name]
-    reference, fast, vector, sharded = engine_quartet(
+    reference, fast, vector = engine_trio(
         colored, lam, gamma, swap_probability, seed=7
     )
     for iteration in range(iterations):
         expected = reference.step()
-        for label, chain in (("fast", fast), ("vector", vector), ("sharded", sharded)):
+        for label, chain in (("fast", fast), ("vector", vector)):
             actual = chain.step()
             assert actual == expected, (
                 f"{name}: trajectories diverged at iteration {iteration}: "
@@ -93,7 +92,6 @@ def test_lockstep_trajectories_are_identical(name):
             )
     assert_same_final_state(fast, reference, name)
     assert_same_final_state(vector, reference, name)
-    assert_same_final_state(sharded, reference, name)
 
 
 @pytest.mark.slow
@@ -104,21 +102,18 @@ def test_block_runs_match_lockstep_runs(name):
     conflict cut, checked against the fast engine's colors at every
     chunk boundary."""
     colored, lam, gamma, swap_probability, iterations = LOCKSTEP_CASES[name]
-    reference, fast, vector, sharded = engine_quartet(
+    reference, fast, vector = engine_trio(
         colored, lam, gamma, swap_probability, seed=19
     )
     for chunk in (1, 37, 700, 1024, iterations):  # straddles draw blocks
         reference.run(chunk)
         fast.run(chunk)
         vector.run(chunk)
-        sharded.run(chunk)
         assert fast.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
         assert vector.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
         assert vector.state.colors == fast.state.colors, f"{name}@{chunk}"
-        assert sharded.state.colors == fast.state.colors, f"{name}@{chunk}"
     assert_same_final_state(fast, reference, name)
     assert_same_final_state(vector, reference, name)
-    assert_same_final_state(sharded, reference, name)
 
 
 @pytest.mark.slow
@@ -150,17 +145,15 @@ def test_long_run_with_grid_reallocation_matches_reference():
     (which rebuild the fast engine's color plane — and, on the vector
     engine, carry the colors across the re-centered grid)."""
     colored = ColoredConfiguration.random_colors(line(25), seed=2)
-    reference, fast, vector, sharded = engine_quartet(colored, 1.0, 1.2, 0.5, seed=13)
+    reference, fast, vector = engine_trio(colored, 1.0, 1.2, 0.5, seed=13)
     reference.run(150_000)
     fast.run(150_000)
     vector.run(150_000)
-    sharded.run(150_000)
     assert_same_final_state(fast, reference)
     assert_same_final_state(vector, reference)
-    assert_same_final_state(sharded, reference)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vector", "sharded"])
+@pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
 class TestInvariants:
     def test_color_counts_conserved_and_connectivity_preserved(self, engine):
         for seed in range(4):
@@ -193,8 +186,11 @@ class TestWrapper:
         colored = ColoredConfiguration.halves(line(8))
         assert SeparationMarkovChain(colored, 4.0, 2.0, engine="fast").engine == "fast"
         assert SeparationMarkovChain(colored, 4.0, 2.0, engine="vector").engine == "vector"
-        with pytest.raises(ConfigurationError):
-            SeparationMarkovChain(colored, 4.0, 2.0, engine="warp")
+        for engine in ("warp", "sharded"):
+            with pytest.raises(
+                ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
+            ):
+                SeparationMarkovChain(colored, 4.0, 2.0, engine=engine)
 
     def test_fast_engine_segregates_like_reference_did(self):
         """The headline behaviour of [9] on the production engine."""
@@ -224,7 +220,7 @@ class TestGoldenTrace:
         assert rebuilt.colors == colored.colors
         return colored
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector", "sharded"])
+    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
     def test_engine_reproduces_golden_trace(self, golden, start, engine):
         chain = SeparationMarkovChain(
             start,
@@ -260,7 +256,7 @@ class TestGoldenTrace:
             [x, y, c] for (x, y), c in chain.state.colors.items()
         ) == final["colors"]
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector", "sharded"])
+    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
     def test_engine_run_reproduces_golden_final_state(self, golden, start, engine):
         """The batched run() paths land on the committed final state too."""
         chain = SeparationMarkovChain(

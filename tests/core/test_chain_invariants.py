@@ -7,16 +7,22 @@ and that the engines' incrementally maintained counters (``e(sigma)``,
 ``p(sigma)``, hole counts) always agree with a from-scratch
 :class:`~repro.lattice.configuration.ParticleConfiguration` recomputation.
 
-The checks run primarily against the fast engine (whose incremental
-bookkeeping is the non-obvious part); a reference-engine subset guards
-the same invariants on the transparent implementation.
+The checks run primarily against the fast and vector engines (whose
+incremental bookkeeping is the non-obvious part); a reference-engine
+subset guards the same invariants on the transparent implementation.
+The extension kernels get their own seeded sweeps on the fast and vector
+engines: the separation chain must also conserve per-color counts and
+keep its colors on the occupied nodes, and the bridging chain's
+incrementally maintained gap occupancy must match the terrain
+recomputation.
 """
 
 import pytest
 
+from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
+from repro.algorithms.shortcut_bridging import BridgingMarkovChain, Terrain
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.sharded_chain import ShardedCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import random_connected, random_hole_free
 
@@ -63,9 +69,10 @@ def test_randomized_invariants_fast_engine(seed, n, lam, hole_free):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("seed,n,lam,hole_free", RUN_MATRIX[::2])
+@pytest.mark.parametrize("seed,n,lam,hole_free", RUN_MATRIX)
 def test_randomized_invariants_vector_engine(seed, n, lam, hole_free):
-    """The vector engine's numpy passes keep the same paper invariants."""
+    """The vector engine's numpy passes keep the same paper invariants,
+    from hole-free (even seeds) and holey (odd seeds) starts alike."""
     start = random_start(n, seed, hole_free)
     hole_free_start = start.is_hole_free
     chain = VectorCompressionChain(start, lam=lam, seed=seed)
@@ -74,24 +81,50 @@ def test_randomized_invariants_vector_engine(seed, n, lam, hole_free):
         check_invariants(chain, hole_free_start, f"vector seed={seed} block={block}")
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("seed,n,lam,hole_free", RUN_MATRIX[1::4])
-def test_randomized_invariants_sharded_engine(seed, n, lam, hole_free):
-    """The sharded engine's tile-parallel passes keep the same invariants
-    (with the tiled path forced on by a tiny shard threshold)."""
-    import repro.core.sharded_chain as sharded_chain
+#: The seeded sweep shared by the extension-kernel invariant tests.
+EXTENSION_MATRIX = RUN_MATRIX[1::4]
 
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed,n,lam,hole_free", EXTENSION_MATRIX)
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_randomized_invariants_separation_kernel(engine, seed, n, lam, hole_free):
+    """Color-swap and movement passes keep the paper invariants, conserve
+    every color's particle count and keep the colors on occupied nodes."""
     start = random_start(n, seed, hole_free)
     hole_free_start = start.is_hole_free
-    chain = ShardedCompressionChain(start, lam=lam, seed=seed, tiles=(2, 2), workers=2)
-    original = sharded_chain._MIN_SHARD_PASS
-    sharded_chain._MIN_SHARD_PASS = 1
-    try:
-        for block in range(4):
-            chain.run(400)
-            check_invariants(chain, hole_free_start, f"sharded seed={seed} block={block}")
-    finally:
-        sharded_chain._MIN_SHARD_PASS = original
+    colored = ColoredConfiguration.random_colors(start, num_colors=2 + seed % 2, seed=seed)
+    chain = SeparationMarkovChain(
+        colored, lam=lam, gamma=2.0, swap_probability=0.4, seed=seed, engine=engine
+    )
+    for block in range(4):
+        chain.run(400)
+        context = f"separation {engine} seed={seed} block={block}"
+        check_invariants(chain.chain, hole_free_start, context)
+        state = chain.state
+        assert state.color_counts() == colored.color_counts(), f"{context}: colors"
+        assert state.nodes == chain.chain.occupied, f"{context}: colors off the particles"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed,n,lam,hole_free", EXTENSION_MATRIX)
+@pytest.mark.parametrize("engine", ["fast", "vector"])
+def test_randomized_invariants_bridging_kernel(engine, seed, n, lam, hole_free):
+    """Site-weighted passes keep the paper invariants and the incremental
+    gap occupancy agrees with the terrain recomputation."""
+    start = random_start(n, seed, hole_free)
+    hole_free_start = start.is_hole_free
+    # Every other occupied node is land; everything else is gap.
+    land = frozenset(node for i, node in enumerate(sorted(start.nodes)) if i % 2)
+    terrain = Terrain(land=land, anchors=(min(land), max(land)))
+    chain = BridgingMarkovChain(start, terrain, lam=lam, gamma=1.5, seed=seed, engine=engine)
+    for block in range(4):
+        chain.run(400)
+        context = f"bridging {engine} seed={seed} block={block}"
+        check_invariants(chain.chain, hole_free_start, context)
+        assert chain.gap_occupancy() == terrain.gap_occupancy(
+            chain.configuration
+        ), f"{context}: gap occupancy drifted"
 
 
 @pytest.mark.slow
@@ -105,9 +138,7 @@ def test_randomized_invariants_reference_engine(seed):
         check_invariants(chain, hole_free_start, f"reference seed={seed} block={block}")
 
 
-@pytest.mark.parametrize(
-    "engine", [FastCompressionChain, VectorCompressionChain, ShardedCompressionChain]
-)
+@pytest.mark.parametrize("engine", [FastCompressionChain, VectorCompressionChain])
 def test_holey_start_fallback_then_euler_lock_in(engine):
     """The fast engines' perimeter/hole fallback path for holey starts.
 

@@ -42,6 +42,13 @@ class TestSetupAndMetrics:
         with pytest.raises(ConfigurationError):
             simulation.is_beta_expanded(1.5)
 
+    @pytest.mark.parametrize("engine", ["warp", "sharded"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(
+            ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
+        ):
+            CompressionSimulation.from_line(10, lam=4.0, seed=0, engine=engine)
+
 
 class TestRunning:
     def test_run_records_trace(self):

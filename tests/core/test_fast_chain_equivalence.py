@@ -30,7 +30,6 @@ from repro.core.fast_chain import (
 )
 from repro.core.markov_chain import CompressionMarkovChain
 from repro.core.properties import satisfies_either_property
-from repro.core.sharded_chain import ShardedCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
@@ -53,7 +52,6 @@ LOCKSTEP_CASES = {
 CANDIDATE_ENGINES = {
     "fast": FastCompressionChain,
     "vector": VectorCompressionChain,
-    "sharded": ShardedCompressionChain,
 }
 
 
@@ -168,7 +166,6 @@ def test_constructor_error_parity():
         CompressionMarkovChain,
         FastCompressionChain,
         VectorCompressionChain,
-        ShardedCompressionChain,
     ):
         with pytest.raises(ConfigurationError):
             engine(disconnected, lam=4.0)

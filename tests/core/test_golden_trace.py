@@ -21,7 +21,6 @@ import pytest
 
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.sharded_chain import ShardedCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import line
 
@@ -31,7 +30,6 @@ ENGINES_UNDER_TEST = {
     "reference": CompressionMarkovChain,
     "fast": FastCompressionChain,
     "vector": VectorCompressionChain,
-    "sharded": ShardedCompressionChain,
 }
 
 

@@ -127,6 +127,25 @@ class TestCheckpointResume:
         with pytest.raises(SerializationError):
             run_ensemble([altered], checkpoint=tmp_path)
 
+    def test_engine_options_document_is_refused_as_stale(self, tmp_path):
+        """A document whose job still carries an ``engine_options`` key (the
+        engine keyword knob no job has any more) fingerprints differently
+        from every submittable job: resuming refuses it as stale instead of
+        crashing on an unexpected constructor argument."""
+        jobs = sweep_jobs()[:1]
+        run_ensemble(jobs, checkpoint=tmp_path)
+        checkpoint = EnsembleCheckpoint(tmp_path)
+        path = checkpoint.path_for(jobs[0].job_id)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["job"]["engine_options"] = {"tiles": [2, 2], "workers": 2}
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(SerializationError, match="stale checkpoint"):
+            checkpoint.load(jobs[0])
+        with pytest.raises(SerializationError, match="stale checkpoint"):
+            run_ensemble(jobs, checkpoint=tmp_path)
+        with pytest.raises(SerializationError, match="malformed job payload"):
+            job_from_json(payload["job"])
+
     def test_checkpoint_files_are_plain_json(self, tmp_path):
         jobs = sweep_jobs()[:1]
         run_ensemble(jobs, checkpoint=tmp_path)

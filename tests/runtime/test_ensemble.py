@@ -32,8 +32,11 @@ class TestChainJob:
             ChainJob(job_id="a", lam=4.0, seed=0)  # neither n nor nodes
         with pytest.raises(ConfigurationError):
             ChainJob(job_id="a", lam=4.0, seed=0, n=10, initial_nodes=((0, 0),))
-        with pytest.raises(ConfigurationError):
-            ChainJob(job_id="a", lam=4.0, seed=0, n=10, engine="warp")
+        for engine in ("warp", "sharded"):
+            with pytest.raises(
+                ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
+            ):
+                ChainJob(job_id="a", lam=4.0, seed=0, n=10, engine=engine)
         with pytest.raises(ConfigurationError):
             ChainJob(job_id="a", lam=4.0, seed=0, n=10, kind="nope")
         with pytest.raises(ConfigurationError):

@@ -64,8 +64,11 @@ class TestJobValidation:
     def test_separation_job_validation(self):
         with pytest.raises(ConfigurationError):
             separation_job(job_id="bad id!")
-        with pytest.raises(ConfigurationError):
-            separation_job(engine="warp")
+        for engine in ("warp", "sharded"):
+            with pytest.raises(
+                ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
+            ):
+                separation_job(engine=engine)
         with pytest.raises(ConfigurationError):
             separation_job(coloring="stripes")
         with pytest.raises(ConfigurationError):
@@ -80,8 +83,11 @@ class TestJobValidation:
             separation_job(kind="trace")
 
     def test_bridging_job_validation(self):
-        with pytest.raises(ConfigurationError):
-            bridging_job(engine="warp")
+        for engine in ("warp", "sharded"):
+            with pytest.raises(
+                ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
+            ):
+                bridging_job(engine=engine)
         with pytest.raises(ConfigurationError):
             bridging_job(arm_length=1)
         with pytest.raises(ConfigurationError):

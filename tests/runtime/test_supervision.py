@@ -114,18 +114,6 @@ class TestRunnerFaultPlan:
         with pytest.raises(InjectedFault, match="job 'j' attempt 2"):
             FaultSpec("j", 2, "raise").trigger()
 
-    def test_deprecated_alias_and_no_amoebot_collision(self):
-        """``FaultPlan`` stays importable as an alias of ``RunnerFaultPlan``,
-        and is a distinct class from the amoebot particle-fault injector
-        that used to share its name."""
-        from repro.amoebot.faults import FaultPlan as AmoebotFaultPlan
-        from repro.runtime import FaultPlan as RuntimeAlias
-        from repro.runtime.supervision import FaultPlan as SupervisionAlias
-
-        assert RuntimeAlias is RunnerFaultPlan
-        assert SupervisionAlias is RunnerFaultPlan
-        assert AmoebotFaultPlan is not RunnerFaultPlan
-
 
 class TestSerialSupervision:
     def test_retry_recovers_bit_identically(self):

@@ -151,9 +151,9 @@ class TestBatchedMoveDrawLanes:
 class TestLargeMultiblockRefill:
     """refill(blocks=k) at large k: stream identity and memory behavior.
 
-    The sharded engine leans on wide refills to amortize per-pass overhead
-    at n=10^5-10^6, so the k~O(10^2) regime needs the same guarantees the
-    docstring promises for small k: the generator stream (and therefore
+    Long runs at large n amortize per-refill overhead with wide refills,
+    so the k~O(10^2) regime needs the same guarantees the docstring
+    promises for small k: the generator stream (and therefore
     every seeded trajectory) is unchanged, and materialization does not
     balloon far beyond the tape payload itself.
     """

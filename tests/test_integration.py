@@ -81,9 +81,8 @@ class TestEnginesAgree:
         assert system_alpha < 3.0
 
     def test_package_level_exports(self):
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "2.0.0"
         assert repro.VectorCompressionChain is not None
-        assert repro.ShardedCompressionChain is not None
         assert EXPANSION_THRESHOLD < COMPRESSION_THRESHOLD
         configuration = ParticleConfiguration([(0, 0), (1, 0)])
         assert configuration.perimeter == 2
