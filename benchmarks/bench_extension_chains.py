@@ -12,12 +12,12 @@ advantage of ``engine="fast"`` over ``engine="reference"`` at
 over ``engine="fast"`` at ``n = 10000`` — the same bar the compression
 kernel's vector gate sets in ``bench_vector_chain.py``.
 
-The vector rows measure the large-``n`` stationary regime the block
-resolver exists for: separation starts from the segregated ``halves``
+The vector rows measure the large-``n`` stationary regime: separation
+starts from the segregated ``halves``
 coloring and bridging from the land-hugging BFS start, mirroring the
 compression rows' ground-state ``line`` start.  Like every speedup gate
 in this directory, the ratios are machine-relative — they compare two
-engines on the same host, so they hold wherever the scalar/numpy cost
+engines on the same host, so they hold wherever the Python/C cost
 balance resembles the baseline machine's, while the absolute rows record
 what the recording machine saw.
 

@@ -1,8 +1,7 @@
 """Benchmarks and the speedup gate for the vector engine.
 
-Throughput rows cover ``n = 1000`` through ``n = 20000`` — the regime the
-vector engine exists for — and land in ``BENCH_chain.json`` next to the
-scalar engines' rows.  The acceptance gate
+Throughput rows cover ``n = 1000`` through ``n = 20000`` and land in
+``BENCH_chain.json`` next to the scalar engines' rows.  The acceptance gate
 (``test_vector_engine_speedup_at_n1000``, slow lane) demands at least a
 3x advantage over :class:`~repro.core.fast_chain.FastCompressionChain`
 at ``n = 1000``; the differential harness
@@ -77,9 +76,9 @@ def test_vector_engine_speedup_at_n1000():
 
 @pytest.mark.slow
 def test_vector_advantage_grows_with_n():
-    """The point of block vectorization: per-pass overhead amortizes over
-    longer conflict-free spans as n grows, so the advantage at n=20000
-    must exceed the advantage at n=1000."""
+    """The vector engine's lead must not fade at scale: its advantage
+    over the fast engine at n=20000 must exceed its advantage at
+    n=1000."""
     small = _measured_rate(VectorCompressionChain, 1000) / _measured_rate(
         FastCompressionChain, 1000
     )

@@ -22,8 +22,8 @@ stack: the chain-specific weight lives in
 :class:`repro.core.kernels.SeparationKernel`, and ``engine="reference"``
 (hash-map state, literal property checks), ``engine="fast"`` (dense
 grid, move tables, color byte plane — an order of magnitude faster) or
-``engine="vector"`` (numpy block passes over the same planes, with the
-conflict cut extended to color-plane touches — fastest at large n)
+``engine="vector"`` (the fast engine's loop compiled to C, over the
+same planes — fastest at every n)
 selects the execution engine.  All three consume the two-lane batched
 draw tape, so for equal seeds they produce bit-identical trajectories —
 the same differential contract the compression engines obey
@@ -135,8 +135,8 @@ class SeparationMarkovChain:
         ``"reference"`` (default), ``"fast"`` or ``"vector"`` — any key
         of :data:`repro.core.ENGINES`; bit-identical trajectories for
         equal seeds.  ``fast`` is roughly an order of magnitude above
-        ``reference`` at ``n = 1000``; ``vector`` pulls ahead of ``fast``
-        as ``n`` grows into the thousands (see
+        ``reference`` at ``n = 1000``; ``vector`` runs the same loop
+        compiled to C, several times faster again (see
         ``benchmarks/BENCH_chain.json``).
     draw_block:
         Block size of the batched draw tape (engines compared in

@@ -25,8 +25,9 @@ substitution.
 stack: the terrain weight lives in
 :class:`repro.core.kernels.BridgingKernel`, and ``engine="reference"``,
 ``engine="fast"`` (terrain byte plane over the dense grid, an order
-of magnitude faster) or ``engine="vector"`` (numpy block passes reading
-the same terrain plane — fastest at large n) selects the execution
+of magnitude faster) or ``engine="vector"`` (the fast engine's loop
+compiled to C, reading the same terrain plane — fastest at every n)
+selects the execution
 engine — bit-identical trajectories for equal seeds, enforced by
 ``tests/algorithms/test_bridging_engines.py``.
 """

@@ -27,11 +27,12 @@ Algorithm M ships as three interchangeable engines:
   workhorse (well over an order of magnitude faster than the reference
   engine at ``n = 1000``).
 * :class:`~repro.core.vector_chain.VectorCompressionChain` — the
-  **vector engine**.  Consumes the same draw tape but resolves whole
-  blocks of proposals per numpy pass, restoring sequential semantics
-  with a conflict cut (see :mod:`repro.core.vector_chain`).  Use it for
-  long runs at ``n`` in the thousands and beyond — 3-5x the fast engine
-  from ``n = 1000`` to ``n = 20000``, and growing with ``n``.
+  **vector engine**.  The fast engine's loop, ported statement for
+  statement to C (``_native/chain_loops.c``, compiled and cached on
+  first use, see :mod:`repro.core._native`) and fed the same draw tape.
+  Use it for long runs at any ``n`` — over 10x the fast engine from
+  ``n = 1000`` to ``n = 20000``.  Without a C compiler it logs one
+  warning and runs the fast engine's loops.
 
 **Weight kernels:** the engines' acceptance rule is pluggable
 (:mod:`repro.core.kernels`): the compression weight is the default

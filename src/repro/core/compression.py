@@ -10,12 +10,13 @@ Three interchangeable engines are available through the ``engine``
 parameter: ``"reference"`` — the transparent
 :class:`~repro.core.markov_chain.CompressionMarkovChain`; ``"fast"`` —
 the grid-based :class:`~repro.core.fast_chain.FastCompressionChain`,
-roughly an order of magnitude (or more) faster; and ``"vector"`` — the
-block-vectorized :class:`~repro.core.vector_chain.VectorCompressionChain`,
-another 3-5x on top of ``"fast"`` at ``n >= 1000``.  All three are
-bit-identical in trajectory for equal seeds.  Trace metrics are pulled
-from the engine's incrementally maintained counters, so recording a
-trace point no longer rebuilds the configuration from scratch.
+roughly an order of magnitude (or more) faster; and ``"vector"`` —
+:class:`~repro.core.vector_chain.VectorCompressionChain`, the fast
+engine's loop compiled to C, another order of magnitude on top.  All
+three are bit-identical in trajectory for equal seeds.  Trace metrics
+are pulled from the engine's incrementally maintained counters, so
+recording a trace point no longer rebuilds the configuration from
+scratch.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class CompressionSimulation:
     engine:
         ``"reference"`` (default) for the transparent engine, ``"fast"``
         for the grid-based production engine, ``"vector"`` for the
-        block-vectorized engine (fastest at ``n >= 1000``).  All produce
+        compiled engine (fastest at every ``n``).  All produce
         the same trajectory for the same seed; see
         :mod:`repro.core.fast_chain` and :mod:`repro.core.vector_chain`.
     trace_sink:

@@ -24,8 +24,7 @@ terrain plane for bridging, a color plane for separation — and the
 declaration of extra move types (separation's swaps) with the draw-tape
 lanes they consume.  Every engine — the hash-map reference
 :class:`~repro.core.markov_chain.CompressionMarkovChain`, the table-driven
-:class:`~repro.core.fast_chain.FastCompressionChain`, and the
-block-vectorized
+:class:`~repro.core.fast_chain.FastCompressionChain`, and the compiled
 :class:`~repro.core.vector_chain.VectorCompressionChain` — consumes the
 same kernel tables, so for equal seeds all three engines of *any*
 registered kernel mode produce bit-identical trajectories, exactly like

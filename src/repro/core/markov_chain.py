@@ -20,8 +20,8 @@ This module is the *reference engine*: every quantity it reports is
 either maintained by transparently simple bookkeeping or recomputed from
 scratch by :class:`~repro.lattice.configuration.ParticleConfiguration`.
 The production counterparts —
-:class:`~repro.core.fast_chain.FastCompressionChain` and the
-block-vectorized :class:`~repro.core.vector_chain.VectorCompressionChain`
+:class:`~repro.core.fast_chain.FastCompressionChain` and the compiled
+:class:`~repro.core.vector_chain.VectorCompressionChain`
 — trade that transparency for throughput; all engines consume randomness
 through the batched draw protocol of :class:`repro.rng.BatchedMoveDraws`
 (one ``(index, direction, uniform)`` triple per iteration, the uniform

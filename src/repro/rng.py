@@ -15,9 +15,9 @@ fixed-size blocks.  Because consumption is one triple per iteration
 regardless of how the proposal is resolved, engines seeded identically
 and using the same block size see bit-identical randomness — which is
 what makes the differential-testing harness able to demand identical
-trajectories.  The tape is stored as numpy arrays (consumed wholesale by
-the vector engine's block passes) with a memoized plain-list view for
-the scalar engines.
+trajectories.  The tape is stored as numpy arrays (read in place by the
+vector engine's compiled loops) with a memoized plain-list view for the
+scalar engines.
 
 The distributed amoebot layer has its own instance of the same idea:
 :class:`BatchedActivationDraws` tapes one ``(direction, uniform)`` pair
@@ -70,8 +70,8 @@ class BatchedMoveDraws:
     the canonical triple blocks, single-lane tapes (``lanes=1``, the
     default) invoke the generator exactly as before the lane existed: the
     compression engines' committed golden traces pin this bit-for-bit.
-    The draws are kept as numpy arrays — the vector engine consumes them
-    directly in whole-block numpy passes — with a memoized plain-list view
+    The draws are kept as numpy arrays — the vector engine's compiled
+    loops read them in place — with a memoized plain-list view
     (:meth:`lists`) for the scalar engines' per-element loops.
 
     The uniform of a triple is consumed even when the proposal is rejected

@@ -3,8 +3,9 @@
 The shortcut-bridging chain of [2] runs on the shared engine stack via
 :class:`repro.core.kernels.BridgingKernel`; this file holds it to the
 same contract as the compression engines: lockstep
-reference/fast/vector bit-identity (the vector engine resolves proposals
-in numpy block passes against the terrain byte plane), block-run and mixed ``step()``/``run()``
+reference/fast/vector bit-identity (the vector engine runs the fast
+loop compiled to C against the terrain byte plane), block-run and mixed
+``step()``/``run()``
 agreement at every chunk boundary, randomized invariants (connectivity;
 the incrementally maintained gap occupancy ``g(sigma)`` against the
 from-scratch terrain recomputation), and a committed golden trace pinned
@@ -99,9 +100,8 @@ def test_lockstep_trajectories_are_identical(name):
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
 def test_block_runs_match_lockstep_runs(name):
     """run(k) must consume the tape exactly like k step() calls — on the
-    vector engine that is the numpy pass with the terrain-plane conflict
-    cut, checked against the fast engine's gap occupancy at every chunk
-    boundary."""
+    vector engine that is the compiled ``edge_site`` loop, checked
+    against the fast engine's gap occupancy at every chunk boundary."""
     terrain, initial, lam, gamma, iterations = _case(name)
     reference, fast, vector = engine_trio(terrain, initial, lam, gamma, seed=19)
     for chunk in (1, 37, 700, 1024, iterations):
@@ -117,7 +117,7 @@ def test_block_runs_match_lockstep_runs(name):
 
 @pytest.mark.slow
 def test_vector_mixed_step_and_run_interleavings_match_fast():
-    """step() (scalar path) and run() (numpy pass) share one tape; any
+    """step() (scalar path) and run() (compiled loop) share one tape; any
     interleaving must stay bit-identical to the fast engine."""
     terrain = v_shaped_terrain(5)
     initial = initial_bridge_configuration(terrain, 30)
@@ -143,7 +143,7 @@ def test_vector_mixed_step_and_run_interleavings_match_fast():
 def test_long_run_with_grid_reallocation_matches_reference():
     """Unbiased drift forces several re-centers (terrain plane rebuilds —
     on the vector engine the guard-band re-center also rebuilds the aux
-    plane the block pass reads)."""
+    plane the compiled loop reads)."""
     terrain = v_shaped_terrain(4)
     reference, fast, vector = engine_trio(terrain, line(22), 1.0, 1.1, seed=13)
     reference.run(150_000)

@@ -5,14 +5,14 @@ The separation chain of [9] runs on the shared engine stack via
 same contract as the compression engines:
 
 * **Lockstep differential:** seeded identically, the reference
-  (hash-map), fast (grid + color byte plane) and vector (numpy block
-  pass with aux-plane conflict cut) engines must produce bit-identical trajectories — the
+  (hash-map), fast (grid + color byte plane) and vector (the fast loop
+  compiled to C) engines must produce bit-identical trajectories — the
   same proposal each iteration, resolved the same way, movements and
   color swaps alike.
-* **Block-run differential:** the vector engine's ``run()`` resolves
-  whole blocks of proposals per numpy pass; it must land on the fast
+* **Block-run differential:** the vector engine's ``run()`` hands
+  whole tape spans to the compiled loop; it must land on the fast
   engine's exact state (occupancy *and* colors) at every chunk
-  boundary, including chunks that straddle draw blocks and pass sizes,
+  boundary, including chunks that straddle draw blocks and refills,
   and across mixed ``step()``/``run()`` interleavings.
 * **Randomized invariants:** per-color particle counts are conserved
   across swaps, connectivity is preserved, and the incrementally
@@ -98,8 +98,8 @@ def test_lockstep_trajectories_are_identical(name):
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
 def test_block_runs_match_lockstep_runs(name):
     """run(k) must consume the two-lane tape exactly like k step() calls —
-    on the vector engine that is the numpy pass with the aux-plane
-    conflict cut, checked against the fast engine's colors at every
+    on the vector engine that is the compiled ``edge_color`` loop,
+    checked against the fast engine's colors at every
     chunk boundary."""
     colored, lam, gamma, swap_probability, iterations = LOCKSTEP_CASES[name]
     reference, fast, vector = engine_trio(
@@ -118,7 +118,7 @@ def test_block_runs_match_lockstep_runs(name):
 
 @pytest.mark.slow
 def test_vector_mixed_step_and_run_interleavings_match_fast():
-    """step() (scalar path) and run() (numpy pass) share one tape; any
+    """step() (scalar path) and run() (compiled loop) share one tape; any
     interleaving must stay bit-identical to the fast engine."""
     colored = ColoredConfiguration.random_colors(spiral(24), seed=9)
     kwargs = dict(lam=3.0, gamma=1.5, swap_probability=0.5, seed=21)

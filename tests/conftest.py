@@ -49,3 +49,15 @@ def random_configs() -> list[ParticleConfiguration]:
         random_connected(30, seed=3, compactness=0.7),
         random_connected(25, seed=4),
     ]
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--native-library",
+        default=None,
+        help=(
+            "path to a build of repro/core/_native/chain_loops.c (for example "
+            "a sanitizer build) that tests/core/test_native_loops.py runs "
+            "against instead of the cached build"
+        ),
+    )

@@ -71,7 +71,7 @@ def test_randomized_invariants_fast_engine(seed, n, lam, hole_free):
 @pytest.mark.slow
 @pytest.mark.parametrize("seed,n,lam,hole_free", RUN_MATRIX)
 def test_randomized_invariants_vector_engine(seed, n, lam, hole_free):
-    """The vector engine's numpy passes keep the same paper invariants,
+    """The vector engine's compiled loop keeps the same paper invariants,
     from hole-free (even seeds) and holey (odd seeds) starts alike."""
     start = random_start(n, seed, hole_free)
     hole_free_start = start.is_hole_free

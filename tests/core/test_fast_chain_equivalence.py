@@ -3,13 +3,13 @@
 The contract under test is the one documented in :mod:`repro.core`:
 seeded identically (same seed, same draw block), the grid-based
 :class:`~repro.core.fast_chain.FastCompressionChain`, the
-block-vectorized :class:`~repro.core.vector_chain.VectorCompressionChain`
+compiled :class:`~repro.core.vector_chain.VectorCompressionChain`
 and the hash-map :class:`~repro.core.markov_chain.CompressionMarkovChain`
 must produce bit-identical trajectories — the same proposal every
 iteration, resolved the same way (identical move, rejection reason and
 edge delta), with identical running edge counts, perimeters and rejection
-tallies.  For the vector engine the batched ``run()`` path (the numpy
-passes with the conflict cut) is additionally tested against the scalar
+tallies.  For the vector engine the batched ``run()`` path (the compiled
+C loop) is additionally tested against the scalar
 engines' ``run()`` across every case, since its ``step()`` is the scalar
 fallback.
 
@@ -95,11 +95,11 @@ def test_lockstep_trajectories_are_identical(name, candidate):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
 def test_vector_run_matches_fast_run(name):
-    """The vector engine's batched numpy path must equal scalar run()."""
+    """The vector engine's compiled run() must equal the scalar run()."""
     initial, lam, iterations = LOCKSTEP_CASES[name]
     fast = FastCompressionChain(initial, lam=lam, seed=19)
     vector = VectorCompressionChain(initial, lam=lam, seed=19)
-    # Uneven chunks straddle draw blocks, pass boundaries and refills.
+    # Uneven chunks straddle draw blocks and multi-block refills.
     for chunk in (1, 37, 700, 1024, 2500, iterations):
         fast.run(chunk)
         vector.run(chunk)
@@ -146,7 +146,7 @@ def test_callback_interface_matches_reference(candidate):
 
 
 def test_mixed_step_and_run_keeps_vector_engine_aligned():
-    """Interleaving scalar step() with vectorized run() shares one tape."""
+    """Interleaving scalar step() with compiled run() shares one tape."""
     fast = FastCompressionChain(line(25), lam=4.0, seed=2)
     vector = VectorCompressionChain(line(25), lam=4.0, seed=2)
     for _ in range(40):

@@ -73,7 +73,7 @@ def test_engine_reproduces_golden_trace(golden, engine_name):
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES_UNDER_TEST))
 def test_engine_run_reproduces_golden_final_state(golden, engine_name):
-    """The batched run() paths (including the vector engine's numpy passes)
+    """The batched run() paths (including the vector engine's compiled loop)
     land on the committed final state, not just per-step step()."""
     chain = ENGINES_UNDER_TEST[engine_name](
         line(golden["n"]),

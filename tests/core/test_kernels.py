@@ -136,7 +136,7 @@ class TestDefaultKernelTransparency:
 
 class TestEngineKernelSupport:
     def test_vector_engine_drives_all_registered_kernel_modes(self):
-        """The numpy pass now evaluates the aux-plane kernels too."""
+        """The compiled loops cover the aux-plane kernels too."""
         colors = _halves_colors(spiral(12))
         separation = VectorCompressionChain(
             spiral(12), kernel=SeparationKernel(4.0, 2.0, colors=colors)
@@ -149,7 +149,7 @@ class TestEngineKernelSupport:
         assert separation.iterations == bridging.iterations == 200
 
     def test_vector_engine_refuses_unknown_kernel_modes_actionably(self):
-        """A future kernel mode without a vectorized pass must fail loudly,
+        """A future kernel mode without a compiled loop must fail loudly,
         naming the kernel, its mode, and the engines that can drive it."""
 
         class FrontierKernel:

@@ -1,0 +1,113 @@
+"""Building, caching and falling back from the compiled chain loops.
+
+:mod:`repro.core._native` compiles ``chain_loops.c`` on the first
+``VectorCompressionChain`` construction and caches the build; without a
+working compiler the vector engine runs the fast engine's Python loops
+after exactly one WARNING on the ``repro.core`` logger.  The
+build-must-load test fails rather than skips when a compiler is on
+``PATH``, so a broken build cannot leave CI silently testing only the
+fallback.
+"""
+
+import logging
+from importlib import resources
+
+import pytest
+
+from repro.core import _native
+from repro.core.fast_chain import FastCompressionChain
+from repro.core.vector_chain import VectorCompressionChain
+from repro.lattice.shapes import line, random_connected
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the memoized build before and after the test."""
+    _native.load_library.cache_clear()
+    yield _native.load_library
+    _native.load_library.cache_clear()
+
+
+def records_of(caplog, level):
+    return [
+        record
+        for record in caplog.records
+        if record.name.startswith("repro.core") and record.levelno == level
+    ]
+
+
+def test_c_source_is_package_data():
+    source = resources.files("repro.core._native").joinpath(_native.SOURCE_NAME)
+    assert source.is_file()
+    text = _native.source_bytes().decode()
+    for loop in ("edge", "edge_site", "edge_color"):
+        assert f"int64_t {loop}(" in text
+
+
+def test_compiler_on_path_builds_and_loads(fresh_loader):
+    if _native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH: the fallback tests cover this case")
+    library = fresh_loader()
+    assert library is not None, "a C compiler is on PATH but chain_loops.c did not build and load"
+    chain = VectorCompressionChain(line(10), lam=4.0, seed=0)
+    assert chain._library is library
+
+
+def test_build_is_cached_and_logged_once(fresh_loader, tmp_path, monkeypatch, caplog):
+    if _native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with caplog.at_level(logging.DEBUG, logger="repro.core"):
+        first = fresh_loader()
+        second = fresh_loader()
+    assert first is not None and second is first
+    builds = list((tmp_path / "repro" / "native").glob(f"*/{_native.LIBRARY_NAME}"))
+    assert len(builds) == 1
+    debug = records_of(caplog, logging.DEBUG)
+    assert len(debug) == 1 and str(builds[0]) in debug[0].getMessage()
+    assert not records_of(caplog, logging.WARNING)
+    # No partial files are left beside the build.
+    assert [path.name for path in builds[0].parent.iterdir()] == [_native.LIBRARY_NAME]
+
+
+def test_unwritable_cache_builds_in_a_private_temp_dir(fresh_loader, tmp_path, monkeypatch, caplog):
+    if _native.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    with caplog.at_level(logging.DEBUG, logger="repro.core"):
+        library = fresh_loader()
+    assert library is not None
+    (debug,) = records_of(caplog, logging.DEBUG)
+    built_at = debug.args[0]
+    assert "repro-native-" in str(built_at)
+    assert not built_at.parent.exists(), "the private build directory is removed after loading"
+
+
+def test_without_a_compiler_vector_falls_back_bit_identically(fresh_loader, monkeypatch, caplog):
+    monkeypatch.setattr(_native, "find_compiler", lambda: None)
+    initial = random_connected(40, seed=2)
+    with caplog.at_level(logging.DEBUG, logger="repro.core"):
+        fast = FastCompressionChain(initial, lam=4.0, seed=9)
+        vector = VectorCompressionChain(initial, lam=4.0, seed=9)
+        VectorCompressionChain(line(5), lam=2.0, seed=1)
+    assert vector._library is None
+    assert isinstance(vector._pos, list), "the fallback keeps the fast engine's positions"
+    (warning,) = records_of(caplog, logging.WARNING)
+    assert "no C compiler" in warning.getMessage()
+    for chunk in (1, 7, 1000, 33333):
+        fast.run(chunk)
+        vector.run(chunk)
+    # Re-centering takes the fast engine's path too.
+    fast._reallocate()
+    vector._reallocate()
+    for chunk in (5, 2048):
+        fast.run(chunk)
+        vector.run(chunk)
+    assert vector.occupied == fast.occupied
+    assert vector.edge_count == fast.edge_count
+    assert vector.accepted_moves == fast.accepted_moves
+    assert vector.rejection_counts == fast.rejection_counts
+    assert vector.perimeter() == fast.perimeter()
+    assert vector.step() == fast.step()
