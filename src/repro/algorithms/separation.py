@@ -20,13 +20,12 @@ For ``gamma > 1`` the chain favors homogeneous neighborhoods
 :class:`SeparationMarkovChain` is a thin wrapper over the shared engine
 stack: the chain-specific weight lives in
 :class:`repro.core.kernels.SeparationKernel`, and ``engine="reference"``
-(hash-map state, literal property checks), ``engine="fast"`` (dense
-grid, move tables, color byte plane — an order of magnitude faster) or
-``engine="vector"`` (the fast engine's loop compiled to C, over the
-same planes — fastest at every n)
-selects the execution engine.  All three consume the two-lane batched
-draw tape, so for equal seeds they produce bit-identical trajectories —
-the same differential contract the compression engines obey
+(hash-map state, literal property checks) or ``engine="fast"`` (dense
+grid, move tables, color byte plane, and the compiled ``edge_color``
+loop — fastest at every n; ``"vector"`` is its alias key) selects the
+execution engine.  Both consume the two-lane batched draw tape, so for
+equal seeds they produce bit-identical trajectories — the same
+differential contract the compression engines obey
 (``tests/algorithms/test_separation_engines.py``).
 """
 
@@ -132,11 +131,10 @@ class SeparationMarkovChain:
     seed:
         Seed or generator for reproducible runs.
     engine:
-        ``"reference"`` (default), ``"fast"`` or ``"vector"`` — any key
-        of :data:`repro.core.ENGINES`; bit-identical trajectories for
-        equal seeds.  ``fast`` is roughly an order of magnitude above
-        ``reference`` at ``n = 1000``; ``vector`` runs the same loop
-        compiled to C, several times faster again (see
+        ``"reference"`` (default), ``"fast"`` or its alias ``"vector"``
+        — any key of :data:`repro.core.ENGINES`; bit-identical
+        trajectories for equal seeds.  ``fast`` runs a compiled loop,
+        orders of magnitude above ``reference`` (see
         ``benchmarks/BENCH_chain.json``).
     draw_block:
         Block size of the batched draw tape (engines compared in

@@ -23,12 +23,11 @@ substitution.
 
 :class:`BridgingMarkovChain` is a thin wrapper over the shared engine
 stack: the terrain weight lives in
-:class:`repro.core.kernels.BridgingKernel`, and ``engine="reference"``,
-``engine="fast"`` (terrain byte plane over the dense grid, an order
-of magnitude faster) or ``engine="vector"`` (the fast engine's loop
-compiled to C, reading the same terrain plane — fastest at every n)
-selects the execution
-engine — bit-identical trajectories for equal seeds, enforced by
+:class:`repro.core.kernels.BridgingKernel`, and ``engine="reference"``
+or ``engine="fast"`` (terrain byte plane over the dense grid, read by
+the compiled ``edge_site`` loop — fastest at every n; ``"vector"`` is
+its alias key) selects the execution engine — bit-identical
+trajectories for equal seeds, enforced by
 ``tests/algorithms/test_bridging_engines.py``.
 """
 
@@ -164,9 +163,9 @@ class BridgingMarkovChain:
     seed:
         Seed or generator for reproducible runs.
     engine:
-        ``"reference"`` (default), ``"fast"`` or ``"vector"`` — any key
-        of :data:`repro.core.ENGINES`; bit-identical trajectories for
-        equal seeds.
+        ``"reference"`` (default), ``"fast"`` or its alias ``"vector"``
+        — any key of :data:`repro.core.ENGINES`; bit-identical
+        trajectories for equal seeds.
     draw_block:
         Block size of the batched draw tape.
     """

@@ -53,7 +53,7 @@ def measure_compression_time(
     max_iterations: int,
     seed: RandomState = None,
     check_every: int = 2000,
-    engine: str = "reference",
+    engine: str = "fast",
 ) -> Optional[int]:
     """Iterations until a line of ``n`` particles first becomes alpha-compressed.
 
@@ -112,7 +112,7 @@ def scaling_study(
     repetitions: int = 2,
     budget_factor: float = 50.0,
     seed: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = "fast",
     workers: int = 1,
     checkpoint: Optional[object] = None,
 ) -> ScalingResult:
@@ -136,9 +136,8 @@ def scaling_study(
         Iteration budget per run is ``budget_factor * n^3`` — generous for
         the conjectured ``Theta(n^3)``-to-``O(n^4)`` scaling at small sizes.
     engine:
-        Which Algorithm M engine to run (``"reference"``, ``"fast"`` or
-        ``"vector"``);
-        use ``"fast"`` for sizes beyond a few dozen particles.
+        Which Algorithm M engine to run: ``"fast"`` (default, the compiled
+        loops) or ``"reference"``; both give the same times for a seed.
     workers:
         Worker processes for the ensemble runner (1 = in-process).
     checkpoint:

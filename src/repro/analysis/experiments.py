@@ -61,7 +61,7 @@ def run_fig2_compression(
     iterations: int = 200_000,
     snapshots: int = 5,
     seed: RandomState = 0,
-    engine: str = "reference",
+    engine: str = "fast",
 ) -> ExperimentRecord:
     """Experiment E1 (Figure 2): compression of a line of particles at ``lambda = 4``.
 
@@ -103,7 +103,7 @@ def run_fig10_expansion(
     lam: float = 2.0,
     iterations: int = 200_000,
     seed: RandomState = 0,
-    engine: str = "reference",
+    engine: str = "fast",
 ) -> ExperimentRecord:
     """Experiment E2 (Figure 10): the same system at ``lambda = 2`` does not compress."""
     simulation = ExpansionSimulation.from_line(n, lam=lam, seed=seed, engine=engine)
@@ -132,7 +132,7 @@ def run_lambda_sweep(
     lambdas: Sequence[float] = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0),
     iterations: int = 150_000,
     seed: Optional[int] = 0,
-    engine: str = "reference",
+    engine: str = "fast",
     replicas: int = 1,
     workers: int = 1,
     checkpoint: Optional[Any] = None,

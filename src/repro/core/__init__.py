@@ -5,9 +5,9 @@ compression, Section 3.1), the move-legality Properties 1 and 2, the
 Metropolis filter machinery, the high-level simulation API, and exact
 stationary-distribution analysis for small systems.
 
-The three engines
------------------
-Algorithm M ships as three interchangeable engines:
+The two engines
+---------------
+Algorithm M ships as two interchangeable engines:
 
 * :class:`~repro.core.markov_chain.CompressionMarkovChain` — the
   **reference engine**.  Hash-map state, move legality evaluated by the
@@ -23,23 +23,25 @@ Algorithm M ships as three interchangeable engines:
   edge count ``e(sigma)`` absorbs each accepted move's delta, and the
   perimeter follows from the Euler-formula identity
   ``p = 3n - 3 - e + 3h`` (with ``h = 0`` once the configuration is
-  hole-free, which Lemma 3.2 makes permanent).  Use it as the scalar
-  workhorse (well over an order of magnitude faster than the reference
-  engine at ``n = 1000``).
-* :class:`~repro.core.vector_chain.VectorCompressionChain` — the
-  **vector engine**.  The fast engine's loop, ported statement for
-  statement to C (``_native/chain_loops.c``, compiled and cached on
-  first use, see :mod:`repro.core._native`) and fed the same draw tape.
-  Use it for long runs at any ``n`` — over 10x the fast engine from
-  ``n = 1000`` to ``n = 20000``.  Without a C compiler it logs one
-  warning and runs the fast engine's loops.
+  hole-free, which Lemma 3.2 makes permanent).  Its ``run()`` is one
+  sequential C loop per kernel mode (``_native/chain_loops.c``, compiled
+  and cached on first use, see :mod:`repro.core._native`), a
+  statement-for-statement port of the Python loops it keeps for a
+  machine without a C compiler (one logged warning; same results,
+  ~5-20x slower).  Use it for everything that is not an audit: it is
+  the default of every job factory and experiment.
+
+The ``"vector"`` key of :data:`ENGINES` is an alias of ``"fast"``, and
+:class:`~repro.core.vector_chain.VectorCompressionChain` the same engine
+under its old class name; stored job documents and checkpoints name
+both.
 
 **Weight kernels:** the engines' acceptance rule is pluggable
 (:mod:`repro.core.kernels`): the compression weight is the default
 kernel, and the separation chain of [9] (color plane + swap moves) and
 the shortcut-bridging chain of [2] (terrain plane) run as kernels on the
-very same reference/fast engines — one engine family for all three
-chains, each pair bound by the same differential contract.
+very same two engines — one engine family for all three chains, each
+pair bound by the same differential contract.
 
 **Equivalence guarantee:** all engines consume randomness through the
 shared :class:`repro.rng.BatchedMoveDraws` protocol, so for equal seeds
@@ -50,8 +52,7 @@ randomized invariant suite (``tests/core/test_chain_invariants.py``) and
 a committed golden trace pin this contract down; optimizations that
 change any engine's behaviour fail those tests rather than silently
 diverging.  :class:`~repro.core.compression.CompressionSimulation`
-selects an engine via its ``engine="reference" | "fast" | "vector"``
-parameter.
+selects an engine via its ``engine="reference" | "fast"`` parameter.
 """
 
 from repro.core.properties import (

@@ -4,16 +4,17 @@
 compiler on first use, caches the shared object under
 ``$XDG_CACHE_HOME/repro/native/<key>/`` (``~/.cache`` when unset), keyed
 by the SHA-256 of the source, the compiler path and the flags, and loads
-it with :mod:`ctypes`.  Nothing is compiled at ``import repro``: the
-vector engine calls :func:`load_library` when it is constructed.
+it with :mod:`ctypes`.  Nothing is compiled at ``import repro``:
+:class:`~repro.core.fast_chain.FastCompressionChain` calls
+:func:`load_library` when it is constructed.
 
 A build is written under a temporary name and moved into place with
 ``os.replace``, so concurrent processes never load a half-written file.
 When the cache directory is not writable the build goes to a fresh
 ``tempfile.mkdtemp()`` directory instead, which is removed once the
 library is loaded.  When no compiler is found or the build fails,
-:func:`load_library` logs one WARNING and returns ``None``; the vector
-engine then runs the fast engine's Python loops, with identical results.
+:func:`load_library` logs one WARNING and returns ``None``; the engine
+then runs its Python loops, with identical results.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ CFLAGS = ("-O3", "-shared", "-fPIC")
 
 #: Compilers tried, in order, on ``PATH``.
 COMPILERS = ("cc", "gcc", "clang")
+
+#: What the fallback WARNING says happens next.
+FALLBACK_NOTE = (
+    "engine='fast' and engine='vector' run the Python loops "
+    "(same results, ~5-20x slower)"
+)
 
 
 class Grid(ctypes.Structure):
@@ -128,9 +135,7 @@ def load_library() -> Optional[ctypes.CDLL]:
     compiler = find_compiler()
     if compiler is None:
         logger.warning(
-            "no C compiler (%s) on PATH: engine='vector' runs the fast "
-            "engine's Python loops (same results and speed as engine='fast')",
-            ", ".join(COMPILERS),
+            "no C compiler (%s) on PATH: %s", ", ".join(COMPILERS), FALLBACK_NOTE
         )
         return None
     key = hashlib.sha256()
@@ -149,10 +154,10 @@ def load_library() -> Optional[ctypes.CDLL]:
     except (OSError, subprocess.CalledProcessError) as error:
         detail = getattr(error, "stderr", None) or b""
         logger.warning(
-            "building %s with %s failed (%s%s): engine='vector' runs the fast "
-            "engine's Python loops (same results and speed as engine='fast')",
+            "building %s with %s failed (%s%s): %s",
             SOURCE_NAME, compiler, error,
             f": {detail.decode(errors='replace').strip()}" if detail else "",
+            FALLBACK_NOTE,
         )
         return None
     finally:

@@ -6,15 +6,15 @@ perimeter/edge metrics (the data behind Figures 2 and 10), detection of
 alpha-compression and beta-expansion, and convenience constructors for the
 standard starting configurations.
 
-Three interchangeable engines are available through the ``engine``
+Two interchangeable engines are available through the ``engine``
 parameter: ``"reference"`` — the transparent
-:class:`~repro.core.markov_chain.CompressionMarkovChain`; ``"fast"`` —
-the grid-based :class:`~repro.core.fast_chain.FastCompressionChain`,
-roughly an order of magnitude (or more) faster; and ``"vector"`` —
-:class:`~repro.core.vector_chain.VectorCompressionChain`, the fast
-engine's loop compiled to C, another order of magnitude on top.  All
-three are bit-identical in trajectory for equal seeds.  Trace metrics
-are pulled from the engine's incrementally maintained counters, so
+:class:`~repro.core.markov_chain.CompressionMarkovChain` — and
+``"fast"`` — the grid-based
+:class:`~repro.core.fast_chain.FastCompressionChain`, whose ``run()``
+is a compiled C loop, orders of magnitude faster.  ``"vector"`` is an
+alias key of ``"fast"``, kept for stored job documents.  Both engines
+are bit-identical in trajectory for equal seeds.  Trace metrics are
+pulled from the engine's incrementally maintained counters, so
 recording a trace point no longer rebuilds the configuration from
 scratch.
 """
@@ -30,14 +30,14 @@ from repro.lattice.geometry import max_perimeter, min_perimeter
 from repro.lattice.shapes import line as line_shape
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.vector_chain import VectorCompressionChain
 from repro.rng import RandomState
 
 #: The Algorithm M engines selectable via ``CompressionSimulation(engine=...)``.
+#: ``"vector"`` is an alias key of ``"fast"``, kept for stored job documents.
 ENGINES: Dict[str, type] = {
     "reference": CompressionMarkovChain,
     "fast": FastCompressionChain,
-    "vector": VectorCompressionChain,
+    "vector": FastCompressionChain,
 }
 
 
@@ -110,10 +110,9 @@ class CompressionSimulation:
         Seed or generator for reproducibility.
     engine:
         ``"reference"`` (default) for the transparent engine, ``"fast"``
-        for the grid-based production engine, ``"vector"`` for the
-        compiled engine (fastest at every ``n``).  All produce
-        the same trajectory for the same seed; see
-        :mod:`repro.core.fast_chain` and :mod:`repro.core.vector_chain`.
+        (or its alias ``"vector"``) for the production engine with
+        compiled loops, fastest at every ``n``.  Both produce the same
+        trajectory for the same seed; see :mod:`repro.core.fast_chain`.
     trace_sink:
         Optional streaming hook: an object with an ``append(point)``
         method (e.g. :class:`repro.io.trace_store.TraceStoreSink`) that

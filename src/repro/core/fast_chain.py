@@ -1,4 +1,4 @@
-"""The fast production engine for Algorithm M.
+"""The production engine for Algorithm M.
 
 :class:`FastCompressionChain` implements exactly the dynamics of
 :class:`~repro.core.markov_chain.CompressionMarkovChain` (the reference
@@ -21,9 +21,10 @@ engine) but is built for long runs at large ``n``:
 * **Batched randomness.**  Randomness is consumed through the shared
   :class:`repro.rng.BatchedMoveDraws` tape (one ``(index, direction,
   uniform)`` triple per iteration, pre-generated in blocks).  Given the
-  same seed and block size, the fast and reference engines therefore see
-  bit-identical draws and produce bit-identical trajectories — the
-  property enforced by ``tests/core/test_fast_chain_equivalence.py``.
+  same seed and block size, this engine and the reference engine
+  therefore see bit-identical draws and produce bit-identical
+  trajectories — the property enforced by
+  ``tests/core/test_fast_chain_equivalence.py``.
 * **Incremental scalar metrics.**  The induced edge count ``e(sigma)`` is
   maintained by adding the accepted move's edge delta.  For hole-free
   configurations the perimeter follows from the Euler-formula identity
@@ -35,24 +36,49 @@ engine) but is built for long runs at large ``n``:
   holes fall back to exact recomputation — cached between accepted moves
   — until the holes have been eliminated, after which the O(1) path locks
   in permanently.
-
 * **Pluggable weight kernels.**  The Metropolis acceptance rule is a
   swappable :class:`~repro.core.kernels.WeightKernel`.  The default is
   the paper's compression weight (bit-identical to the pre-kernel
   engine, pinned by the committed goldens); the separation kernel of [9]
   adds a color byte plane and swap moves, the bridging kernel of [2] a
   static terrain plane — all three run the same table-driven structural
-  filter, and each kernel's fast engine is bit-identical to its
-  reference engine for equal seeds.
+  filter, and each kernel's engine is bit-identical to its reference
+  engine for equal seeds.
+
+How ``run()`` works
+-------------------
+``_native/chain_loops.c`` holds one sequential loop per kernel mode
+(``edge`` compression, ``edge_site`` bridging, ``edge_color``
+separation).  Each is a statement-for-statement port of the matching
+Python loop in this module (:meth:`FastCompressionChain._run_edge` and
+its siblings): same 256-entry move tables, same acceptance floats, same
+``uniform >= acceptance[...]`` comparisons in double precision, same
+counters.  ``run()`` refills the tape with
+``BatchedMoveDraws.refill(blocks=k)`` — which invokes the generator
+exactly as ``k`` single-block refills would, so the random stream is
+unchanged — and makes one C call per tape span.  A C loop stops right
+after an accepted move that lands in the grid's guard band; ``run()``
+then re-centers the grid in numpy (:meth:`_reallocate`) and resumes.
+Re-centering is invisible in node space, so trajectories are unaffected.
+
+The C source is compiled with the system C compiler on the first
+construction in a process and cached (:mod:`repro.core._native`).  The
+Python loops run in two cases only: without a working compiler (after
+one logged warning; same results, several times slower), and as the
+oracle of the differential fuzz in ``tests/core/test_native_loops.py``,
+which builds an engine with :func:`repro.core._native.load_library`
+patched to return ``None``.  :meth:`step` and ``run(callback=...)``
+resolve one proposal at a time in Python on either build.
 
 Use the reference engine when auditing dynamics or stepping through
-individual proposals; use this engine for scaling sweeps, mixing-time
-estimation and any workload where throughput matters.  The differential
-harness is the contract that keeps the two interchangeable.
+individual proposals; use this engine for everything else.  The
+differential harness is the contract that keeps the two interchangeable.
 """
 
 from __future__ import annotations
 
+import ctypes
+from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -60,15 +86,16 @@ import numpy as np
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
-from repro.lattice.triangular import DIRECTIONS, Node, neighbors, nodes_bounding_box
-from repro.core.kernels import CompressionKernel, WeightKernel
-from repro.core.markov_chain import REJECTION_REASONS, StepResult
-from repro.core.moves import (  # re-exported for backward compatibility
-    RING_OFFSETS,
-    Move,
-    move_tables,
-    move_tables_array,
+from repro.lattice.triangular import DIRECTIONS, Node, nodes_bounding_box
+from repro.core import _native
+from repro.core.kernels import (
+    MOVEMENT_REJECTION_REASONS,
+    SWAP_REJECTION_REASONS,
+    CompressionKernel,
+    WeightKernel,
 )
+from repro.core.markov_chain import StepResult
+from repro.core.moves import RING_OFFSETS, Move, move_tables
 from repro.rng import DEFAULT_DRAW_BLOCK, BatchedMoveDraws, RandomState, make_rng
 
 #: Free border (in cells) left around the occupied bounding box whenever an
@@ -79,6 +106,20 @@ DEFAULT_GRID_MARGIN = 32
 #: inside the band triggers a reallocation, which keeps every occupied cell
 #: far enough from the border that all offset reads stay in bounds.
 GUARD_BAND = 4
+
+#: Slots of the counter array the C loops add to (the enum in
+#: ``chain_loops.c`` lists them in the same order).
+COUNTERS = MOVEMENT_REJECTION_REASONS + SWAP_REJECTION_REASONS + (
+    "moved",
+    "swapped",
+    "edge_delta",
+    "site_delta",
+    "guard_hit",
+)
+_MOVED, _SWAPPED, _EDGE_DELTA, _SITE_DELTA, _GUARD_HIT = range(7, 12)
+
+#: Most draw blocks materialized per tape refill of the compiled loops.
+_MAX_PREFETCH_BLOCKS = 16
 
 
 class OccupancyGrid:
@@ -278,7 +319,8 @@ class FastCompressionChain:
     kernel:
         Optional :class:`~repro.core.kernels.WeightKernel` selecting the
         acceptance rule (and any auxiliary byte plane).  ``None`` builds
-        the default compression kernel from ``lam``.
+        the default compression kernel from ``lam``.  Every registered
+        kernel mode has a compiled loop.
     """
 
     def __init__(
@@ -308,7 +350,8 @@ class FastCompressionChain:
         self._n = len(ordered)
         self._draws = BatchedMoveDraws(self._rng, self._n, draw_block, lanes=kernel.lanes)
         self._grid = OccupancyGrid(ordered)
-        self._pos: List[int] = [self._grid.flat_index(node) for node in ordered]
+        # Indexes like a list from Python, and hands C an int64 pointer.
+        self._pos = array("q", [self._grid.flat_index(node) for node in ordered])
         self._edge_count = initial.edge_count
         self._hole_free = initial.is_hole_free
         self._iterations = 0
@@ -320,7 +363,16 @@ class FastCompressionChain:
         self._swap_probability = kernel.swap_probability
         self._nb_before, self._nb_after, self._property_ok = move_tables()
         self._init_kernel_state(initial, ordered)
-        self._configuration_cache: Optional[ParticleConfiguration] = initial
+        # A hole-free start is not kept: perimeter and hole count come from
+        # counters from here on, and releasing a large configuration would
+        # stall the first run() that moves a particle.  A holey one is kept,
+        # because perimeter() reads it until the holes die out.
+        self._configuration_cache: Optional[ParticleConfiguration] = (
+            None if self._hole_free else initial
+        )
+        self._library = _native.load_library()
+        if self._library is not None:
+            self._init_native()
 
     def _init_kernel_state(self, initial: ParticleConfiguration, ordered: List[Node]) -> None:
         """Build the acceptance tables and auxiliary byte planes."""
@@ -343,6 +395,26 @@ class FastCompressionChain:
             self._color_plane = kernel.build_color_plane(self._grid, self._pos)
         else:
             raise ConfigurationError(f"unknown kernel mode {self._mode!r}")
+
+    def _init_native(self) -> None:
+        """Build the arrays the compiled loops read through raw pointers."""
+        self._loop = getattr(self._library, self._mode)
+        self._counters = np.zeros(len(COUNTERS), dtype=np.int64)
+        self._tape_lanes = [None]
+        self._move_tables = [
+            np.array(table, dtype=np.uint8)
+            for table in (self._nb_before, self._nb_after, self._property_ok)
+        ]
+        if self._mode == "edge":
+            self._tables = [np.array(self._acceptance, dtype=np.float64)]
+        elif self._mode == "edge_site":
+            self._tables = [np.array(self._site_rows, dtype=np.float64)]
+        else:
+            self._tables = [
+                np.array(self._movement_rows, dtype=np.float64),
+                np.array(self._swap_acceptance, dtype=np.float64),
+            ]
+        self._bind_grid()
 
     # ------------------------------------------------------------------ #
     # State access (mirrors the reference engine)
@@ -597,12 +669,11 @@ class FastCompressionChain:
     ) -> None:
         """Run the chain for a number of iterations.
 
-        Without a callback this is the engine's hot path: a single Python
-        loop over the prefetched draw blocks with all state bound to
-        locals, no per-proposal allocations, and counters flushed back to
-        the instance at block boundaries.  Each kernel mode has its own
-        specialization of that loop — the default compression loop is
-        untouched by the kernel refactor.
+        Without a callback this is the engine's hot path: one call into the
+        kernel mode's compiled loop per tape span, or the mode's Python loop
+        (``_run_edge`` and its siblings) when the loops did not compile.
+        With a callback every proposal goes through :meth:`step`, and the
+        callback receives its :class:`~repro.core.markov_chain.StepResult`.
         """
         if iterations < 0:
             raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
@@ -611,13 +682,40 @@ class FastCompressionChain:
                 result = self.step()
                 callback(self._iterations, result)
             return
-        if self._mode == "edge_site":
-            self._run_edge_site(iterations)
+        if self._library is None:
+            getattr(self, f"_run_{self._mode}")(iterations)
             return
-        if self._mode == "edge_color":
-            self._run_edge_color(iterations)
-            return
+        draws = self._draws
+        loop = self._loop
+        counters = self._counters
+        counters.fill(0)
+        remaining = iterations
+        while remaining > 0:
+            if draws.cursor >= draws.size:
+                wanted = -(-remaining // draws.block)  # ceil division
+                draws.refill(blocks=min(wanted, _MAX_PREFETCH_BLOCKS))
+            start = draws.cursor
+            offset = start * 8  # every tape lane holds 8-byte items
+            consumed = loop(
+                min(draws.size - start, remaining),
+                *[base + offset for base in self._tape_bases(draws)],
+                *self._loop_args,
+            )
+            draws.cursor = start + consumed
+            remaining -= consumed
+            if counters[_GUARD_HIT]:
+                counters[_GUARD_HIT] = 0
+                self._reallocate()
+        self._iterations += iterations
+        self._flush(counters.tolist())
 
+    def _run_edge(self, iterations: int) -> None:
+        """The Python loop for ``edge`` kernels (compression).
+
+        All state bound to locals, no per-proposal allocations, counters
+        flushed back to the instance at the end.  ``chain_loops.c``'s
+        ``edge`` ports it statement for statement.
+        """
         draws = self._draws
         nb_before_table = self._nb_before
         nb_after_table = self._nb_after
@@ -945,21 +1043,117 @@ class FastCompressionChain:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _reallocate(self) -> None:
-        """Re-center the grid, remap the flat position list, rebuild planes."""
+    def _bind_grid(self) -> None:
+        """Rebuild the argument tuple every compiled-loop call passes."""
         grid = self._grid
-        nodes = [grid.node_at(flat) for flat in self._pos]
+        self._offsets = (
+            np.array(grid.direction_offsets, dtype=np.int64),
+            np.array(grid.ring_offsets, dtype=np.int64),
+        )
+        nb_before, nb_after, property_ok = self._move_tables
+        self._grid_struct = _native.Grid(
+            pos=self._pos.buffer_info()[0],
+            cells=grid.array.ctypes.data,
+            direction_offsets=self._offsets[0].ctypes.data,
+            ring_offsets=self._offsets[1].ctypes.data,
+            width=grid.width,
+            height=grid.height,
+            guard=GUARD_BAND,
+            nb_before=nb_before.ctypes.data,
+            nb_after=nb_after.ctypes.data,
+            property_ok=property_ok.ctypes.data,
+        )
+        # The mode's arguments between the grid and the counters, in the
+        # order of its signature in ``chain_loops.c``.
+        mode_args = [table.ctypes.data for table in self._tables]
+        if self._mode == "edge_site":
+            self._plane_view = np.frombuffer(self._site_plane, dtype=np.uint8)
+            mode_args.insert(0, self._plane_view.ctypes.data)
+        elif self._mode == "edge_color":
+            self._plane_view = np.frombuffer(self._color_plane, dtype=np.uint8)
+            mode_args = [self._plane_view.ctypes.data, *mode_args, self._swap_probability]
+        self._loop_args = (
+            ctypes.addressof(self._grid_struct),
+            *mode_args,
+            self._counters.ctypes.data,
+        )
+
+    def _tape_bases(self, draws) -> list:
+        """The addresses of the tape lanes the loop reads, checked once per
+        refill: C reads them as contiguous ``int64``/``float64`` arrays."""
+        if draws.indices is not self._tape_lanes[0]:
+            lanes = [draws.indices, draws.directions, draws.uniforms]
+            if self._mode == "edge_color":
+                lanes.append(draws.uniforms2)
+            for lane, dtype in zip(lanes, (np.int64, np.int64, np.float64, np.float64)):
+                if lane.dtype != dtype or not lane.flags.c_contiguous or lane.size != draws.size:
+                    raise ConfigurationError(
+                        f"draw tape lane of dtype {lane.dtype} and size {lane.size} "
+                        f"cannot be read as a contiguous {np.dtype(dtype)} array of "
+                        f"size {draws.size}"
+                    )
+            self._tape_lanes = lanes
+            self._tape_addresses = [lane.ctypes.data for lane in lanes]
+        return self._tape_addresses
+
+    def _flush(self, counts) -> None:
+        """Add one compiled ``run()``'s counter array to the engine's counters."""
+        rejections = self._rejections
+        for reason, count in zip(COUNTERS, counts):
+            if reason in rejections:
+                rejections[reason] += count
+        self._edge_count += counts[_EDGE_DELTA]
+        self._accepted += counts[_MOVED]
+        self._accepted_swaps += counts[_SWAPPED]
+        if self._mode == "edge_site":
+            self._site_count += counts[_SITE_DELTA]
+        if counts[_MOVED]:
+            self._configuration_cache = None
+
+    def _reallocate(self) -> None:
+        """Re-center the grid, remap the positions in place and rebuild the
+        kernel's auxiliary planes (all vectorized).
+
+        Mirrors :meth:`OccupancyGrid.recenter`'s buffer reuse: when the
+        re-centered window keeps its dimensions — the steady-state norm —
+        the occupancy and color planes are rewritten in place and only the
+        origin moves.
+        """
+        grid = self._grid
+        pos = np.frombuffer(self._pos, dtype=np.int64)
+        ys, xs = np.divmod(pos, grid.width)
+        xs += grid.origin_x
+        ys += grid.origin_y
         mode = self._mode
         if mode == "edge_color":
-            old_plane = self._color_plane
-            color_bytes = [old_plane[flat] for flat in self._pos]
-        fresh = OccupancyGrid(nodes)
-        self._grid = fresh
-        self._pos = [fresh.flat_index(node) for node in nodes]
-        if mode == "edge_site":
-            self._site_plane = self._kernel.build_site_plane(fresh)
-        elif mode == "edge_color":
-            plane = bytearray(fresh.width * fresh.height)
-            for flat, byte in zip(self._pos, color_bytes):
-                plane[flat] = byte
-            self._color_plane = plane
+            colors = np.frombuffer(self._color_plane, dtype=np.uint8)[pos]
+        margin = DEFAULT_GRID_MARGIN
+        min_x, max_x = int(xs.min()), int(xs.max())
+        min_y, max_y = int(ys.min()), int(ys.max())
+        width = (max_x - min_x + 1) + 2 * margin
+        height = (max_y - min_y + 1) + 2 * margin
+        in_place = width == grid.width and height == grid.height
+        if in_place:
+            grid.origin_x = min_x - margin
+            grid.origin_y = min_y - margin
+            grid.array.fill(0)
+        else:
+            grid = OccupancyGrid(list(zip(xs.tolist(), ys.tolist())))
+            self._grid = grid
+        new_pos = (ys - grid.origin_y) * grid.width + (xs - grid.origin_x)
+        grid.array.reshape(-1)[new_pos] = 1
+        if mode == "edge_color":
+            # Carry each particle's color byte across the window shift.
+            if not in_place:
+                self._color_plane = bytearray(grid.width * grid.height)
+            plane = np.frombuffer(self._color_plane, dtype=np.uint8)
+            plane.fill(0)
+            plane[new_pos] = colors
+        elif mode == "edge_site":
+            # The terrain plane is a pure function of the window, and the
+            # window (its origin at least) just changed; ``site_count`` is
+            # invariant under re-centering.
+            self._site_plane = self._kernel.build_site_plane(grid)
+        pos[:] = new_pos
+        if self._library is not None:
+            self._bind_grid()

@@ -22,13 +22,12 @@ deltas (``e' - e`` is in ``[-6, 6]``; the auxiliary deltas have similarly
 tiny ranges), plus whatever auxiliary *byte plane* the weight reads — a
 terrain plane for bridging, a color plane for separation — and the
 declaration of extra move types (separation's swaps) with the draw-tape
-lanes they consume.  Every engine — the hash-map reference
-:class:`~repro.core.markov_chain.CompressionMarkovChain`, the table-driven
-:class:`~repro.core.fast_chain.FastCompressionChain`, and the compiled
-:class:`~repro.core.vector_chain.VectorCompressionChain` — consumes the
-same kernel tables, so for equal seeds all three engines of *any*
-registered kernel mode produce bit-identical trajectories, exactly like
-the compression engines always have.
+lanes they consume.  Both engines — the hash-map reference
+:class:`~repro.core.markov_chain.CompressionMarkovChain` and the
+table-driven :class:`~repro.core.fast_chain.FastCompressionChain` with
+its compiled loops — consume the same kernel tables, so for equal seeds
+the two engines of *any* registered kernel mode produce bit-identical
+trajectories, exactly like the compression engines always have.
 
 Kernels are immutable parameter objects; all mutable chain state (the
 occupancy grid, the auxiliary planes, counters) lives in the engines.

@@ -19,14 +19,14 @@ space ``Omega*`` and is ergodic there (Section 3.5), and converges to
 This module is the *reference engine*: every quantity it reports is
 either maintained by transparently simple bookkeeping or recomputed from
 scratch by :class:`~repro.lattice.configuration.ParticleConfiguration`.
-The production counterparts —
-:class:`~repro.core.fast_chain.FastCompressionChain` and the compiled
-:class:`~repro.core.vector_chain.VectorCompressionChain`
-— trade that transparency for throughput; all engines consume randomness
-through the batched draw protocol of :class:`repro.rng.BatchedMoveDraws`
-(one ``(index, direction, uniform)`` triple per iteration, the uniform
-consumed even when a proposal is rejected early), so equal seeds and
-block sizes yield bit-identical trajectories across all three engines.
+The production counterpart,
+:class:`~repro.core.fast_chain.FastCompressionChain` (compiled ``run()``
+loops), trades that transparency for throughput; both engines consume
+randomness through the batched draw protocol of
+:class:`repro.rng.BatchedMoveDraws` (one ``(index, direction, uniform)``
+triple per iteration, the uniform consumed even when a proposal is
+rejected early), so equal seeds and block sizes yield bit-identical
+trajectories across the two engines.
 
 The *acceptance weight* of the chain is pluggable: pass a
 :class:`~repro.core.kernels.WeightKernel` to run the same structural

@@ -64,8 +64,8 @@ def move_tables() -> Tuple[List[int], List[int], List[bool]]:
     (asserted for every direction by the equivalence test suite).
 
     These tables are the shared source of truth for every table-driven
-    engine in the repo: the scalar and vector chain engines resolve
-    Algorithm M proposals through them, and the distributed
+    engine in the repo: the fast chain engine resolves Algorithm M
+    proposals through them (its Python and compiled loops alike), and the distributed
     :class:`~repro.amoebot.fast_system.FastAmoebotSystem` resolves the
     expanded step of Algorithm A through the very same masks (the
     expanded particle's tail/head pair is the move edge and the
@@ -96,9 +96,9 @@ def move_tables_array() -> np.ndarray:
 
     Column 0 is the source neighbor count, column 1 the target neighbor
     count, column 2 the Property 1/2 verdict as ``0``/``1``.  Built from
-    (and memoized alongside) :func:`move_tables`, so the vector engine's
-    ``np.take`` path and the scalar engines' list lookups resolve every
-    mask from the same reference-generated source of truth.
+    (and memoized alongside) :func:`move_tables`, so array consumers and
+    the engines' list lookups resolve every mask from the same
+    reference-generated source of truth.
     """
     global _MOVE_TABLES_ARRAY
     if _MOVE_TABLES_ARRAY is None:

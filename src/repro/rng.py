@@ -5,10 +5,9 @@ entropy), an integer seed, or an existing :class:`numpy.random.Generator`.
 This module centralizes the conversion so behaviour is reproducible and
 uniform across the code base.
 
-It also defines the *batched draw protocol* shared by the three Algorithm
-M engines (:class:`~repro.core.markov_chain.CompressionMarkovChain`,
-:class:`~repro.core.fast_chain.FastCompressionChain` and
-:class:`~repro.core.vector_chain.VectorCompressionChain`): per chain
+It also defines the *batched draw protocol* shared by the two Algorithm
+M engines (:class:`~repro.core.markov_chain.CompressionMarkovChain` and
+:class:`~repro.core.fast_chain.FastCompressionChain`): per chain
 iteration every engine consumes exactly one ``(particle index, direction,
 uniform)`` triple from a :class:`BatchedMoveDraws` tape, pre-generated in
 fixed-size blocks.  Because consumption is one triple per iteration
@@ -16,8 +15,8 @@ regardless of how the proposal is resolved, engines seeded identically
 and using the same block size see bit-identical randomness — which is
 what makes the differential-testing harness able to demand identical
 trajectories.  The tape is stored as numpy arrays (read in place by the
-vector engine's compiled loops) with a memoized plain-list view for the
-scalar engines.
+fast engine's compiled loops) with a memoized plain-list view for the
+Python loops.
 
 The distributed amoebot layer has its own instance of the same idea:
 :class:`BatchedActivationDraws` tapes one ``(direction, uniform)`` pair
@@ -70,9 +69,9 @@ class BatchedMoveDraws:
     the canonical triple blocks, single-lane tapes (``lanes=1``, the
     default) invoke the generator exactly as before the lane existed: the
     compression engines' committed golden traces pin this bit-for-bit.
-    The draws are kept as numpy arrays — the vector engine's compiled
+    The draws are kept as numpy arrays — the fast engine's compiled
     loops read them in place — with a memoized plain-list view
-    (:meth:`lists`) for the scalar engines' per-element loops.
+    (:meth:`lists`) for the per-element Python loops.
 
     The uniform of a triple is consumed even when the proposal is rejected
     before the Metropolis filter (e.g. an occupied target); this keeps the
@@ -86,9 +85,9 @@ class BatchedMoveDraws:
     ``(indices, directions, uniforms)`` order, so the underlying random
     stream — and therefore every trajectory — is unchanged; only the
     amount of tape materialized ahead of the cursor grows.  This is how
-    the vector engine amortizes its per-pass numpy overhead over spans
-    longer than one block without breaking bit-identity with the scalar
-    engines.
+    the compiled ``run()`` amortizes its per-call overhead over spans
+    longer than one block without breaking bit-identity with the
+    one-block-at-a-time consumers.
 
     Attributes
     ----------
@@ -214,7 +213,7 @@ class BatchedMoveDraws:
     def lists(self) -> Tuple[List[int], List[int], List[float]]:
         """The materialized draws as plain Python lists (memoized per refill).
 
-        The scalar engines' inner loops read these: list indexing returns
+        The engines' Python inner loops read these: list indexing returns
         plain ``int``/``float`` objects, which CPython handles markedly
         faster than numpy scalars.  The conversion happens once per refill
         regardless of how many ``run()`` calls consume the block.

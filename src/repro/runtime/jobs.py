@@ -121,7 +121,7 @@ class ChainJob:
         Explicit starting configuration as a tuple of ``(x, y)`` nodes.
     engine:
         Algorithm M engine, a key of :data:`repro.core.ENGINES`: ``"fast"``
-        (default), ``"vector"`` (fastest for ``n >= 1000``) or
+        (default, the compiled loops; ``"vector"`` is its alias key) or
         ``"reference"``.
     kind:
         ``"trace"`` runs ``iterations`` steps recording a metrics trace;

@@ -34,6 +34,13 @@ class TestExperimentHarness:
         assert record.results["final_perimeter"] < record.results["initial_perimeter"]
         assert len(record.results["perimeter_snapshots"]) == 5
 
+    def test_fig2_default_engine_matches_reference(self):
+        """The default engine's record equals the reference engine's."""
+        kwargs = dict(n=20, iterations=6000, snapshots=3, seed=4)
+        default = run_fig2_compression(**kwargs)
+        assert default == run_fig2_compression(engine="reference", **kwargs)
+        assert default.results["final_perimeter"] < default.results["initial_perimeter"]
+
     def test_fig10_record_shows_no_compression(self):
         record = run_fig10_expansion(n=25, iterations=30_000, seed=0)
         assert record.experiment_id == "E2"

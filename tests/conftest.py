@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.core import _native
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.shapes import hexagon, line, random_connected, ring, spiral, staircase
 
@@ -49,6 +52,24 @@ def random_configs() -> list[ParticleConfiguration]:
         random_connected(30, seed=3, compactness=0.7),
         random_connected(25, seed=4),
     ]
+
+
+@pytest.fixture
+def python_loops():
+    """A context manager: engines built inside it run the Python loops.
+
+    It patches :func:`repro.core._native.load_library` to report no
+    library, as a machine without a C compiler would; engines built
+    outside it run the compiled loops.
+    """
+
+    @contextmanager
+    def patched():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_native, "load_library", lambda: None)
+            yield
+
+    return patched
 
 
 def pytest_addoption(parser):

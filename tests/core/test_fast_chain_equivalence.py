@@ -2,16 +2,15 @@
 
 The contract under test is the one documented in :mod:`repro.core`:
 seeded identically (same seed, same draw block), the grid-based
-:class:`~repro.core.fast_chain.FastCompressionChain`, the
-compiled :class:`~repro.core.vector_chain.VectorCompressionChain`
-and the hash-map :class:`~repro.core.markov_chain.CompressionMarkovChain`
-must produce bit-identical trajectories — the same proposal every
-iteration, resolved the same way (identical move, rejection reason and
-edge delta), with identical running edge counts, perimeters and rejection
-tallies.  For the vector engine the batched ``run()`` path (the compiled
-C loop) is additionally tested against the scalar
-engines' ``run()`` across every case, since its ``step()`` is the scalar
-fallback.
+:class:`~repro.core.fast_chain.FastCompressionChain` — under both of its
+engine keys, ``"fast"`` and ``"vector"`` — and the hash-map
+:class:`~repro.core.markov_chain.CompressionMarkovChain` must produce
+bit-identical trajectories — the same proposal every iteration, resolved
+the same way (identical move, rejection reason and edge delta), with
+identical running edge counts, perimeters and rejection tallies.  The
+batched ``run()`` path (the compiled C loop) is additionally tested
+against the Python loops' ``run()`` across every case, since ``step()``
+resolves proposals in Python either way.
 
 Lockstep runs cover the paper's standard line start, maximally compressed
 spirals, and random connected starts (with and without holes), across
@@ -21,14 +20,9 @@ compressing (``lambda > 3.42``), neutral (``lambda = 1``) and expanding
 
 import pytest
 
-from repro.core.fast_chain import (
-    RING_OFFSETS,
-    FastCompressionChain,
-    OccupancyGrid,
-    move_tables,
-    move_tables_array,
-)
+from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
 from repro.core.markov_chain import CompressionMarkovChain
+from repro.core.moves import RING_OFFSETS, move_tables, move_tables_array
 from repro.core.properties import satisfies_either_property
 from repro.core.vector_chain import VectorCompressionChain
 from repro.errors import ConfigurationError
@@ -94,10 +88,11 @@ def test_lockstep_trajectories_are_identical(name, candidate):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-def test_vector_run_matches_fast_run(name):
-    """The vector engine's compiled run() must equal the scalar run()."""
+def test_vector_run_matches_fast_run(name, python_loops):
+    """The compiled run() must equal the Python loops' run()."""
     initial, lam, iterations = LOCKSTEP_CASES[name]
-    fast = FastCompressionChain(initial, lam=lam, seed=19)
+    with python_loops():
+        fast = FastCompressionChain(initial, lam=lam, seed=19)
     vector = VectorCompressionChain(initial, lam=lam, seed=19)
     # Uneven chunks straddle draw blocks and multi-block refills.
     for chunk in (1, 37, 700, 1024, 2500, iterations):
@@ -145,9 +140,10 @@ def test_callback_interface_matches_reference(candidate):
     assert seen_candidate == seen_reference
 
 
-def test_mixed_step_and_run_keeps_vector_engine_aligned():
+def test_mixed_step_and_run_keeps_vector_engine_aligned(python_loops):
     """Interleaving scalar step() with compiled run() shares one tape."""
-    fast = FastCompressionChain(line(25), lam=4.0, seed=2)
+    with python_loops():
+        fast = FastCompressionChain(line(25), lam=4.0, seed=2)
     vector = VectorCompressionChain(line(25), lam=4.0, seed=2)
     for _ in range(40):
         fast.step()

@@ -148,21 +148,16 @@ class TestEngineKernelSupport:
         bridging.run(200)
         assert separation.iterations == bridging.iterations == 200
 
-    def test_vector_engine_refuses_unknown_kernel_modes_actionably(self):
-        """A future kernel mode without a compiled loop must fail loudly,
-        naming the kernel, its mode, and the engines that can drive it."""
+    def test_engines_refuse_unknown_kernel_modes(self):
+        """Every registered mode has a compiled loop; a kernel of any other
+        mode is refused at construction, naming the mode."""
 
-        class FrontierKernel:
+        class FrontierKernel(CompressionKernel):
             mode = "edge_frontier"
-            name = "frontier"
 
-        with pytest.raises(ConfigurationError) as excinfo:
-            VectorCompressionChain(line(6), kernel=FrontierKernel())
-        message = str(excinfo.value)
-        assert "FrontierKernel" in message
-        assert "'edge_frontier'" in message
-        assert "engine='fast'" in message
-        assert "engine='reference'" in message
+        for engine in (CompressionMarkovChain, FastCompressionChain):
+            with pytest.raises(ConfigurationError, match="'edge_frontier'"):
+                engine(line(6), kernel=FrontierKernel(4.0))
 
     def test_scalar_engines_reject_mismatched_color_maps(self):
         kernel = SeparationKernel(4.0, 2.0, colors={(0, 0): 0, (9, 9): 1})

@@ -1,12 +1,12 @@
 """Building, caching and falling back from the compiled chain loops.
 
 :mod:`repro.core._native` compiles ``chain_loops.c`` on the first
-``VectorCompressionChain`` construction and caches the build; without a
-working compiler the vector engine runs the fast engine's Python loops
-after exactly one WARNING on the ``repro.core`` logger.  The
-build-must-load test fails rather than skips when a compiler is on
-``PATH``, so a broken build cannot leave CI silently testing only the
-fallback.
+``FastCompressionChain`` construction and caches the build; without a
+working compiler the engine — under either key, ``"fast"`` or
+``"vector"`` — runs its Python loops after exactly one WARNING on the
+``repro.core`` logger.  The build-must-load test fails rather than skips
+when a compiler is on ``PATH``, so a broken build cannot leave CI
+silently testing only the fallback.
 """
 
 import logging
@@ -14,9 +14,8 @@ from importlib import resources
 
 import pytest
 
-from repro.core import _native
+from repro.core import ENGINES, _native
 from repro.core.fast_chain import FastCompressionChain
-from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import line, random_connected
 
 
@@ -49,7 +48,7 @@ def test_compiler_on_path_builds_and_loads(fresh_loader):
         pytest.skip("no C compiler on PATH: the fallback tests cover this case")
     library = fresh_loader()
     assert library is not None, "a C compiler is on PATH but chain_loops.c did not build and load"
-    chain = VectorCompressionChain(line(10), lam=4.0, seed=0)
+    chain = FastCompressionChain(line(10), lam=4.0, seed=0)
     assert chain._library is library
 
 
@@ -86,28 +85,35 @@ def test_unwritable_cache_builds_in_a_private_temp_dir(fresh_loader, tmp_path, m
 
 
 def test_without_a_compiler_vector_falls_back_bit_identically(fresh_loader, monkeypatch, caplog):
-    monkeypatch.setattr(_native, "find_compiler", lambda: None)
+    """Both engine keys fall back after one WARNING, bit-identical to the
+    compiled loops."""
     initial = random_connected(40, seed=2)
+    compiled = FastCompressionChain(initial, lam=4.0, seed=9)
+    fresh_loader.cache_clear()
+    monkeypatch.setattr(_native, "find_compiler", lambda: None)
     with caplog.at_level(logging.DEBUG, logger="repro.core"):
-        fast = FastCompressionChain(initial, lam=4.0, seed=9)
-        vector = VectorCompressionChain(initial, lam=4.0, seed=9)
-        VectorCompressionChain(line(5), lam=2.0, seed=1)
-    assert vector._library is None
-    assert isinstance(vector._pos, list), "the fallback keeps the fast engine's positions"
+        fallbacks = [ENGINES[key](initial, lam=4.0, seed=9) for key in ("fast", "vector")]
+        ENGINES["vector"](line(5), lam=2.0, seed=1)
+    assert [chain._library for chain in fallbacks] == [None, None]
     (warning,) = records_of(caplog, logging.WARNING)
-    assert "no C compiler" in warning.getMessage()
+    message = warning.getMessage()
+    assert "no C compiler" in message
+    assert "engine='fast'" in message and "'vector'" in message
+    chains = [compiled, *fallbacks]
     for chunk in (1, 7, 1000, 33333):
-        fast.run(chunk)
-        vector.run(chunk)
-    # Re-centering takes the fast engine's path too.
-    fast._reallocate()
-    vector._reallocate()
+        for chain in chains:
+            chain.run(chunk)
+    # A forced re-center, then more proposals on the re-centered grid.
+    for chain in chains:
+        chain._reallocate()
     for chunk in (5, 2048):
-        fast.run(chunk)
-        vector.run(chunk)
-    assert vector.occupied == fast.occupied
-    assert vector.edge_count == fast.edge_count
-    assert vector.accepted_moves == fast.accepted_moves
-    assert vector.rejection_counts == fast.rejection_counts
-    assert vector.perimeter() == fast.perimeter()
-    assert vector.step() == fast.step()
+        for chain in chains:
+            chain.run(chunk)
+    for chain in fallbacks:
+        assert chain.occupied == compiled.occupied
+        assert chain.edge_count == compiled.edge_count
+        assert chain.accepted_moves == compiled.accepted_moves
+        assert chain.rejection_counts == compiled.rejection_counts
+        assert chain.perimeter() == compiled.perimeter()
+    step = compiled.step()
+    assert [chain.step() for chain in fallbacks] == [step, step]

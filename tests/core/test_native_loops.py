@@ -1,36 +1,42 @@
-"""Differential fuzz: the vector engine's compiled loops against ``fast``.
+"""Differential fuzz: the compiled loops against the Python loops.
 
-``VectorCompressionChain.run()`` hands whole tape spans to the C loops in
-``repro/core/_native/chain_loops.c``; ``FastCompressionChain.run()`` is
-the Python loop they port.  For every kernel mode this file runs the two
-side by side under mixed ``run()`` chunkings and asserts they end in the
-same state — occupied set, edge count, acceptance and rejection
-counters, the kernel's site count or color map, the tape position and
-the perimeter — from three kinds of start:
+``FastCompressionChain.run()`` hands whole tape spans to the C loops in
+``repro/core/_native/chain_loops.c``; built with
+:func:`repro.core._native.load_library` patched to return ``None`` (the
+``python_loops`` fixture), the same class runs the Python loops they
+port.  For every kernel mode this file runs the two builds side by side
+under mixed ``run()`` chunkings and asserts they end in the same state —
+occupied set, edge count, acceptance and rejection counters, the
+kernel's site count or color map, the tape position and the perimeter —
+from three kinds of start:
 
 * random connected starts with holes;
 * starts placed one cell outside the grid's guard band, so the first
   accepted outward move lands in the band and forces a reallocation,
   through both the in-place path and the resize path of
-  ``VectorCompressionChain._reallocate``;
+  ``FastCompressionChain._reallocate``;
 * the separation kernel's two-lane tape (movements and color swaps).
 
-A last test checks which starting configurations the vector engine keeps
-referenced after construction.
+The last tests check which starting configurations the engine keeps
+referenced after construction, and that both engine keys and both class
+names reach the same engine.
 
 ``pytest --native-library PATH`` runs this file against another build of
 ``chain_loops.c`` (for instance a sanitizer build) instead of the cached
 one.
 """
 
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.algorithms.separation import ColoredConfiguration
 from repro.algorithms.shortcut_bridging import v_shaped_terrain
-from repro.core import _native
+from repro.core import ENGINES, _native
 from repro.core.fast_chain import DEFAULT_GRID_MARGIN, GUARD_BAND, FastCompressionChain, OccupancyGrid
 from repro.core.kernels import BridgingKernel, CompressionKernel, SeparationKernel
+from repro.core.markov_chain import CompressionMarkovChain
 from repro.core.moves import RING_OFFSETS
 from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import random_connected, spiral
@@ -72,48 +78,52 @@ def holey_start(n, seed):
     return initial
 
 
-def twins(initial, kernel, seed):
-    return (
-        FastCompressionChain(initial, seed=seed, kernel=kernel),
-        VectorCompressionChain(initial, seed=seed, kernel=kernel),
-    )
+def twins(initial, kernel, seed, python_loops):
+    """The (Python loops, compiled loops) pair, seeded identically."""
+    with python_loops():
+        python = FastCompressionChain(initial, seed=seed, kernel=kernel)
+    compiled = FastCompressionChain(initial, seed=seed, kernel=kernel)
+    assert python._library is None
+    if compiled._library is None:
+        pytest.skip("no compiled loops to compare: chain_loops.c did not build")
+    return python, compiled
 
 
-def assert_same_state(fast, vector, context):
-    assert vector.occupied == fast.occupied, context
-    assert vector.edge_count == fast.edge_count, context
-    assert vector.accepted_moves == fast.accepted_moves, context
-    assert vector.accepted_swaps == fast.accepted_swaps, context
-    assert vector.rejection_counts == fast.rejection_counts, context
-    assert vector.iterations == fast.iterations, context
-    mode = fast.kernel.mode
+def assert_same_state(python, compiled, context):
+    assert compiled.occupied == python.occupied, context
+    assert compiled.edge_count == python.edge_count, context
+    assert compiled.accepted_moves == python.accepted_moves, context
+    assert compiled.accepted_swaps == python.accepted_swaps, context
+    assert compiled.rejection_counts == python.rejection_counts, context
+    assert compiled.iterations == python.iterations, context
+    mode = python.kernel.mode
     if mode == "edge_site":
-        assert vector.site_count == fast.site_count, context
+        assert compiled.site_count == python.site_count, context
     elif mode == "edge_color":
-        assert vector.color_map() == fast.color_map(), context
+        assert compiled.color_map() == python.color_map(), context
     # Prefetching changes how many blocks the tape holds, never where in
     # the stream it stands.
-    block = fast._draws.block
-    assert vector._draws.cursor % block == fast._draws.cursor % block, context
-    assert vector.perimeter() == fast.perimeter(), context
+    block = python._draws.block
+    assert compiled._draws.cursor % block == python._draws.cursor % block, context
+    assert compiled.perimeter() == python.perimeter(), context
 
 
-def drive(fast, vector, context):
+def drive(python, compiled, context):
     for chunk in CHUNKINGS:
-        fast.run(chunk)
-        vector.run(chunk)
-        assert_same_state(fast, vector, f"{context} after run({chunk})")
+        python.run(chunk)
+        compiled.run(chunk)
+        assert_same_state(python, compiled, f"{context} after run({chunk})")
     # Both tapes are aligned: the next proposal resolves identically.
-    assert vector.step() == fast.step(), context
+    assert compiled.step() == python.step(), context
 
 
 @pytest.mark.parametrize("mode", sorted(KERNELS))
 @pytest.mark.parametrize("n, seed", [(40, 2), (60, 5), (90, 12)])
-def test_holey_random_starts_match_fast(mode, n, seed):
+def test_holey_random_starts_match_fast(mode, n, seed, python_loops):
     initial = holey_start(n, seed)
     kernel = KERNELS[mode](initial)
-    fast, vector = twins(initial, kernel, seed=100 + seed)
-    drive(fast, vector, f"{mode} n={n} seed={seed}")
+    python, compiled = twins(initial, kernel, seed=100 + seed, python_loops=python_loops)
+    drive(python, compiled, f"{mode} n={n} seed={seed}")
 
 
 # --------------------------------------------------------------------- #
@@ -149,28 +159,27 @@ def move_to_window(chain, initial, margins):
     grid = windowed_grid(ordered, *margins)
     positions = [grid.flat_index(node) for node in ordered]
     chain._grid = grid
-    vector = isinstance(chain, VectorCompressionChain)
-    chain._pos = np.array(positions, dtype=np.int64) if vector else positions
+    chain._pos = array("q", positions)
     kernel = chain.kernel
     if kernel.mode == "edge_site":
         chain._site_plane = kernel.build_site_plane(grid)
     elif kernel.mode == "edge_color":
         chain._color_plane = kernel.build_color_plane(grid, positions)
-    if vector:
+    if chain._library is not None:
         chain._bind_grid()
 
 
-def record_reallocations(vector):
-    """Log each reallocation of ``vector`` as ``"in_place"`` or ``"resize"``."""
+def record_reallocations(compiled):
+    """Log each reallocation of ``compiled`` as ``"in_place"`` or ``"resize"``."""
     paths = []
-    original = vector._reallocate
+    original = compiled._reallocate
 
     def spy():
-        before = vector.grid
+        before = compiled.grid
         original()
-        paths.append("in_place" if vector.grid is before else "resize")
+        paths.append("in_place" if compiled.grid is before else "resize")
 
-    vector._reallocate = spy
+    compiled._reallocate = spy
     return paths
 
 
@@ -192,14 +201,34 @@ NEAR_BAND = {
 
 @pytest.mark.parametrize("path", sorted(NEAR_BAND))
 @pytest.mark.parametrize("mode", sorted(KERNELS))
-def test_guard_band_starts_reallocate_and_match_fast(mode, path):
+def test_guard_band_starts_reallocate_and_match_fast(mode, path, python_loops):
     initial = random_connected(12, seed=2)
     kernel = KERNELS[mode](initial)
-    fast, vector = twins(initial, kernel, seed=2)
-    for chain in (fast, vector):
+    python, compiled = twins(initial, kernel, seed=2, python_loops=python_loops)
+    for chain in (python, compiled):
         move_to_window(chain, initial, NEAR_BAND[path])
-    paths = record_reallocations(vector)
-    drive(fast, vector, f"{mode} {path}")
+    paths = record_reallocations(compiled)
+    drive(python, compiled, f"{mode} {path}")
+    assert paths, "the start must force a reallocation"
+    assert paths[0] == path, paths
+
+
+@pytest.mark.parametrize("path", sorted(NEAR_BAND))
+@pytest.mark.parametrize("mode", sorted(KERNELS))
+def test_guard_band_starts_reallocate_and_match_reference(mode, path):
+    """Both builds share ``_reallocate``, so the grid-free reference engine
+    is the oracle for the state carried across a re-center: positions,
+    colors and the terrain plane."""
+    initial = random_connected(12, seed=2)
+    kernel = KERNELS[mode](initial)
+    reference = CompressionMarkovChain(initial, seed=2, kernel=kernel)
+    compiled = FastCompressionChain(initial, seed=2, kernel=kernel)
+    move_to_window(compiled, initial, NEAR_BAND[path])
+    paths = record_reallocations(compiled)
+    for chunk in (1, 7, 1000, 2048):
+        reference.run(chunk)
+        compiled.run(chunk)
+        assert_same_state(reference, compiled, f"{mode} {path} after run({chunk})")
     assert paths, "the start must force a reallocation"
     assert paths[0] == path, paths
 
@@ -208,15 +237,15 @@ def test_guard_band_starts_reallocate_and_match_fast(mode, path):
 # The two-lane separation tape
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("swap_probability", [0.0, 0.3, 0.8, 1.0])
-def test_two_lane_separation_tape_matches_fast(swap_probability):
+def test_two_lane_separation_tape_matches_fast(swap_probability, python_loops):
     initial = spiral(50)
     kernel = separation(initial, swap_probability=swap_probability, seed=7)
-    fast, vector = twins(initial, kernel, seed=41)
-    drive(fast, vector, f"swap_probability={swap_probability}")
+    python, compiled = twins(initial, kernel, seed=41, python_loops=python_loops)
+    drive(python, compiled, f"swap_probability={swap_probability}")
     if swap_probability:
-        assert vector.accepted_swaps > 0
+        assert compiled.accepted_swaps > 0
     if swap_probability < 1.0:
-        assert vector.accepted_moves > 0
+        assert compiled.accepted_moves > 0
 
 
 # --------------------------------------------------------------------- #
@@ -227,11 +256,49 @@ def test_only_a_holey_start_stays_referenced():
     rebuilt on demand); a holey one is kept, because the perimeter is
     read from it until the holes die out."""
     hole_free = spiral(50)
-    vector = VectorCompressionChain(hole_free, lam=4.0, seed=3)
-    assert vector._configuration_cache is None
-    assert vector.configuration == hole_free
-    assert vector.perimeter() == hole_free.perimeter
+    chain = FastCompressionChain(hole_free, lam=4.0, seed=3)
+    assert chain._configuration_cache is None
+    assert chain.configuration == hole_free
+    assert chain.perimeter() == hole_free.perimeter
     holey = holey_start(40, 2)
-    vector = VectorCompressionChain(holey, lam=4.0, seed=3)
-    assert vector._configuration_cache is holey
-    assert vector.perimeter() == holey.perimeter
+    chain = FastCompressionChain(holey, lam=4.0, seed=3)
+    assert chain._configuration_cache is holey
+    assert chain.perimeter() == holey.perimeter
+
+
+# --------------------------------------------------------------------- #
+# The engine keys
+# --------------------------------------------------------------------- #
+def test_fast_and_vector_keys_build_the_same_class():
+    assert ENGINES["vector"] is ENGINES["fast"] is FastCompressionChain
+    initial = spiral(30)
+    chains = [ENGINES[key](initial, lam=4.0, seed=5) for key in ("fast", "vector")]
+    assert [type(chain) for chain in chains] == [FastCompressionChain] * 2
+    for chain in chains:
+        chain.run(5000)
+    assert chains[0].occupied == chains[1].occupied
+    assert issubclass(VectorCompressionChain, FastCompressionChain)
+
+
+def test_wrapping_both_class_names_wraps_each_call_once(monkeypatch):
+    """A wrapper on ``FastCompressionChain`` and one on
+    ``VectorCompressionChain`` (as the benchmark tracer installs) never
+    nest: each construction and each ``run()`` passes exactly one."""
+    calls = []
+    for cls in (FastCompressionChain, VectorCompressionChain):
+        for attribute in ("__init__", "run"):
+            original = getattr(cls, attribute)
+
+            def wrapped(*args, _original=original, _name=f"{cls.__name__}.{attribute}", **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, attribute, wrapped)
+    VectorCompressionChain(spiral(10), lam=4.0, seed=0).run(100)
+    FastCompressionChain(spiral(10), lam=4.0, seed=0).run(100)
+    assert calls == [
+        "VectorCompressionChain.__init__",
+        "VectorCompressionChain.run",
+        "FastCompressionChain.__init__",
+        "FastCompressionChain.run",
+    ]

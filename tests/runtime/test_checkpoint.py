@@ -146,6 +146,23 @@ class TestCheckpointResume:
         with pytest.raises(SerializationError, match="malformed job payload"):
             job_from_json(payload["job"])
 
+    def test_vector_engine_document_loads_and_resumes(self, tmp_path):
+        """A document stored by an ``engine="vector"`` job still loads and
+        resumes; the alias key runs the same engine as ``"fast"``."""
+        jobs = [dataclasses.replace(job, engine="vector") for job in sweep_jobs()]
+        baseline = run_ensemble(sweep_jobs(), workers=1)
+        run_ensemble(jobs[:2], workers=1, checkpoint=tmp_path)
+        path = EnsembleCheckpoint(tmp_path).path_for(jobs[0].job_id)
+        stored = json.loads(path.read_text(encoding="utf-8"))["job"]
+        assert stored["engine"] == "vector"
+        assert job_from_json(stored) == jobs[0]
+        resumed = run_ensemble(jobs, workers=1, checkpoint=tmp_path)
+        assert resumed.loaded_from_checkpoint == 2
+        assert resumed.executed == 2
+        for base, res in zip(baseline.results, resumed.results):
+            assert base.trace.points == res.trace.points
+            assert base.rejection_counts == res.rejection_counts
+
     def test_checkpoint_files_are_plain_json(self, tmp_path):
         jobs = sweep_jobs()[:1]
         run_ensemble(jobs, checkpoint=tmp_path)
