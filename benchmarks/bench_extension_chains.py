@@ -11,7 +11,8 @@ advantage of ``engine="fast"`` over ``engine="reference"`` at
 ``n = 1000``, and at least a **3x** advantage of each kernel's compiled
 loop over its Python loop (the engine built with
 :func:`repro.core._native.load_library` patched to return ``None``, as
-on a machine without a C compiler) at ``n = 10000`` — the same bar the
+on a machine without a C compiler; the ``python_loops`` fixture in
+``conftest.py``) at ``n = 10000`` — the same bar the
 compression kernel's gate sets in ``bench_vector_chain.py``.
 
 The ``n = 10000`` rows measure the large-``n`` stationary regime:
@@ -47,7 +48,6 @@ from repro.algorithms.shortcut_bridging import (
     BridgingMarkovChain,
     v_shaped_terrain,
 )
-from repro.core import _native
 from repro.lattice.shapes import spiral
 
 #: Iterations measured per throughput row (after warmup).
@@ -207,18 +207,6 @@ def test_bridging_engine_speedup_at_n1000():
     )
 
 
-def _python_loops(factory):
-    """``factory`` built as on a machine without a C compiler, so that its
-    engine runs the Python loops."""
-
-    def build():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_native, "load_library", lambda: None)
-            return factory()
-
-    return build
-
-
 def _best_round_vector_speedup(python_factory, vector_factory, rounds=3):
     """Best-of-``rounds`` (Python, compiled) ratio; both sides use the full window."""
     measured = []
@@ -230,10 +218,10 @@ def _best_round_vector_speedup(python_factory, vector_factory, rounds=3):
 
 
 @pytest.mark.slow
-def test_separation_vector_speedup_at_n10000():
+def test_separation_vector_speedup_at_n10000(python_loops):
     """Acceptance gate: separation's compiled loop is >= 3x its Python loop at n=10000."""
     python_rate, vector_rate, speedup, rounds = _best_round_vector_speedup(
-        _python_loops(_separation_vector_factory("fast")), _separation_vector_factory("vector")
+        python_loops(_separation_vector_factory("fast")), _separation_vector_factory("vector")
     )
     _emit.record(
         "separation_vector_speedup_n10000",
@@ -250,10 +238,10 @@ def test_separation_vector_speedup_at_n10000():
 
 
 @pytest.mark.slow
-def test_bridging_vector_speedup_at_n10000():
+def test_bridging_vector_speedup_at_n10000(python_loops):
     """Acceptance gate: bridging's compiled loop is >= 3x its Python loop at n=10000."""
     python_rate, vector_rate, speedup, rounds = _best_round_vector_speedup(
-        _python_loops(_bridging_vector_factory("fast")), _bridging_vector_factory("vector")
+        python_loops(_bridging_vector_factory("fast")), _bridging_vector_factory("vector")
     )
     _emit.record(
         "bridging_vector_speedup_n10000",

@@ -7,7 +7,8 @@ Throughput rows cover ``n = 1000`` through ``n = 20000`` and land in
 3x advantage of the compiled loops over the Python loops they port —
 :class:`~repro.core.fast_chain.FastCompressionChain` built with
 :func:`repro.core._native.load_library` patched to return ``None``, as on
-a machine without a C compiler — at ``n = 1000``.  The differential fuzz
+a machine without a C compiler (the ``python_loops`` fixture in
+``conftest.py``) — at ``n = 1000``.  The differential fuzz
 (``tests/core/test_native_loops.py``) separately guarantees the two
 produce identical seeded trajectories, so this file is about speed, not
 semantics.
@@ -26,7 +27,6 @@ import time
 import pytest
 
 import _emit
-from repro.core import _native
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import line
@@ -34,13 +34,6 @@ from repro.lattice.shapes import line
 #: Iterations measured per throughput row (after warmup).
 _WINDOW = 200_000
 _WARMUP = 2_000
-
-
-def python_loops(*args, **kwargs):
-    """A ``FastCompressionChain`` that runs the Python loops."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_native, "load_library", lambda: None)
-        return FastCompressionChain(*args, **kwargs)
 
 
 def _measured_rate(engine, n, iterations=_WINDOW, lam=4.0, seed=0):
@@ -64,11 +57,12 @@ def test_vector_chain_throughput(n):
 
 
 @pytest.mark.slow
-def test_vector_engine_speedup_at_n1000():
+def test_vector_engine_speedup_at_n1000(python_loops):
     """Acceptance gate: the compiled loops are >= 3x the Python loops at n=1000."""
+    python_engine = python_loops(FastCompressionChain)
     rounds = []
     for _ in range(3):
-        python_rate = _measured_rate(python_loops, 1000)
+        python_rate = _measured_rate(python_engine, 1000)
         vector_rate = _measured_rate(VectorCompressionChain, 1000)
         rounds.append((python_rate, vector_rate, vector_rate / python_rate))
     python_rate, vector_rate, speedup = max(rounds, key=lambda round_: round_[2])
@@ -87,12 +81,13 @@ def test_vector_engine_speedup_at_n1000():
 
 
 @pytest.mark.slow
-def test_vector_advantage_grows_with_n():
+def test_vector_advantage_grows_with_n(python_loops):
     """The compiled loops' lead must not fade at scale: their advantage
     over the Python loops at n=20000 must exceed their advantage at
     n=1000."""
-    small = _measured_rate(VectorCompressionChain, 1000) / _measured_rate(python_loops, 1000)
-    large = _measured_rate(VectorCompressionChain, 20000) / _measured_rate(python_loops, 20000)
+    python_engine = python_loops(FastCompressionChain)
+    small = _measured_rate(VectorCompressionChain, 1000) / _measured_rate(python_engine, 1000)
+    large = _measured_rate(VectorCompressionChain, 20000) / _measured_rate(python_engine, 20000)
     _emit.record(
         "vector_scaling_advantage",
         speedup_n1000=small,

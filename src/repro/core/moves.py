@@ -96,9 +96,10 @@ def move_tables_array() -> np.ndarray:
 
     Column 0 is the source neighbor count, column 1 the target neighbor
     count, column 2 the Property 1/2 verdict as ``0``/``1``.  Built from
-    (and memoized alongside) :func:`move_tables`, so array consumers and
-    the engines' list lookups resolve every mask from the same
-    reference-generated source of truth.
+    (and memoized alongside) :func:`move_tables`.  No engine reads it:
+    the fast engine's Python loops index the lists, and its compiled
+    loops get their own ``uint8`` copies.  It remains a public export of
+    :mod:`repro.core`.
     """
     global _MOVE_TABLES_ARRAY
     if _MOVE_TABLES_ARRAY is None:

@@ -36,7 +36,11 @@ leaves one of two states:
 
 Either way a :class:`TraceStoreReader` recovers **exactly** the committed
 segments: never a partial row, and never fewer rows than the last
-successful commit.  ``tests/io/test_trace_store_crash.py`` pins this by
+successful commit.  A full segment is committed by a background thread
+(write-behind), so that its fsyncs overlap the engine instead of stalling
+it; at most one such commit is in flight, and the next commit, ``flush``,
+``close`` or a read of ``committed_rows`` waits for it, so the files still
+land in the same order.  ``tests/io/test_trace_store_crash.py`` pins this by
 killing writers (both by exception and by ``os._exit``) at randomized byte
 offsets and checking the recovered prefix against the writer's own commit
 log.
@@ -57,7 +61,10 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import os
+import threading
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -80,8 +87,8 @@ STORE_KIND = "trace_store"
 DEFAULT_ROWS_PER_SEGMENT = 4096
 
 #: The columnar schema of a standard compression trace — one column per
-#: :class:`~repro.core.compression.TracePoint` field, fixed-width
-#: little-endian dtypes so segment files are byte-deterministic.
+#: :class:`~repro.core.compression.TracePoint` field, in field order, with
+#: fixed-width little-endian dtypes so segment files are byte-deterministic.
 TRACE_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("iteration", "<i8"),
     ("perimeter", "<i8"),
@@ -196,7 +203,8 @@ class TraceStoreWriter:
 
     The writer commits an empty manifest on construction, so a store
     directory is readable from the instant it exists; ``append`` buffers,
-    full segments auto-flush, and :meth:`close` flushes the final short
+    a full segment is committed on a background thread while appends
+    continue (write-behind), and :meth:`close` flushes the final short
     segment and marks the manifest complete.
     """
 
@@ -217,48 +225,67 @@ class TraceStoreWriter:
         self.meta = dict(meta) if meta else {}
         self.directory.mkdir(parents=True, exist_ok=True)
         self._discard_previous_store()
-        self._buffers: Dict[str, List[Any]] = {name: [] for name, _ in self.columns}
+        #: Buffered rows.  On the standard schema they are trace points,
+        #: which a flush reads column by column; on other schemas, value
+        #: lists in column order, which a flush transposes.
+        self._rows: List[Any] = []
+        self._standard = self.columns == TRACE_COLUMNS
         self._segment_rows: List[int] = []
-        #: Rows durably committed (manifest renamed into place); the crash
-        #: tests use this as the ground truth for what a reader must recover.
-        self.committed_rows = 0
+        self._committed_rows = 0
+        #: The background commit of the last automatic flush, if one is
+        #: in flight, and the exception it raised, if any.
+        self._commit_thread: Optional[threading.Thread] = None
+        self._commit_error: Optional[BaseException] = None
         self.closed = False
-        self._commit_manifest(complete=False)
+        self._write_files([self._manifest_file(complete=False)], rows=0)
 
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
     @property
     def buffered_rows(self) -> int:
-        """Rows appended but not yet flushed into a committed segment."""
-        first = self.columns[0][0]
-        return len(self._buffers[first])
+        """Rows appended but not yet flushed into a segment."""
+        return len(self._rows)
+
+    @property
+    def committed_rows(self) -> int:
+        """Rows durably committed (manifest renamed into place).
+
+        Waits for an in-flight background commit first.  The crash tests
+        use this as the ground truth for what a reader must recover.
+        """
+        if self._commit_thread is not None:
+            self._commit_thread.join()
+        return self._committed_rows
 
     def append(self, row: Dict[str, Any]) -> None:
         """Buffer one row (a mapping with exactly the schema's columns)."""
-        if self.closed:
-            raise SerializationError("cannot append to a closed trace store writer")
         try:
             values = [row[name] for name, _ in self.columns]
         except KeyError as exc:
             raise SerializationError(f"row is missing column {exc.args[0]!r}") from None
-        for (name, _), value in zip(self.columns, values):
-            self._buffers[name].append(value)
-        if self.buffered_rows >= self.rows_per_segment:
-            self.flush()
+        self._buffer(TracePoint(*values) if self._standard else values)
 
     def append_point(self, point: TracePoint) -> None:
-        """Buffer one :class:`TracePoint` (standard-schema stores only)."""
-        self.append(
-            {
-                "iteration": point.iteration,
-                "perimeter": point.perimeter,
-                "edges": point.edges,
-                "holes": point.holes,
-                "alpha": point.alpha,
-                "beta": point.beta,
-            }
-        )
+        """Buffer one :class:`TracePoint`.
+
+        This is the streaming hot path: with the compiled engine a trace
+        point can arrive every few tens of microseconds.  On the standard
+        schema the (immutable) point itself is buffered; other schemas take
+        its fields as a mapping.
+        """
+        if self._standard:
+            self._buffer(point)
+        else:
+            self.append(asdict(point))
+
+    def _buffer(self, row: Any) -> None:
+        if self.closed:
+            raise SerializationError("cannot append to a closed trace store writer")
+        rows = self._rows
+        rows.append(row)
+        if len(rows) >= self.rows_per_segment:
+            self._commit(complete=False, background=True)
 
     # ------------------------------------------------------------------ #
     # Committing
@@ -271,44 +298,21 @@ class TraceStoreWriter:
         manifest that references it — so a crash at any byte leaves the
         previous manifest, and with it a store of exactly the previously
         committed rows.  A flush with an empty buffer is a no-op.
+
+        The automatic flush of a full segment does the same writes on a
+        background thread, so that the fsyncs overlap the engine's run.
+        This method (like :meth:`close`) first waits for that commit, and
+        returns only once its own segment is committed.
         """
         if self.closed:
             raise SerializationError("cannot flush a closed trace store writer")
-        rows = self.buffered_rows
-        if rows == 0:
-            return
-        index = len(self._segment_rows)
-        for name, dtype in self.columns:
-            array = np.asarray(self._buffers[name], dtype=dtype)
-            if array.ndim != 1 or array.shape[0] != rows:
-                raise SerializationError(
-                    f"column {name!r} buffered {array.shape} values for a "
-                    f"{rows}-row segment"
-                )
-            _write_atomic(self.directory / _segment_file(index, name), _npy_bytes(array))
-        self._segment_rows.append(rows)
-        for name, _ in self.columns:
-            self._buffers[name].clear()
-        self._commit_manifest(complete=False)
-        self.committed_rows += rows
+        self._commit(complete=False, background=False)
 
     def close(self) -> None:
         """Flush the final (possibly short) segment and mark the store complete."""
         if self.closed:
             return
-        rows = self.buffered_rows
-        if rows:
-            index = len(self._segment_rows)
-            for name, dtype in self.columns:
-                array = np.asarray(self._buffers[name], dtype=dtype)
-                _write_atomic(
-                    self.directory / _segment_file(index, name), _npy_bytes(array)
-                )
-            self._segment_rows.append(rows)
-            for name, _ in self.columns:
-                self._buffers[name].clear()
-        self._commit_manifest(complete=True)
-        self.committed_rows = sum(self._segment_rows)
+        self._commit(complete=True, background=False)
         self.closed = True
 
     def __enter__(self) -> "TraceStoreWriter":
@@ -323,6 +327,80 @@ class TraceStoreWriter:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _commit(self, complete: bool, background: bool) -> None:
+        """Write the buffered rows (if any) as the next segment, then the
+        manifest.
+
+        At most one commit is in flight: this first waits for the previous
+        background commit.  A commit that fails closes the writer, since
+        its segment list names a segment that may not have landed; the
+        failure of a background commit is raised here, by the next commit.
+        A non-final commit with nothing buffered writes nothing.
+        """
+        self._await_commit()
+        rows = len(self._rows)
+        if rows == 0 and not complete:
+            return
+        files = self._segment_files() if rows else []
+        files.append(self._manifest_file(complete))
+        if background:
+            self._commit_thread = threading.Thread(
+                target=self._write_in_background, args=(files, rows)
+            )
+            self._commit_thread.start()
+            return
+        try:
+            self._write_files(files, rows)
+        except BaseException:
+            self.closed = True
+            raise
+
+    def _await_commit(self) -> None:
+        thread, self._commit_thread = self._commit_thread, None
+        if thread is not None:
+            thread.join()
+        error, self._commit_error = self._commit_error, None
+        if error is not None:
+            self.closed = True
+            raise error
+
+    def _write_in_background(self, files: List[Tuple[Path, bytes]], rows: int) -> None:
+        try:
+            self._write_files(files, rows)
+        except BaseException as exc:  # re-raised by the next commit
+            self._commit_error = exc
+
+    def _write_files(self, files: List[Tuple[Path, bytes]], rows: int) -> None:
+        for path, data in files:
+            _write_atomic(path, data)
+        self._committed_rows += rows
+
+    def _segment_files(self) -> List[Tuple[Path, bytes]]:
+        """Turn the buffered rows into the next segment's column files
+        (path and ``.npy`` bytes each) and empty the buffer."""
+        rows = len(self._rows)
+        index = len(self._segment_rows)
+        files = []
+        for (name, dtype), values in zip(self.columns, self._column_values()):
+            try:
+                array = np.fromiter(values, dtype=dtype, count=rows)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SerializationError(
+                    f"column {name!r} holds a value that is not a {dtype} scalar: {exc}"
+                ) from None
+            files.append((self.directory / _segment_file(index, name), _npy_bytes(array)))
+        self._segment_rows.append(rows)
+        self._rows = []
+        return files
+
+    def _column_values(self) -> Iterator[Iterable[Any]]:
+        """Each column's buffered values, in schema order."""
+        if self._standard:
+            for name, _ in self.columns:
+                yield map(operator.attrgetter(name), self._rows)
+        else:
+            yield from zip(*self._rows)
+
     def _discard_previous_store(self) -> None:
         """Remove any previous store content (manifest, segments, tmp files)."""
         for path in self.directory.iterdir():
@@ -339,7 +417,8 @@ class TraceStoreWriter:
                         f"cannot clear previous trace store content {path}: {exc}"
                     ) from exc
 
-    def _commit_manifest(self, complete: bool) -> None:
+    def _manifest_file(self, complete: bool) -> Tuple[Path, bytes]:
+        """The manifest's path and bytes for the segments listed so far."""
         manifest = {
             "format_version": STORE_FORMAT_VERSION,
             "kind": STORE_KIND,
@@ -356,7 +435,7 @@ class TraceStoreWriter:
             raise SerializationError(
                 f"trace store meta is not JSON-serializable: {exc}"
             ) from exc
-        _write_atomic(self.directory / _MANIFEST_NAME, data)
+        return self.directory / _MANIFEST_NAME, data
 
 
 class TraceStoreReader:

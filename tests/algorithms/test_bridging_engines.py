@@ -2,14 +2,14 @@
 
 The shortcut-bridging chain of [2] runs on the shared engine stack via
 :class:`repro.core.kernels.BridgingKernel`; this file holds it to the
-same contract as the compression engines: lockstep
-reference/fast/vector bit-identity (the vector engine runs the fast
-loop compiled to C against the terrain byte plane), block-run and mixed
-``step()``/``run()``
-agreement at every chunk boundary, randomized invariants (connectivity;
-the incrementally maintained gap occupancy ``g(sigma)`` against the
-from-scratch terrain recomputation), and a committed golden trace pinned
-on all three engines.
+same contract as the compression engines: lockstep bit-identity of the
+reference engine and the fast engine, on its compiled loops (run against
+the terrain byte plane) and on its Python loops (``"python"``, built by
+the ``build_engine`` fixture); block-run and mixed ``step()``/``run()``
+agreement of the two builds at every chunk boundary; randomized
+invariants (connectivity; the incrementally maintained gap occupancy
+``g(sigma)`` against the from-scratch terrain recomputation); and a
+committed golden trace pinned on all three.
 """
 
 import json
@@ -62,11 +62,12 @@ LOCKSTEP_CASES = (
 )
 
 
-def engine_trio(terrain, initial, lam, gamma, seed):
+def engine_trio(build, terrain, initial, lam, gamma, seed):
+    """Reference, compiled fast and Python-loop fast chains, seeded alike."""
     kwargs = dict(lam=lam, gamma=gamma, seed=seed)
     return tuple(
-        BridgingMarkovChain(initial, terrain, engine=engine, **kwargs)
-        for engine in ("reference", "fast", "vector")
+        build(BridgingMarkovChain, initial, terrain, engine=engine, **kwargs)
+        for engine in ("reference", "fast", "python")
     )
 
 
@@ -81,81 +82,89 @@ def assert_same_final_state(fast, reference, context=""):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
-def test_lockstep_trajectories_are_identical(name):
+def test_lockstep_trajectories_are_identical(name, build_engine):
     terrain, initial, lam, gamma, iterations = _case(name)
-    reference, fast, vector = engine_trio(terrain, initial, lam, gamma, seed=7)
+    reference, fast, python = engine_trio(
+        build_engine, terrain, initial, lam, gamma, seed=7
+    )
     for iteration in range(iterations):
         expected = reference.chain.step()
-        for label, chain in (("fast", fast), ("vector", vector)):
+        for label, chain in (("fast", fast), ("python", python)):
             actual = chain.chain.step()
             assert actual == expected, (
                 f"{name}: trajectories diverged at iteration {iteration}: "
                 f"reference={expected}, {label}={actual}"
             )
     assert_same_final_state(fast, reference, name)
-    assert_same_final_state(vector, reference, name)
+    assert_same_final_state(python, reference, name)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", LOCKSTEP_CASES)
-def test_block_runs_match_lockstep_runs(name):
-    """run(k) must consume the tape exactly like k step() calls — on the
-    vector engine that is the compiled ``edge_site`` loop, checked
-    against the fast engine's gap occupancy at every chunk boundary."""
+def test_block_runs_match_lockstep_runs(name, build_engine):
+    """run(k) must consume the tape exactly like k step() calls — the
+    compiled ``edge_site`` loop is checked against the Python loops' gap
+    occupancy at every chunk boundary."""
     terrain, initial, lam, gamma, iterations = _case(name)
-    reference, fast, vector = engine_trio(terrain, initial, lam, gamma, seed=19)
+    reference, fast, python = engine_trio(
+        build_engine, terrain, initial, lam, gamma, seed=19
+    )
     for chunk in (1, 37, 700, 1024, iterations):
         reference.run(chunk)
         fast.run(chunk)
-        vector.run(chunk)
+        python.run(chunk)
         assert fast.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
-        assert vector.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
-        assert vector.gap_occupancy() == fast.gap_occupancy(), f"{name}@{chunk}"
+        assert python.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
+        assert fast.gap_occupancy() == python.gap_occupancy(), f"{name}@{chunk}"
     assert_same_final_state(fast, reference, name)
-    assert_same_final_state(vector, reference, name)
+    assert_same_final_state(python, reference, name)
 
 
 @pytest.mark.slow
-def test_vector_mixed_step_and_run_interleavings_match_fast():
+def test_mixed_step_and_run_interleavings_match_python_loops(build_engine):
     """step() (scalar path) and run() (compiled loop) share one tape; any
-    interleaving must stay bit-identical to the fast engine."""
+    interleaving must stay bit-identical to the Python loops."""
     terrain = v_shaped_terrain(5)
     initial = initial_bridge_configuration(terrain, 30)
     kwargs = dict(lam=4.0, gamma=2.0, seed=21)
+    python = build_engine(
+        BridgingMarkovChain, initial, terrain, engine="python", **kwargs
+    )
     fast = BridgingMarkovChain(initial, terrain, engine="fast", **kwargs)
-    vector = BridgingMarkovChain(initial, terrain, engine="vector", **kwargs)
     schedule = [
         ("run", 700), ("step", 5), ("run", 1), ("step", 1),
         ("run", 2048), ("step", 3), ("run", 333),
     ]
     for action, amount in schedule:
         if action == "run":
+            python.run(amount)
             fast.run(amount)
-            vector.run(amount)
         else:
             for _ in range(amount):
-                assert vector.chain.step() == fast.chain.step()
-        assert vector.gap_occupancy() == fast.gap_occupancy(), (action, amount)
-    assert_same_final_state(vector, fast)
+                assert fast.chain.step() == python.chain.step()
+        assert fast.gap_occupancy() == python.gap_occupancy(), (action, amount)
+    assert_same_final_state(fast, python)
 
 
 @pytest.mark.slow
-def test_long_run_with_grid_reallocation_matches_reference():
-    """Unbiased drift forces several re-centers (terrain plane rebuilds —
-    on the vector engine the guard-band re-center also rebuilds the aux
-    plane the compiled loop reads)."""
+def test_long_run_with_grid_reallocation_matches_reference(build_engine):
+    """Unbiased drift forces several re-centers (terrain plane rebuilds;
+    the guard-band re-center also rebuilds the aux plane the compiled
+    loop reads)."""
     terrain = v_shaped_terrain(4)
-    reference, fast, vector = engine_trio(terrain, line(22), 1.0, 1.1, seed=13)
+    reference, fast, python = engine_trio(
+        build_engine, terrain, line(22), 1.0, 1.1, seed=13
+    )
     reference.run(150_000)
     fast.run(150_000)
-    vector.run(150_000)
+    python.run(150_000)
     assert_same_final_state(fast, reference)
-    assert_same_final_state(vector, reference)
+    assert_same_final_state(python, reference)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
+@pytest.mark.parametrize("engine", ["reference", "fast", "python"])
 class TestInvariants:
-    def test_gap_occupancy_matches_terrain_recomputation(self, engine):
+    def test_gap_occupancy_matches_terrain_recomputation(self, engine, build_engine):
         """The engines' incremental g(sigma) against the from-scratch count,
         on random configurations over random terrains."""
         for seed in range(4):
@@ -166,8 +175,9 @@ class TestInvariants:
                 node for i, node in enumerate(sorted(configuration.nodes)) if i % 2
             )
             terrain = Terrain(land=land, anchors=(min(land), max(land)))
-            chain = BridgingMarkovChain(
-                configuration, terrain, lam=2.0, gamma=1.5, seed=seed, engine=engine
+            chain = build_engine(
+                BridgingMarkovChain, configuration, terrain,
+                lam=2.0, gamma=1.5, seed=seed, engine=engine,
             )
             assert chain.gap_occupancy() == terrain.gap_occupancy(configuration)
             for _ in range(4):
@@ -177,11 +187,12 @@ class TestInvariants:
                 ), f"seed {seed}"
                 assert chain.g_sigma() == chain.gap_occupancy()
 
-    def test_connectivity_and_metrics_preserved(self, engine):
+    def test_connectivity_and_metrics_preserved(self, engine, build_engine):
         terrain = v_shaped_terrain(5)
         initial = initial_bridge_configuration(terrain, 25)
-        chain = BridgingMarkovChain(
-            initial, terrain, lam=4.0, gamma=3.0, seed=9, engine=engine
+        chain = build_engine(
+            BridgingMarkovChain, initial, terrain, lam=4.0, gamma=3.0, seed=9,
+            engine=engine,
         )
         for _ in range(5):
             chain.run(2000)
@@ -235,10 +246,11 @@ class TestGoldenTrace:
         terrain = v_shaped_terrain(golden["arm_length"], opening=golden["opening"])
         return terrain, initial_bridge_configuration(terrain, golden["n"])
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
-    def test_engine_reproduces_golden_trace(self, golden, setup, engine):
+    @pytest.mark.parametrize("engine", ["reference", "fast", "python"])
+    def test_engine_reproduces_golden_trace(self, golden, setup, engine, build_engine):
         terrain, initial = setup
-        chain = BridgingMarkovChain(
+        chain = build_engine(
+            BridgingMarkovChain,
             initial,
             terrain,
             lam=golden["lam"],
@@ -269,10 +281,13 @@ class TestGoldenTrace:
         assert chain.chain.rejection_counts == final["rejection_counts"]
         assert sorted(list(node) for node in chain.chain.occupied) == final["occupied"]
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
-    def test_engine_run_reproduces_golden_final_state(self, golden, setup, engine):
+    @pytest.mark.parametrize("engine", ["reference", "fast", "python"])
+    def test_engine_run_reproduces_golden_final_state(
+        self, golden, setup, engine, build_engine
+    ):
         terrain, initial = setup
-        chain = BridgingMarkovChain(
+        chain = build_engine(
+            BridgingMarkovChain,
             initial,
             terrain,
             lam=golden["lam"],

@@ -5,21 +5,22 @@ The separation chain of [9] runs on the shared engine stack via
 same contract as the compression engines:
 
 * **Lockstep differential:** seeded identically, the reference
-  (hash-map), fast (grid + color byte plane) and vector (the fast loop
-  compiled to C) engines must produce bit-identical trajectories — the
-  same proposal each iteration, resolved the same way, movements and
-  color swaps alike.
-* **Block-run differential:** the vector engine's ``run()`` hands
-  whole tape spans to the compiled loop; it must land on the fast
-  engine's exact state (occupancy *and* colors) at every chunk
-  boundary, including chunks that straddle draw blocks and refills,
-  and across mixed ``step()``/``run()`` interleavings.
+  (hash-map) engine and the fast engine (grid + color byte plane), on
+  its compiled loops and on its Python loops (``"python"``, built by the
+  ``build_engine`` fixture), must produce bit-identical trajectories —
+  the same proposal each iteration, resolved the same way, movements
+  and color swaps alike.
+* **Block-run differential:** the fast engine's ``run()`` hands whole
+  tape spans to the compiled loop; it must land on the Python loops'
+  exact state (occupancy *and* colors) at every chunk boundary,
+  including chunks that straddle draw blocks and refills, and across
+  mixed ``step()``/``run()`` interleavings.
 * **Randomized invariants:** per-color particle counts are conserved
   across swaps, connectivity is preserved, and the incrementally
   maintained edge count matches a from-scratch recomputation.
 * **Golden trace:** a committed fixture pins the exact trajectory of a
-  standard start, so silent protocol changes fail loudly — on all three
-  engines.
+  standard start, so silent protocol changes fail loudly — on both
+  engines and on the fast engine's Python loops.
 """
 
 import json
@@ -57,11 +58,12 @@ LOCKSTEP_CASES = {
 }
 
 
-def engine_trio(colored, lam, gamma, swap_probability, seed):
+def engine_trio(build, colored, lam, gamma, swap_probability, seed):
+    """Reference, compiled fast and Python-loop fast chains, seeded alike."""
     kwargs = dict(lam=lam, gamma=gamma, swap_probability=swap_probability, seed=seed)
     return tuple(
-        SeparationMarkovChain(colored, engine=engine, **kwargs)
-        for engine in ("reference", "fast", "vector")
+        build(SeparationMarkovChain, colored, engine=engine, **kwargs)
+        for engine in ("reference", "fast", "python")
     )
 
 
@@ -77,102 +79,100 @@ def assert_same_final_state(fast, reference, context=""):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-def test_lockstep_trajectories_are_identical(name):
+def test_lockstep_trajectories_are_identical(name, build_engine):
     colored, lam, gamma, swap_probability, iterations = LOCKSTEP_CASES[name]
-    reference, fast, vector = engine_trio(
-        colored, lam, gamma, swap_probability, seed=7
+    reference, fast, python = engine_trio(
+        build_engine, colored, lam, gamma, swap_probability, seed=7
     )
     for iteration in range(iterations):
         expected = reference.step()
-        for label, chain in (("fast", fast), ("vector", vector)):
+        for label, chain in (("fast", fast), ("python", python)):
             actual = chain.step()
             assert actual == expected, (
                 f"{name}: trajectories diverged at iteration {iteration}: "
                 f"reference={expected}, {label}={actual}"
             )
     assert_same_final_state(fast, reference, name)
-    assert_same_final_state(vector, reference, name)
+    assert_same_final_state(python, reference, name)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-def test_block_runs_match_lockstep_runs(name):
+def test_block_runs_match_lockstep_runs(name, build_engine):
     """run(k) must consume the two-lane tape exactly like k step() calls —
-    on the vector engine that is the compiled ``edge_color`` loop,
-    checked against the fast engine's colors at every
-    chunk boundary."""
+    the compiled ``edge_color`` loop is checked against the Python
+    loops' colors at every chunk boundary."""
     colored, lam, gamma, swap_probability, iterations = LOCKSTEP_CASES[name]
-    reference, fast, vector = engine_trio(
-        colored, lam, gamma, swap_probability, seed=19
+    reference, fast, python = engine_trio(
+        build_engine, colored, lam, gamma, swap_probability, seed=19
     )
     for chunk in (1, 37, 700, 1024, iterations):  # straddles draw blocks
         reference.run(chunk)
         fast.run(chunk)
-        vector.run(chunk)
+        python.run(chunk)
         assert fast.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
-        assert vector.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
-        assert vector.state.colors == fast.state.colors, f"{name}@{chunk}"
+        assert python.chain.edge_count == reference.chain.edge_count, f"{name}@{chunk}"
+        assert fast.state.colors == python.state.colors, f"{name}@{chunk}"
     assert_same_final_state(fast, reference, name)
-    assert_same_final_state(vector, reference, name)
+    assert_same_final_state(python, reference, name)
 
 
 @pytest.mark.slow
-def test_vector_mixed_step_and_run_interleavings_match_fast():
+def test_mixed_step_and_run_interleavings_match_python_loops(build_engine):
     """step() (scalar path) and run() (compiled loop) share one tape; any
-    interleaving must stay bit-identical to the fast engine."""
+    interleaving must stay bit-identical to the Python loops."""
     colored = ColoredConfiguration.random_colors(spiral(24), seed=9)
     kwargs = dict(lam=3.0, gamma=1.5, swap_probability=0.5, seed=21)
+    python = build_engine(SeparationMarkovChain, colored, engine="python", **kwargs)
     fast = SeparationMarkovChain(colored, engine="fast", **kwargs)
-    vector = SeparationMarkovChain(colored, engine="vector", **kwargs)
     schedule = [
         ("run", 700), ("step", 5), ("run", 1), ("step", 1),
         ("run", 2048), ("step", 3), ("run", 333),
     ]
     for action, amount in schedule:
         if action == "run":
+            python.run(amount)
             fast.run(amount)
-            vector.run(amount)
         else:
             for _ in range(amount):
-                assert vector.step() == fast.step()
-        assert vector.chain.edge_count == fast.chain.edge_count, (action, amount)
-    assert_same_final_state(vector, fast)
+                assert fast.step() == python.step()
+        assert fast.chain.edge_count == python.chain.edge_count, (action, amount)
+    assert_same_final_state(fast, python)
 
 
 @pytest.mark.slow
-def test_long_run_with_grid_reallocation_matches_reference():
-    """An unbiased colored blob drifts far enough to force grid re-centers
-    (which rebuild the fast engine's color plane — and, on the vector
-    engine, carry the colors across the re-centered grid)."""
+def test_long_run_with_grid_reallocation_matches_reference(build_engine):
+    """An unbiased colored blob drifts far enough to force grid re-centers,
+    which carry the colors across the re-centered grid."""
     colored = ColoredConfiguration.random_colors(line(25), seed=2)
-    reference, fast, vector = engine_trio(colored, 1.0, 1.2, 0.5, seed=13)
+    reference, fast, python = engine_trio(build_engine, colored, 1.0, 1.2, 0.5, seed=13)
     reference.run(150_000)
     fast.run(150_000)
-    vector.run(150_000)
+    python.run(150_000)
     assert_same_final_state(fast, reference)
-    assert_same_final_state(vector, reference)
+    assert_same_final_state(python, reference)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
+@pytest.mark.parametrize("engine", ["reference", "fast", "python"])
 class TestInvariants:
-    def test_color_counts_conserved_and_connectivity_preserved(self, engine):
+    def test_color_counts_conserved_and_connectivity_preserved(self, engine, build_engine):
         for seed in range(4):
             colored = ColoredConfiguration.random_colors(
                 random_connected(22, seed=seed + 30), num_colors=2 + seed % 2, seed=seed
             )
-            chain = SeparationMarkovChain(
-                colored, lam=3.0, gamma=2.0, swap_probability=0.5,
-                seed=seed, engine=engine,
+            chain = build_engine(
+                SeparationMarkovChain, colored, lam=3.0, gamma=2.0,
+                swap_probability=0.5, seed=seed, engine=engine,
             )
             chain.run(5000)
             state = chain.state
             assert state.color_counts() == colored.color_counts(), f"seed {seed}"
             assert state.configuration.is_connected, f"seed {seed}"
 
-    def test_incremental_metrics_match_recomputation(self, engine):
+    def test_incremental_metrics_match_recomputation(self, engine, build_engine):
         colored = ColoredConfiguration.halves(spiral(26))
-        chain = SeparationMarkovChain(
-            colored, lam=4.0, gamma=1.5, seed=11, engine=engine
+        chain = build_engine(
+            SeparationMarkovChain, colored, lam=4.0, gamma=1.5, seed=11, engine=engine
         )
         for _ in range(6):
             chain.run(1500)
@@ -220,9 +220,10 @@ class TestGoldenTrace:
         assert rebuilt.colors == colored.colors
         return colored
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
-    def test_engine_reproduces_golden_trace(self, golden, start, engine):
-        chain = SeparationMarkovChain(
+    @pytest.mark.parametrize("engine", ["reference", "fast", "python"])
+    def test_engine_reproduces_golden_trace(self, golden, start, engine, build_engine):
+        chain = build_engine(
+            SeparationMarkovChain,
             start,
             lam=golden["lam"],
             gamma=golden["gamma"],
@@ -256,10 +257,13 @@ class TestGoldenTrace:
             [x, y, c] for (x, y), c in chain.state.colors.items()
         ) == final["colors"]
 
-    @pytest.mark.parametrize("engine", ["reference", "fast", "vector"])
-    def test_engine_run_reproduces_golden_final_state(self, golden, start, engine):
+    @pytest.mark.parametrize("engine", ["reference", "fast", "python"])
+    def test_engine_run_reproduces_golden_final_state(
+        self, golden, start, engine, build_engine
+    ):
         """The batched run() paths land on the committed final state too."""
-        chain = SeparationMarkovChain(
+        chain = build_engine(
+            SeparationMarkovChain,
             start,
             lam=golden["lam"],
             gamma=golden["gamma"],

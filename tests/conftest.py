@@ -60,16 +60,37 @@ def python_loops():
 
     It patches :func:`repro.core._native.load_library` to report no
     library, as a machine without a C compiler would; engines built
-    outside it run the compiled loops.
+    outside it run the compiled loops.  ``python_loops(False)`` patches
+    nothing, for tests parametrized over both builds.
     """
 
     @contextmanager
-    def patched():
+    def patched(active=True):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_native, "load_library", lambda: None)
+            if active:
+                patch.setattr(_native, "load_library", lambda: None)
             yield
 
     return patched
+
+
+@pytest.fixture
+def build_engine(python_loops):
+    """``build_engine(factory, *args, engine=key, **kwargs)`` builds a chain.
+
+    It calls ``factory(*args, engine=key, **kwargs)``, except that the
+    extra key ``"python"`` builds ``engine="fast"`` running its Python
+    loops, so that engine-parametrized suites cover both builds of the
+    fast engine.
+    """
+
+    def build(factory, *args, engine, **kwargs):
+        with python_loops(engine == "python"):
+            return factory(
+                *args, engine="fast" if engine == "python" else engine, **kwargs
+            )
+
+    return build
 
 
 def pytest_addoption(parser):

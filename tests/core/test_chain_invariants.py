@@ -7,11 +7,12 @@ and that the engines' incrementally maintained counters (``e(sigma)``,
 ``p(sigma)``, hole counts) always agree with a from-scratch
 :class:`~repro.lattice.configuration.ParticleConfiguration` recomputation.
 
-The checks run primarily against the fast and vector engines (whose
-incremental bookkeeping is the non-obvious part); a reference-engine
+The checks run primarily against the fast engine (whose incremental
+bookkeeping is the non-obvious part), once on its compiled loops and once
+on its Python loops (built with ``python_loops``); a reference-engine
 subset guards the same invariants on the transparent implementation.
-The extension kernels get their own seeded sweeps on the fast and vector
-engines: the separation chain must also conserve per-color counts and
+The extension kernels get their own seeded sweeps on both builds of the
+fast engine: the separation chain must also conserve per-color counts and
 keep its colors on the occupied nodes, and the bridging chain's
 incrementally maintained gap occupancy must match the terrain
 recomputation.
@@ -23,7 +24,6 @@ from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovCh
 from repro.algorithms.shortcut_bridging import BridgingMarkovChain, Terrain
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import random_connected, random_hole_free
 
 #: lambdas cycled across the randomized runs: expanding, neutral and
@@ -70,15 +70,17 @@ def test_randomized_invariants_fast_engine(seed, n, lam, hole_free):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed,n,lam,hole_free", RUN_MATRIX)
-def test_randomized_invariants_vector_engine(seed, n, lam, hole_free):
-    """The vector engine's compiled loop keeps the same paper invariants,
-    from hole-free (even seeds) and holey (odd seeds) starts alike."""
+def test_randomized_invariants_python_loops(seed, n, lam, hole_free, python_loops):
+    """The fast engine's Python loops (the no-compiler fallback) keep the
+    same paper invariants, from hole-free (even seeds) and holey (odd
+    seeds) starts alike."""
     start = random_start(n, seed, hole_free)
     hole_free_start = start.is_hole_free
-    chain = VectorCompressionChain(start, lam=lam, seed=seed)
+    with python_loops():
+        chain = FastCompressionChain(start, lam=lam, seed=seed)
     for block in range(4):
         chain.run(400)
-        check_invariants(chain, hole_free_start, f"vector seed={seed} block={block}")
+        check_invariants(chain, hole_free_start, f"python seed={seed} block={block}")
 
 
 #: The seeded sweep shared by the extension-kernel invariant tests.
@@ -87,15 +89,23 @@ EXTENSION_MATRIX = RUN_MATRIX[1::4]
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed,n,lam,hole_free", EXTENSION_MATRIX)
-@pytest.mark.parametrize("engine", ["fast", "vector"])
-def test_randomized_invariants_separation_kernel(engine, seed, n, lam, hole_free):
+@pytest.mark.parametrize("engine", ["fast", "python"])
+def test_randomized_invariants_separation_kernel(
+    engine, seed, n, lam, hole_free, build_engine
+):
     """Color-swap and movement passes keep the paper invariants, conserve
     every color's particle count and keep the colors on occupied nodes."""
     start = random_start(n, seed, hole_free)
     hole_free_start = start.is_hole_free
     colored = ColoredConfiguration.random_colors(start, num_colors=2 + seed % 2, seed=seed)
-    chain = SeparationMarkovChain(
-        colored, lam=lam, gamma=2.0, swap_probability=0.4, seed=seed, engine=engine
+    chain = build_engine(
+        SeparationMarkovChain,
+        colored,
+        lam=lam,
+        gamma=2.0,
+        swap_probability=0.4,
+        seed=seed,
+        engine=engine,
     )
     for block in range(4):
         chain.run(400)
@@ -108,8 +118,10 @@ def test_randomized_invariants_separation_kernel(engine, seed, n, lam, hole_free
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed,n,lam,hole_free", EXTENSION_MATRIX)
-@pytest.mark.parametrize("engine", ["fast", "vector"])
-def test_randomized_invariants_bridging_kernel(engine, seed, n, lam, hole_free):
+@pytest.mark.parametrize("engine", ["fast", "python"])
+def test_randomized_invariants_bridging_kernel(
+    engine, seed, n, lam, hole_free, build_engine
+):
     """Site-weighted passes keep the paper invariants and the incremental
     gap occupancy agrees with the terrain recomputation."""
     start = random_start(n, seed, hole_free)
@@ -117,7 +129,9 @@ def test_randomized_invariants_bridging_kernel(engine, seed, n, lam, hole_free):
     # Every other occupied node is land; everything else is gap.
     land = frozenset(node for i, node in enumerate(sorted(start.nodes)) if i % 2)
     terrain = Terrain(land=land, anchors=(min(land), max(land)))
-    chain = BridgingMarkovChain(start, terrain, lam=lam, gamma=1.5, seed=seed, engine=engine)
+    chain = build_engine(
+        BridgingMarkovChain, start, terrain, lam=lam, gamma=1.5, seed=seed, engine=engine
+    )
     for block in range(4):
         chain.run(400)
         context = f"bridging {engine} seed={seed} block={block}"
@@ -138,9 +152,9 @@ def test_randomized_invariants_reference_engine(seed):
         check_invariants(chain, hole_free_start, f"reference seed={seed} block={block}")
 
 
-@pytest.mark.parametrize("engine", [FastCompressionChain, VectorCompressionChain])
-def test_holey_start_fallback_then_euler_lock_in(engine):
-    """The fast engines' perimeter/hole fallback path for holey starts.
+@pytest.mark.parametrize("loops", ["compiled", "python"])
+def test_holey_start_fallback_then_euler_lock_in(loops, python_loops):
+    """The fast engine's perimeter/hole fallback path for holey starts.
 
     A start with holes must report *exact* ``perimeter()`` and
     ``hole_count()`` (from full recomputation, since ``p = 3n - 3 - e``
@@ -150,7 +164,8 @@ def test_holey_start_fallback_then_euler_lock_in(engine):
     """
     start = random_connected(28, seed=104)  # chosen seed: starts with holes
     assert not start.is_hole_free, "fixture must exercise the holey fallback"
-    chain = engine(start, lam=5.0, seed=9)
+    with python_loops(loops == "python"):
+        chain = FastCompressionChain(start, lam=5.0, seed=9)
     assert chain._hole_free is False
     saw_holey_phase = False
     locked_at = None

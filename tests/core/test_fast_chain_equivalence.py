@@ -2,8 +2,8 @@
 
 The contract under test is the one documented in :mod:`repro.core`:
 seeded identically (same seed, same draw block), the grid-based
-:class:`~repro.core.fast_chain.FastCompressionChain` — under both of its
-engine keys, ``"fast"`` and ``"vector"`` — and the hash-map
+:class:`~repro.core.fast_chain.FastCompressionChain` — on its compiled
+loops and on its Python loops alike — and the hash-map
 :class:`~repro.core.markov_chain.CompressionMarkovChain` must produce
 bit-identical trajectories — the same proposal every iteration, resolved
 the same way (identical move, rejection reason and edge delta), with
@@ -42,19 +42,16 @@ LOCKSTEP_CASES = {
     "unbiased_random_walk": (line(15), 1.0, 2000),
 }
 
-#: The engines measured against the reference implementation.
-CANDIDATE_ENGINES = {
-    "fast": FastCompressionChain,
-    "vector": VectorCompressionChain,
-}
+#: The builds measured against the reference implementation: the fast
+#: engine on its compiled loops ("fast") and on its Python loops ("python").
+CANDIDATES = ("fast", "python")
 
 
-def engine_pair(initial, lam, seed, candidate="fast"):
+def engine_pair(initial, lam, seed, candidate, python_loops):
     """A (reference, candidate) pair seeded identically."""
-    return (
-        CompressionMarkovChain(initial, lam=lam, seed=seed),
-        CANDIDATE_ENGINES[candidate](initial, lam=lam, seed=seed),
-    )
+    reference = CompressionMarkovChain(initial, lam=lam, seed=seed)
+    with python_loops(candidate == "python"):
+        return reference, FastCompressionChain(initial, lam=lam, seed=seed)
 
 
 def assert_same_final_state(candidate, reference, context=""):
@@ -67,11 +64,11 @@ def assert_same_final_state(candidate, reference, context=""):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("candidate", sorted(CANDIDATE_ENGINES))
+@pytest.mark.parametrize("candidate", CANDIDATES)
 @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-def test_lockstep_trajectories_are_identical(name, candidate):
+def test_lockstep_trajectories_are_identical(name, candidate, python_loops):
     initial, lam, iterations = LOCKSTEP_CASES[name]
-    reference, engine = engine_pair(initial, lam, seed=7, candidate=candidate)
+    reference, engine = engine_pair(initial, lam, 7, candidate, python_loops)
     for iteration in range(iterations):
         expected = reference.step()
         actual = engine.step()
@@ -103,13 +100,13 @@ def test_vector_run_matches_fast_run(name, python_loops):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("candidate", sorted(CANDIDATE_ENGINES))
-def test_block_runs_match_lockstep_runs(candidate):
+@pytest.mark.parametrize("candidate", CANDIDATES)
+def test_block_runs_match_lockstep_runs(candidate, python_loops):
     """run(k) must consume the tape exactly like k step() calls."""
     initial = line(40)
-    engine = CANDIDATE_ENGINES[candidate]
-    stepped = engine(initial, lam=4.0, seed=3)
-    blocked = engine(initial, lam=4.0, seed=3)
+    with python_loops(candidate == "python"):
+        stepped = FastCompressionChain(initial, lam=4.0, seed=3)
+        blocked = FastCompressionChain(initial, lam=4.0, seed=3)
     for _ in range(3000):
         stepped.step()
     for block in (1, 7, 500, 992, 1500):  # straddles draw-block boundaries
@@ -121,20 +118,20 @@ def test_block_runs_match_lockstep_runs(candidate):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("candidate", sorted(CANDIDATE_ENGINES))
-def test_long_run_with_grid_reallocation_matches_reference(candidate):
+@pytest.mark.parametrize("candidate", CANDIDATES)
+def test_long_run_with_grid_reallocation_matches_reference(candidate, python_loops):
     """An unbiased blob drifts far enough to force several grid re-centers."""
     initial = line(30)
-    reference, engine = engine_pair(initial, 1.0, seed=13, candidate=candidate)
+    reference, engine = engine_pair(initial, 1.0, 13, candidate, python_loops)
     reference.run(150_000)
     engine.run(150_000)
     assert_same_final_state(engine, reference)
 
 
-@pytest.mark.parametrize("candidate", sorted(CANDIDATE_ENGINES))
-def test_callback_interface_matches_reference(candidate):
+@pytest.mark.parametrize("candidate", CANDIDATES)
+def test_callback_interface_matches_reference(candidate, python_loops):
     seen_reference, seen_candidate = [], []
-    reference, engine = engine_pair(line(12), 4.0, seed=5, candidate=candidate)
+    reference, engine = engine_pair(line(12), 4.0, 5, candidate, python_loops)
     reference.run(200, callback=lambda i, r: seen_reference.append((i, r)))
     engine.run(200, callback=lambda i, r: seen_candidate.append((i, r)))
     assert seen_candidate == seen_reference

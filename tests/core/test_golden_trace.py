@@ -4,7 +4,8 @@
 :class:`~repro.core.markov_chain.StepResult` values (and the resulting
 final state) of Algorithm M from the paper's standard ``line(20)`` start
 at ``lambda = 4`` with seed 0 under the batched-draw protocol.  Both
-engines must reproduce the committed trajectory bit-for-bit, so any
+engines, and the fast engine's Python loops, must reproduce the
+committed trajectory bit-for-bit, so any
 future optimization that silently changes chain behaviour — a reordered
 draw, a perturbed acceptance probability, an off-by-one in the move
 tables — fails here rather than skewing experiment results unnoticed.
@@ -21,16 +22,27 @@ import pytest
 
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import line
 
 FIXTURE_PATH = Path(__file__).parent / "golden" / "line20_lam4_seed0.json"
 
+#: name -> engine class; "python" is the fast engine built with its
+#: Python loops (the no-compiler fallback).
 ENGINES_UNDER_TEST = {
     "reference": CompressionMarkovChain,
     "fast": FastCompressionChain,
-    "vector": VectorCompressionChain,
+    "python": FastCompressionChain,
 }
+
+
+def build(engine_name, python_loops, golden):
+    with python_loops(engine_name == "python"):
+        return ENGINES_UNDER_TEST[engine_name](
+            line(golden["n"]),
+            lam=golden["lam"],
+            seed=golden["seed"],
+            draw_block=golden["draw_block"],
+        )
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +52,8 @@ def golden():
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES_UNDER_TEST))
-def test_engine_reproduces_golden_trace(golden, engine_name):
-    engine = ENGINES_UNDER_TEST[engine_name]
-    chain = engine(
-        line(golden["n"]),
-        lam=golden["lam"],
-        seed=golden["seed"],
-        draw_block=golden["draw_block"],
-    )
+def test_engine_reproduces_golden_trace(golden, engine_name, python_loops):
+    chain = build(engine_name, python_loops, golden)
     for iteration, expected in enumerate(golden["trajectory"]):
         source_x, source_y, target_x, target_y, edge_delta, reason = expected
         result = chain.step()
@@ -72,15 +78,11 @@ def test_engine_reproduces_golden_trace(golden, engine_name):
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES_UNDER_TEST))
-def test_engine_run_reproduces_golden_final_state(golden, engine_name):
-    """The batched run() paths (including the vector engine's compiled loop)
-    land on the committed final state, not just per-step step()."""
-    chain = ENGINES_UNDER_TEST[engine_name](
-        line(golden["n"]),
-        lam=golden["lam"],
-        seed=golden["seed"],
-        draw_block=golden["draw_block"],
-    )
+def test_engine_run_reproduces_golden_final_state(golden, engine_name, python_loops):
+    """The batched run() paths (the fast engine's compiled loop and its
+    Python loops) land on the committed final state, not just per-step
+    step()."""
+    chain = build(engine_name, python_loops, golden)
     chain.run(golden["steps"])
     final = golden["final"]
     assert chain.edge_count == final["edge_count"]

@@ -7,13 +7,17 @@ NaN/inf floats and byte-identical re-serialization.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.compression import CompressionTrace, TracePoint
 from repro.errors import ConfigurationError, SerializationError
+from repro.io import trace_store
 from repro.io.trace_store import (
     DEFAULT_ROWS_PER_SEGMENT,
     TRACE_COLUMNS,
@@ -148,6 +152,114 @@ def test_writer_autoflush_and_committed_rows(tmp_path):
     writer.close()
     assert writer.committed_rows == 6
     assert TraceStoreReader(tmp_path / "store").segments == [4, 2]
+
+
+def test_full_segment_commits_behind_the_appends(tmp_path, monkeypatch):
+    """The append that fills a segment returns while the segment's files
+    are still being written; the next commit waits for them."""
+    release = threading.Event()
+    original = trace_store._file_write
+
+    def held_write(handle, data):
+        assert release.wait(timeout=30), "the test never released the commit"
+        original(handle, data)
+
+    writer = TraceStoreWriter(tmp_path / "store", rows_per_segment=2)
+    monkeypatch.setattr(trace_store, "_file_write", held_write)
+    points = make_trace(3).points
+    writer.append_point(points[0])
+    writer.append_point(points[1])  # fills the segment; its commit is held
+    writer.append_point(points[2])
+    assert writer.buffered_rows == 1
+    assert TraceStoreReader(tmp_path / "store").num_rows == 0
+    release.set()
+    assert writer.committed_rows == 2
+    writer.close()
+    assert TraceStoreReader(tmp_path / "store").read_trace(n=12, lam=4.0).points == points
+
+
+def test_failed_background_commit_raises_on_the_next_commit(tmp_path, monkeypatch):
+    writer = TraceStoreWriter(tmp_path / "store", rows_per_segment=2)
+
+    def failing_write(handle, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(trace_store, "_file_write", failing_write)
+    points = make_trace(3).points
+    for point in points:
+        writer.append_point(point)  # the failing commit runs behind these
+    with pytest.raises(SerializationError, match="disk full"):
+        writer.flush()
+    assert writer.closed and writer.committed_rows == 0
+    with pytest.raises(SerializationError, match="closed"):
+        writer.append_point(points[0])
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.num_rows == 0 and not reader.complete
+
+
+def test_background_commits_under_thread_contention(tmp_path):
+    """Four writers, each on its own thread, commit many small segments
+    with a tiny interpreter switch interval; every row must land once."""
+    points = make_trace(301).points
+    committed = {}
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def stream(index):
+            writer = TraceStoreWriter(tmp_path / f"store-{index}", rows_per_segment=3)
+            for point in points:
+                writer.append_point(point)
+            committed[index] = writer.committed_rows
+            writer.close()
+
+        threads = [threading.Thread(target=stream, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert committed == {index: 300 for index in range(4)}
+    for index in range(4):
+        reader = TraceStoreReader(tmp_path / f"store-{index}")
+        assert reader.complete and reader.segments == [3] * 100 + [1]
+        assert reader.read_trace(n=12, lam=4.0).points == points
+
+
+def test_append_point_writes_the_same_bytes_as_append(tmp_path):
+    points = make_trace(7).points
+    with TraceStoreWriter(tmp_path / "points", rows_per_segment=3) as writer:
+        for point in points:
+            writer.append_point(point)
+    with TraceStoreWriter(tmp_path / "rows", rows_per_segment=3) as writer:
+        for point in points:
+            writer.append(
+                {name: getattr(point, name) for name, _ in TRACE_COLUMNS}
+            )
+    written = sorted(p.name for p in (tmp_path / "rows").iterdir())
+    assert sorted(p.name for p in (tmp_path / "points").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "points" / name).read_bytes() == (
+            tmp_path / "rows" / name
+        ).read_bytes()
+
+
+def test_standard_columns_follow_the_trace_point_fields():
+    assert [name for name, _ in TRACE_COLUMNS] == [
+        field.name for field in dataclasses.fields(TracePoint)
+    ]
+
+
+def test_append_point_fills_a_custom_schema_from_point_fields(tmp_path):
+    points = make_trace(3).points
+    columns = [("perimeter", "<i8"), ("alpha", "<f8")]
+    with TraceStoreWriter(tmp_path / "store", columns=columns) as writer:
+        for point in points:
+            writer.append_point(point)
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.column("perimeter").tolist() == [p.perimeter for p in points]
+    assert reader.column("alpha").tolist() == [p.alpha for p in points]
 
 
 def test_writer_refuses_after_close(tmp_path):

@@ -313,6 +313,7 @@ def test_reader_ignores_unreferenced_remnants(tmp_path):
     rows = reference_rows(5)
     for row in rows[:4]:
         writer.append(row)
+    assert writer.committed_rows == 4  # waits for the background commit
     # Fake a crashed flush: an orphan segment file and a torn tmp file.
     (store / "seg-00002.alpha.npy").write_bytes(b"\x93NUMPY garbage")
     (store / "seg-00002.iteration.npy.tmp").write_bytes(b"torn")
