@@ -65,14 +65,6 @@ class ExpansionSimulation(CompressionSimulation):
         """Run until the configuration is beta-expanded, or return ``None`` on budget exhaustion."""
         if not 0 < beta < 1:
             raise ConfigurationError(f"beta must lie in (0, 1), got {beta}")
-        performed = 0
-        if self.is_beta_expanded(beta):
-            return self.chain.iterations
-        while performed < max_iterations:
-            block = min(check_every, max_iterations - performed)
-            self.chain.run(block)
-            performed += block
-            self._record()
-            if self.is_beta_expanded(beta):
-                return self.chain.iterations
-        return None
+        return self._run_until(
+            lambda: self.is_beta_expanded(beta), max_iterations, check_every
+        )

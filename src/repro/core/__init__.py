@@ -89,7 +89,7 @@ from repro.core.kernels import (
 )
 from repro.core.markov_chain import CompressionMarkovChain, StepResult
 from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
-from repro.core.moves import move_tables, move_tables_array
+from repro.core.moves import move_tables
 from repro.core.vector_chain import VectorCompressionChain
 from repro.core.compression import ENGINES, CompressionSimulation, CompressionTrace, TracePoint
 from repro.core.stationary import (
@@ -134,7 +134,6 @@ __all__ = [
     "OccupancyGrid",
     "VectorCompressionChain",
     "move_tables",
-    "move_tables_array",
     "ENGINES",
     "CompressionSimulation",
     "CompressionTrace",

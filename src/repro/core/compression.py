@@ -22,7 +22,7 @@ scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
@@ -146,7 +146,7 @@ class CompressionSimulation:
         self._pmax = max_perimeter(self.n)
         self.trace = CompressionTrace(n=self.n, lam=self.lam)
         self.trace_sink = trace_sink
-        self._record()
+        self._record(0)  # an empty trace first records the starting state
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -229,19 +229,7 @@ class CompressionSimulation:
         CompressionTrace
             The cumulative trace (shared with ``self.trace``).
         """
-        if iterations < 0:
-            raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
-        if record_every is None:
-            record_every = max(1, iterations // 100)
-        if record_every <= 0:
-            raise ConfigurationError(f"record_every must be positive, got {record_every}")
-        remaining = iterations
-        while remaining > 0:
-            block = min(record_every, remaining)
-            self.chain.run(block)
-            remaining -= block
-            self._record()
-        return self.trace
+        return self._record(iterations, record_every)
 
     def run_until_compressed(
         self,
@@ -262,35 +250,109 @@ class CompressionSimulation:
             raise ConfigurationError("max_iterations must be non-negative")
         if check_every <= 0:
             raise ConfigurationError("check_every must be positive")
-        performed = 0
-        if self.is_alpha_compressed(alpha):
-            return self.chain.iterations
-        while performed < max_iterations:
-            block = min(check_every, max_iterations - performed)
-            self.chain.run(block)
-            performed += block
-            self._record()
-            if self.is_alpha_compressed(alpha):
-                return self.chain.iterations
-        return None
+        return self._run_until(
+            lambda: self.is_alpha_compressed(alpha), max_iterations, check_every
+        )
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _record(self) -> None:
-        # Metrics come from the engine's incrementally maintained counters
-        # (plus its internal caching for the hole count), not from a fresh
-        # ParticleConfiguration rebuild per sample.
+    def _run_until(
+        self, reached: Callable[[], bool], max_iterations: int, check_every: int
+    ) -> Optional[int]:
+        """Run in ``check_every`` blocks until ``reached()`` holds.
+
+        Returns the iteration count at which it was first seen to hold, or
+        ``None`` if ``max_iterations`` ran out first.
+        """
+        if not reached():
+            self._record(max_iterations, check_every, until=reached)
+            if not reached():
+                return None
+        return self.chain.iterations
+
+    def _record(
+        self,
+        iterations: int,
+        record_every: Optional[int] = None,
+        until: Optional[Callable[[], bool]] = None,
+    ) -> CompressionTrace:
         chain = self.chain
-        perimeter = chain.perimeter()
-        point = TracePoint(
-            iteration=chain.iterations,
-            perimeter=perimeter,
-            edges=chain.edge_count,
-            holes=chain.hole_count(),
-            alpha=perimeter / self._pmin if self._pmin else 1.0,
-            beta=perimeter / self._pmax if self._pmax else 0.0,
+        return record_trace(
+            chain.run,
+            lambda: engine_metrics(chain),
+            iterations,
+            record_every,
+            self.trace,
+            self.trace_sink,
+            until,
         )
-        self.trace.points.append(point)
-        if self.trace_sink is not None:
-            self.trace_sink.append(point)
+
+
+def engine_metrics(engine) -> Tuple[int, int, int, int]:
+    """``(iteration, perimeter, edges, holes)`` read from an engine's counters.
+
+    Every engine maintains these counters incrementally for every kernel
+    (the hole count is cached), so a sample never rebuilds the
+    configuration, and compression, separation and bridging chains share
+    one trace sampler.
+    """
+    return engine.iterations, engine.perimeter(), engine.edge_count, engine.hole_count()
+
+
+def record_trace(
+    run: Callable[[int], object],
+    sample: Callable[[], Tuple[int, int, int, int]],
+    iterations: int,
+    record_every: Optional[int],
+    trace: CompressionTrace,
+    sink: Optional[object] = None,
+    until: Optional[Callable[[], bool]] = None,
+) -> CompressionTrace:
+    """Advance a chain in blocks, recording a :class:`TracePoint` after each.
+
+    The one trace-recording loop behind :class:`CompressionSimulation` and
+    every ensemble job kind.  ``run(k)`` advances the chain ``k`` steps
+    (iterations or activations) and ``sample()`` returns ``(iteration,
+    perimeter, edges, holes)``.  An empty ``trace`` first records the
+    starting state.  Blocks are ``record_every`` steps long (default
+    ``max(1, iterations // 100)``); the last one may be shorter.  Every
+    recorded point is also appended to ``sink`` when given — the sink
+    consumes no randomness, so streamed and in-memory runs are identical.
+    ``until`` is checked after each recorded point and ends the loop early
+    once it returns true.
+    """
+    if iterations < 0:
+        raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
+    if record_every is None:
+        record_every = max(1, iterations // 100)
+    if record_every <= 0:
+        raise ConfigurationError(f"record_every must be positive, got {record_every}")
+    pmin = min_perimeter(trace.n)
+    pmax = max_perimeter(trace.n)
+
+    def record() -> None:
+        iteration, perimeter, edges, holes = sample()
+        point = TracePoint(
+            iteration=iteration,
+            perimeter=perimeter,
+            edges=edges,
+            holes=holes,
+            alpha=perimeter / pmin if pmin else 1.0,
+            beta=perimeter / pmax if pmax else 0.0,
+        )
+        trace.points.append(point)
+        if sink is not None:
+            sink.append(point)
+
+    if not trace.points:
+        record()
+    remaining = iterations
+    while remaining > 0:
+        block = min(record_every, remaining)
+        run(block)
+        remaining -= block
+        record()
+        if until is not None and until():
+            break
+    return trace

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Iterable, List, Literal, Optional, Tuple
 
-import numpy as np
-
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.errors import InvalidMoveError
 from repro.lattice.triangular import DIRECTIONS, Node, are_adjacent, neighbors
@@ -44,8 +42,6 @@ RING_OFFSETS: Tuple[Tuple[Node, ...], ...] = tuple(
 )
 
 _MOVE_TABLES: Optional[Tuple[List[int], List[int], List[bool]]] = None
-
-_MOVE_TABLES_ARRAY: Optional[np.ndarray] = None
 
 
 def move_tables() -> Tuple[List[int], List[int], List[bool]]:
@@ -89,24 +85,6 @@ def move_tables() -> Tuple[List[int], List[int], List[bool]]:
             property_ok.append(satisfies_either_property(occupied, source, target))
         _MOVE_TABLES = (neighbors_before, neighbors_after, property_ok)
     return _MOVE_TABLES
-
-
-def move_tables_array() -> np.ndarray:
-    """The move tables as one read-only ``(256, 3)`` ``int16`` array.
-
-    Column 0 is the source neighbor count, column 1 the target neighbor
-    count, column 2 the Property 1/2 verdict as ``0``/``1``.  Built from
-    (and memoized alongside) :func:`move_tables`.  No engine reads it:
-    the fast engine's Python loops index the lists, and its compiled
-    loops get their own ``uint8`` copies.  It remains a public export of
-    :mod:`repro.core`.
-    """
-    global _MOVE_TABLES_ARRAY
-    if _MOVE_TABLES_ARRAY is None:
-        array = np.array(move_tables(), dtype=np.int16).T
-        array.setflags(write=False)
-        _MOVE_TABLES_ARRAY = array
-    return _MOVE_TABLES_ARRAY
 
 
 @dataclass(frozen=True)

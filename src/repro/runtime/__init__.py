@@ -6,7 +6,8 @@ boundary, replica ensembles for mixing estimates, and n-scaling studies:
 
 * :mod:`repro.runtime.jobs` — picklable job/result descriptions and the
   standard ensemble builders;
-* :mod:`repro.runtime.runner` — serial or multiprocessing execution with
+* :mod:`repro.runtime.runner` — one execution path through the
+  supervised layer, in-process or on worker processes, with
   submission-order determinism (a 4-worker run is bit-identical per seed
   to a serial run);
 * :mod:`repro.runtime.results` — the shared per-chain results table

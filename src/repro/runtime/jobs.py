@@ -30,11 +30,11 @@ from repro.core.compression import (
     ENGINES,
     CompressionSimulation,
     CompressionTrace,
-    TracePoint,
+    engine_metrics,
+    record_trace,
 )
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
-from repro.lattice.geometry import max_perimeter, min_perimeter
 from repro.lattice.shapes import line as line_shape
 from repro.rng import spawn_seeds
 
@@ -59,12 +59,52 @@ def _number_label(value: float) -> str:
     return f"{value:g}".replace("+", "")
 
 
-def _validate_trace_store(trace_store: Any) -> None:
-    """Job-level validation of the optional streaming-trace root directory."""
-    if trace_store is not None and not isinstance(trace_store, (str, Path)):
+def _validate_job(
+    job: "Job",
+    engines: Sequence[str],
+    kinds: Sequence[str],
+    steps: str = "iterations",
+    start: Optional[str] = None,
+) -> None:
+    """The construction-time checks every job type shares.
+
+    ``engines`` and ``kinds`` are the job type's allowed values, ``steps``
+    names its step-count field, and ``start`` names the explicit-start
+    field that excludes ``n`` (``None`` when the type has no such field).
+    """
+    if not _JOB_ID_PATTERN.match(job.job_id):
+        raise ConfigurationError(
+            f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
+            f"got {job.job_id!r}"
+        )
+    name = type(job).__name__
+    if job.engine not in engines:
+        raise ConfigurationError(
+            f"unknown {name} engine {job.engine!r}; expected one of {sorted(engines)}"
+        )
+    if job.kind not in kinds:
+        raise ConfigurationError(
+            f"unknown {name} kind {job.kind!r}; expected one of {tuple(kinds)}"
+        )
+    if start is not None and (job.n is None) == (getattr(job, start) is None):
+        raise ConfigurationError(f"exactly one of n / {start} must be given")
+    if job.seed is not None and not isinstance(job.seed, int):
+        raise ConfigurationError(
+            f"job seeds must be plain integers (picklable, serializable), "
+            f"got {type(job.seed).__name__}"
+        )
+    if getattr(job, steps) < 0:
+        raise ConfigurationError(
+            f"{steps} must be non-negative, got {getattr(job, steps)}"
+        )
+    if job.record_every is not None and job.record_every <= 0:
+        raise ConfigurationError(
+            f"record_every must be positive, got {job.record_every}"
+        )
+    if job.trace_store is not None and not isinstance(job.trace_store, (str, Path)):
         raise ConfigurationError(
             f"trace_store must be a path string (picklable, serializable), "
-            f"got {type(trace_store).__name__}"
+            f"got {type(job.trace_store).__name__}"
         )
 
 
@@ -129,7 +169,7 @@ class ChainJob:
     iterations:
         Iteration count for ``kind="trace"``.
     record_every:
-        Trace sampling interval (defaults to ``iterations // 100``).
+        Positive trace sampling interval (defaults to ``iterations // 100``).
     alpha:
         Compression target for ``kind="compression_time"`` (must exceed 1).
     max_iterations:
@@ -166,33 +206,8 @@ class ChainJob:
     trace_store: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not _JOB_ID_PATTERN.match(self.job_id):
-            raise ConfigurationError(
-                f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
-                f"got {self.job_id!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected one of {sorted(ENGINES)}"
-            )
-        if self.kind not in JOB_KINDS:
-            raise ConfigurationError(
-                f"unknown job kind {self.kind!r}; expected one of {JOB_KINDS}"
-            )
-        if (self.n is None) == (self.initial_nodes is None):
-            raise ConfigurationError("exactly one of n / initial_nodes must be given")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"job seeds must be plain integers (picklable, serializable), "
-                f"got {type(self.seed).__name__}"
-            )
-        _validate_trace_store(self.trace_store)
-        if self.kind == "trace":
-            if self.iterations < 0:
-                raise ConfigurationError(
-                    f"iterations must be non-negative, got {self.iterations}"
-                )
-        else:
+        _validate_job(self, ENGINES, JOB_KINDS, start="initial_nodes")
+        if self.kind == "compression_time":
             if self.alpha is None or self.alpha <= 1:
                 raise ConfigurationError("compression_time jobs need alpha > 1")
             if self.max_iterations is None or self.max_iterations < 0:
@@ -350,7 +365,7 @@ class AmoebotJob:
     activations:
         Number of scheduler activations to deliver.
     record_every:
-        Trace sampling interval in activations (defaults to
+        Positive trace sampling interval in activations (defaults to
         ``activations // 100``).
     rates:
         Optional non-uniform Poisson rates as ``((particle_id, rate), ...)``
@@ -375,36 +390,13 @@ class AmoebotJob:
     def __post_init__(self) -> None:
         from repro.amoebot import AMOEBOT_ENGINES
 
-        if not _JOB_ID_PATTERN.match(self.job_id):
-            raise ConfigurationError(
-                f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
-                f"got {self.job_id!r}"
-            )
-        if self.engine not in AMOEBOT_ENGINES:
-            raise ConfigurationError(
-                f"unknown amoebot engine {self.engine!r}; "
-                f"expected one of {sorted(AMOEBOT_ENGINES)}"
-            )
-        if self.kind != AMOEBOT_JOB_KIND:
-            raise ConfigurationError(
-                f"amoebot jobs have kind {AMOEBOT_JOB_KIND!r}, got {self.kind!r}"
-            )
-        if (self.n is None) == (self.initial_nodes is None):
-            raise ConfigurationError("exactly one of n / initial_nodes must be given")
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"job seeds must be plain integers (picklable, serializable), "
-                f"got {type(self.seed).__name__}"
-            )
-        if self.activations < 0:
-            raise ConfigurationError(
-                f"activations must be non-negative, got {self.activations}"
-            )
-        if self.record_every is not None and self.record_every <= 0:
-            raise ConfigurationError(
-                f"record_every must be positive, got {self.record_every}"
-            )
-        _validate_trace_store(self.trace_store)
+        _validate_job(
+            self,
+            AMOEBOT_ENGINES,
+            (AMOEBOT_JOB_KIND,),
+            steps="activations",
+            start="initial_nodes",
+        )
 
     def build_initial(self) -> ParticleConfiguration:
         """Materialize the starting configuration described by the job."""
@@ -432,35 +424,25 @@ def run_amoebot_job(job: AmoebotJob) -> ChainResult:
         rates=dict(job.rates) if job.rates is not None else None,
         engine=job.engine,
     )
-    n = initial.n
-    pmin = min_perimeter(n)
-    pmax = max_perimeter(n)
-    trace = CompressionTrace(n=n, lam=job.lam)
-    sink = _open_job_sink(job, n)
+    sink = _open_job_sink(job, initial.n)
 
-    def record() -> None:
+    def sample() -> Tuple[int, int, int, int]:
         configuration = system.configuration
-        perimeter = system.perimeter()
-        point = TracePoint(
-            iteration=system.stats.activations,
-            perimeter=perimeter,
-            edges=configuration.edge_count,
-            holes=len(configuration.holes),
-            alpha=perimeter / pmin if pmin else 1.0,
-            beta=perimeter / pmax if pmax else 0.0,
+        return (
+            system.stats.activations,
+            system.perimeter(),
+            configuration.edge_count,
+            len(configuration.holes),
         )
-        trace.points.append(point)
-        if sink is not None:
-            sink.append(point)
 
-    record()
-    interval = job.record_every or max(1, job.activations // 100)
-    done = 0
-    while done < job.activations:
-        block = min(interval, job.activations - done)
-        system.run(block)
-        done += block
-        record()
+    trace = record_trace(
+        system.run,
+        sample,
+        job.activations,
+        job.record_every,
+        CompressionTrace(n=initial.n, lam=job.lam),
+        sink,
+    )
     stats = system.stats
     return ChainResult(
         job=job,
@@ -528,36 +510,11 @@ class SeparationJob:
     trace_store: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not _JOB_ID_PATTERN.match(self.job_id):
-            raise ConfigurationError(
-                f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
-                f"got {self.job_id!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown separation engine {self.engine!r}; "
-                f"expected one of {sorted(ENGINES)}"
-            )
-        if self.kind != SEPARATION_JOB_KIND:
-            raise ConfigurationError(
-                f"separation jobs have kind {SEPARATION_JOB_KIND!r}, got {self.kind!r}"
-            )
-        if (self.n is None) == (self.colored_nodes is None):
-            raise ConfigurationError("exactly one of n / colored_nodes must be given")
+        _validate_job(self, ENGINES, (SEPARATION_JOB_KIND,), start="colored_nodes")
         if self.coloring not in ("random", "halves"):
             raise ConfigurationError(
                 f"coloring must be 'random' or 'halves', got {self.coloring!r}"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"job seeds must be plain integers (picklable, serializable), "
-                f"got {type(self.seed).__name__}"
-            )
-        if self.iterations < 0:
-            raise ConfigurationError(
-                f"iterations must be non-negative, got {self.iterations}"
-            )
-        _validate_trace_store(self.trace_store)
 
     def build_initial(self):
         """Materialize the colored starting configuration.
@@ -599,9 +556,7 @@ def run_separation_job(job: SeparationJob) -> ChainResult:
     )
     initial_homogeneous = colored.homogeneous_edges()
     sink = _open_job_sink(job, chain.chain.n)
-    trace = _trace_extension_chain(
-        chain.chain, job.iterations, job.record_every, job.lam, sink=sink
-    )
+    trace = _trace_engine(chain.chain, job, sink)
     state = chain.state
     return ChainResult(
         job=job,
@@ -648,36 +603,13 @@ class BridgingJob:
     trace_store: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not _JOB_ID_PATTERN.match(self.job_id):
-            raise ConfigurationError(
-                f"job_id must match [A-Za-z0-9._-]+ (it names checkpoint files), "
-                f"got {self.job_id!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown bridging engine {self.engine!r}; "
-                f"expected one of {sorted(ENGINES)}"
-            )
-        if self.kind != BRIDGING_JOB_KIND:
-            raise ConfigurationError(
-                f"bridging jobs have kind {BRIDGING_JOB_KIND!r}, got {self.kind!r}"
-            )
+        _validate_job(self, ENGINES, (BRIDGING_JOB_KIND,))
         if self.n < 1:
             raise ConfigurationError(f"need at least one particle, got n={self.n}")
         if self.arm_length < 2:
             raise ConfigurationError(
                 f"arm_length must be at least 2, got {self.arm_length}"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise ConfigurationError(
-                f"job seeds must be plain integers (picklable, serializable), "
-                f"got {type(self.seed).__name__}"
-            )
-        if self.iterations < 0:
-            raise ConfigurationError(
-                f"iterations must be non-negative, got {self.iterations}"
-            )
-        _validate_trace_store(self.trace_store)
 
     def build_terrain(self):
         """Materialize the V-shaped terrain described by the job."""
@@ -705,9 +637,7 @@ def run_bridging_job(job: BridgingJob) -> ChainResult:
         engine=job.engine,
     )
     sink = _open_job_sink(job, chain.chain.n)
-    trace = _trace_extension_chain(
-        chain.chain, job.iterations, job.record_every, job.lam, sink=sink
-    )
+    trace = _trace_engine(chain.chain, job, sink)
     path_length = chain.anchor_path_length()
     return ChainResult(
         job=job,
@@ -725,50 +655,17 @@ def run_bridging_job(job: BridgingJob) -> ChainResult:
     )
 
 
-def _trace_extension_chain(
-    engine,
-    iterations: int,
-    record_every: Optional[int],
-    lam: float,
-    sink=None,
-) -> CompressionTrace:
-    """Run an engine for ``iterations``, sampling the standard trace metrics.
-
-    The engines maintain perimeter/edge/hole counters for every kernel, so
-    extension-chain traces reuse :class:`CompressionTrace` — and with it
-    the whole results-table / checkpoint / statistics stack — unchanged.
-    Recorded points are additionally streamed into ``sink`` when given
-    (see :func:`_open_job_sink`); the sink consumes no randomness, so
-    streamed and in-memory runs stay bit-identical.
-    """
-    n = engine.n
-    pmin = min_perimeter(n)
-    pmax = max_perimeter(n)
-    trace = CompressionTrace(n=n, lam=lam)
-
-    def record() -> None:
-        perimeter = engine.perimeter()
-        point = TracePoint(
-            iteration=engine.iterations,
-            perimeter=perimeter,
-            edges=engine.edge_count,
-            holes=engine.hole_count(),
-            alpha=perimeter / pmin if pmin else 1.0,
-            beta=perimeter / pmax if pmax else 0.0,
-        )
-        trace.points.append(point)
-        if sink is not None:
-            sink.append(point)
-
-    record()
-    interval = record_every or max(1, iterations // 100)
-    done = 0
-    while done < iterations:
-        block = min(interval, iterations - done)
-        engine.run(block)
-        done += block
-        record()
-    return trace
+def _trace_engine(engine, job: "Job", sink) -> CompressionTrace:
+    """Run an extension chain's engine for the job, sampling the standard
+    trace metrics (the engines keep them for every kernel)."""
+    return record_trace(
+        engine.run,
+        lambda: engine_metrics(engine),
+        job.iterations,
+        job.record_every,
+        CompressionTrace(n=engine.n, lam=job.lam),
+        sink,
+    )
 
 
 #: Any job the ensemble runner can execute.

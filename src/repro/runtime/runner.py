@@ -1,8 +1,11 @@
-"""The parallel ensemble runner: many independent chains, one entry point.
+"""The ensemble runner: many independent chains, one entry point.
 
-:class:`EnsembleRunner` executes a list of :class:`~repro.runtime.jobs.ChainJob`
-descriptions either in-process (``workers=1``) or on a ``multiprocessing``
-pool.  Three properties define the design:
+:class:`EnsembleRunner` executes a list of job descriptions (see
+:mod:`repro.runtime.jobs`) through the supervised layer of
+:mod:`repro.runtime.supervision`: in-process for ``workers=1``, on a
+:class:`~repro.runtime.supervision.SupervisedPool` of worker processes
+otherwise.  There is one execution path, so every run gets the same
+failure contract.  Four properties define the design:
 
 * **Determinism.**  Every job carries its own plain-integer seed and spawns
   its own :class:`repro.rng.BatchedMoveDraws` tape inside the worker, so a
@@ -17,16 +20,17 @@ pool.  Three properties define the design:
 * **Resumability.**  With a checkpoint directory, already-completed jobs
   are loaded (after fingerprint validation) instead of re-run, so a killed
   lambda sweep continues where it left off.
-* **Fault tolerance.**  With a :class:`~repro.runtime.supervision.RetryPolicy`
-  and/or ``failure_policy="quarantine"``, execution moves onto the
-  :class:`~repro.runtime.supervision.SupervisedPool`: failing attempts are
-  retried with deterministic backoff, stalled jobs are killed at their
-  timeout, dead workers are replaced, and jobs that exhaust their attempts
-  become structured :class:`~repro.runtime.supervision.JobFailure` records
-  in :attr:`EnsembleResult.failures` instead of aborting the ensemble.
-  Under the default ``failure_policy="raise"`` a failure aborts the run
-  with :class:`~repro.errors.EnsembleAborted` — which carries the partial
-  :class:`EnsembleResult` of everything that did complete.
+* **Fault tolerance.**  A job that raises leaves a structured
+  :class:`~repro.runtime.supervision.JobFailure` record, persisted to the
+  checkpoint as a ``job_failure`` document so a re-run retries it.  An
+  optional :class:`~repro.runtime.supervision.RetryPolicy` retries failing
+  attempts with deterministic backoff and kills attempts at their timeout;
+  pool workers that die are replaced.  Under the default
+  ``failure_policy="raise"`` a job that exhausts its attempts aborts the
+  run with :class:`~repro.errors.EnsembleAborted`, whose ``failures`` hold
+  the record and whose ``partial`` holds the :class:`EnsembleResult` of
+  everything that did complete.  Under ``failure_policy="quarantine"`` the
+  run completes and the records land in :attr:`EnsembleResult.failures`.
 
 The module-level helpers :func:`run_ensemble` (and the job builders in
 :mod:`repro.runtime.jobs`) are the intended user surface; analysis-layer
@@ -37,7 +41,6 @@ rather than hand-rolling loops.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -45,7 +48,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, EnsembleAborted
 from repro.runtime.checkpoint import EnsembleCheckpoint, PathLike
-from repro.runtime.jobs import ChainResult, Job, execute_job
+# ``execute_job`` stays importable from here as well as from the
+# supervision module, which looks it up at call time, so instrumentation
+# can wrap the job entry point on either module.
+from repro.runtime.jobs import ChainResult, Job, execute_job  # noqa: F401
 from repro.runtime.results import ResultsTable
 from repro.runtime.supervision import (
     JobFailure,
@@ -154,30 +160,35 @@ class EnsembleRunner:
     Parameters
     ----------
     workers:
-        Number of worker processes; ``1`` (default) runs in-process with no
-        multiprocessing at all.  Oversubscribing the machine is allowed but
-        pointless — use :func:`default_workers` to match the hardware.
+        Number of jobs run at once.  ``1`` (default) runs the jobs one
+        after another in this process, unless ``retry`` sets a timeout;
+        anything more runs them on a :class:`SupervisedPool` of that many
+        worker processes (capped at the number of pending jobs).
+        Oversubscribing the machine is allowed but pointless — use
+        :func:`default_workers` to match the hardware.
     checkpoint:
         Optional checkpoint directory (or :class:`EnsembleCheckpoint`); see
         :mod:`repro.runtime.checkpoint`.
     start_method:
         Optional ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); defaults to the platform default.  Results are
-        identical under any of them — that is the point of the design.
+        ``"forkserver"``) of the pool workers; defaults to the platform
+        default.  Results are identical under any of them — that is the
+        point of the design.
     retry:
-        Optional :class:`~repro.runtime.supervision.RetryPolicy`.  Setting
-        it (or ``fault_plan``, or a non-default ``failure_policy``) routes
-        execution through the supervised layer.  A policy with
+        Optional :class:`~repro.runtime.supervision.RetryPolicy`; the
+        default is one attempt per job and no timeout.  A policy with
         ``timeout_seconds`` always runs on worker processes — with
         ``workers=1`` a single supervised worker — because preempting a
         stalled job requires process isolation.
     failure_policy:
         ``"raise"`` (default): a job exhausting its attempts aborts the
-        run with :class:`~repro.errors.EnsembleAborted` carrying the
-        partial result.  ``"quarantine"``: the run completes, failed jobs
-        become :class:`~repro.runtime.supervision.JobFailure` records in
-        :attr:`EnsembleResult.failures` (persisted to the checkpoint, so
-        resuming retries exactly those jobs).
+        run with :class:`~repro.errors.EnsembleAborted` carrying its
+        :class:`~repro.runtime.supervision.JobFailure` record in
+        ``failures`` and the partial result in ``partial``.
+        ``"quarantine"``: the run completes, failed jobs become records in
+        :attr:`EnsembleResult.failures`.  Under either policy the record is
+        persisted to the checkpoint, so resuming retries exactly those
+        jobs.
     fault_plan:
         Optional :class:`~repro.runtime.supervision.RunnerFaultPlan` injected
         into workers — the runner-level fault-injection harness.
@@ -343,47 +354,18 @@ class EnsembleRunner:
 
         return build_result()
 
-    @property
-    def supervised(self) -> bool:
-        """Whether execution routes through the supervised layer."""
-        return (
-            self.retry is not None
-            or self.fault_plan is not None
-            or self.failure_policy != "raise"
-        )
-
     def _execute(self, pending: Sequence[Job]):
-        """Yield outcomes for pending jobs as they complete.
+        """Yield outcomes (``ChainResult`` or ``JobFailure``) as jobs complete.
 
-        Unsupervised runs (no retry policy, no fault plan, default failure
-        policy) keep the original zero-overhead paths: in-process for
-        ``workers=1``, a plain ``multiprocessing.Pool`` otherwise.
-        Supervised runs go through :class:`SupervisedPool` — except the
-        serial no-timeout case, which uses the in-process supervised loop.
+        ``workers=1`` without a timeout runs in-process; everything else
+        runs on a :class:`SupervisedPool`.
         """
-        if not self.supervised:
-            if self.workers == 1 or len(pending) <= 1:
-                for job in pending:
-                    yield execute_job(job)
-                return
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
-                else multiprocessing.get_context()
-            )
-            workers = min(self.workers, len(pending))
-            with context.Pool(processes=workers) as pool:
-                for result in pool.imap_unordered(execute_job, pending):
-                    yield result
-            return
-
-        needs_processes = self.retry is not None and self.retry.timeout_seconds is not None
-        if self.workers == 1 and not needs_processes:
+        timeout = self.retry is not None and self.retry.timeout_seconds is not None
+        if self.workers == 1 and not timeout:
             yield from run_supervised_serial(
                 pending, retry=self.retry, fault_plan=self.fault_plan
             )
-            return
-        if pending:
+        elif pending:
             pool = SupervisedPool(
                 workers=min(self.workers, len(pending)),
                 retry=self.retry,

@@ -1,20 +1,21 @@
 """Supervised, fault-tolerant execution of ensemble jobs.
 
-The plain pool in :mod:`repro.runtime.runner` assumes a friendly world:
-every job returns, no worker dies, no job stalls.  This module is the
-layer for the other world — the one the paper's robustness claims are
-about — where a job raises, a worker is OOM-killed mid-chain, or a run
-wedges on one pathological seed:
+Every :class:`~repro.runtime.runner.EnsembleRunner` run executes here,
+so a job that raises, a worker that is OOM-killed mid-chain, or a run
+that wedges on one pathological seed all meet the same recovery
+contract:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff,
   deterministic seeded jitter, and an optional per-job wall-clock timeout
   enforced *by the supervisor* (a stalled worker is killed, not waited
-  on).
+  on).  The default is one attempt and no timeout.
 * :class:`SupervisedPool` — worker processes watched over a result queue
   and per-worker heartbeats: dead workers are detected and replaced, jobs
   in flight on them are retried or quarantined, and in-flight work is
   bounded at one job per worker (no poisoned ``imap`` iterator, no
   unbounded task backlog).
+* :func:`run_supervised_serial` — the same attempt loop in-process, for
+  ``workers=1`` runs without a timeout.
 * :class:`JobFailure` — the structured record a job leaves behind when
   every attempt is exhausted: exception type, message, traceback text,
   per-attempt error log, attempt count and total wall-clock spent.
@@ -25,6 +26,8 @@ wedges on one pathological seed:
   supervisor's recovery contract is pinned by tests rather than hoped
   for.
 
+Both execution paths call this module's ``execute_job`` global, looked up
+at call time, so instrumentation that wraps it sees every job.
 Determinism is preserved by construction: :func:`repro.runtime.jobs.execute_job`
 is a pure function of the job, retries re-run it from scratch on a fresh
 tape, and the supervisor never injects randomness into a job — so every
@@ -166,9 +169,10 @@ class JobFailure:
     """What remains of a job whose every attempt failed.
 
     Carried in :attr:`repro.runtime.runner.EnsembleResult.failures` under
-    ``failure_policy="quarantine"``, persisted as a ``job_failure``
-    checkpoint document (so a resumed run retries exactly the quarantined
-    jobs), and flattened into the results table with ``status="failed"``.
+    ``failure_policy="quarantine"`` and in ``EnsembleAborted.failures``
+    under ``"raise"``, persisted as a ``job_failure`` checkpoint document
+    under either (so a resumed run retries exactly the failed jobs), and
+    flattened into the results table with ``status="failed"``.
     """
 
     job: Job
@@ -208,24 +212,6 @@ class JobFailure:
         for key, value in job.metadata.items():
             row.setdefault(key, value)
         return row
-
-
-def _attempt_error(
-    attempt: int,
-    error_type: str,
-    message: str,
-    wall_seconds: float,
-    worker_pid: Optional[int] = None,
-) -> Dict[str, Any]:
-    entry = {
-        "attempt": attempt,
-        "error_type": error_type,
-        "message": message,
-        "wall_seconds": wall_seconds,
-    }
-    if worker_pid is not None:
-        entry["worker_pid"] = worker_pid
-    return entry
 
 
 # ---------------------------------------------------------------------- #
@@ -437,6 +423,30 @@ class _JobState:
         self.last_traceback = ""
         self.worker_pid: Optional[int] = None
 
+    def attempt_failed(
+        self,
+        attempt: int,
+        error_type: str,
+        message: str,
+        traceback_text: str,
+        wall_seconds: float,
+        worker_pid: Optional[int],
+    ) -> None:
+        """Record one failed attempt in the job's error log."""
+        self.attempts = attempt
+        self.wall_seconds += wall_seconds
+        entry = {
+            "attempt": attempt,
+            "error_type": error_type,
+            "message": message,
+            "wall_seconds": wall_seconds,
+        }
+        if worker_pid is not None:
+            entry["worker_pid"] = worker_pid
+        self.errors.append(entry)
+        self.last_traceback = traceback_text
+        self.worker_pid = worker_pid
+
     def to_failure(self) -> JobFailure:
         last = self.errors[-1]
         return JobFailure(
@@ -455,9 +465,9 @@ class _JobState:
 class SupervisedPool:
     """Run jobs on watched worker processes; never hang, never lose a job.
 
-    The execution engine behind ``run_ensemble(..., retry=...,
-    failure_policy=...)``.  Differences from a bare
-    ``multiprocessing.Pool``:
+    The execution engine behind every ``run_ensemble(..., workers=k)``
+    with ``k > 1`` (and ``workers=1`` runs with a timeout).  Differences
+    from a bare process pool:
 
     * each worker owns a one-slot task queue, so in-flight work is
       bounded at one job per worker and the supervisor always knows
@@ -717,13 +727,9 @@ class SupervisedPool:
         worker_pid: Optional[int] = None,
     ) -> Optional[JobFailure]:
         """Record one failed attempt; schedule a retry or produce the failure."""
-        state.attempts = attempt
-        state.wall_seconds += wall_seconds
-        state.errors.append(
-            _attempt_error(attempt, error_type, message, wall_seconds, worker_pid)
+        state.attempt_failed(
+            attempt, error_type, message, traceback_text, wall_seconds, worker_pid
         )
-        state.last_traceback = traceback_text
-        state.worker_pid = worker_pid
         if attempt < self.retry.max_attempts:
             delay = self.retry.backoff_before(attempt + 1, state.job.job_id)
             delayed.append((time.monotonic() + delay, state.job, attempt + 1))
@@ -765,16 +771,14 @@ def run_supervised_serial(
                     fault.trigger()
                 result = execute_job(job)
             except Exception as exc:
-                state.attempts = attempt
-                wall = time.perf_counter() - started
-                state.wall_seconds += wall
-                state.errors.append(
-                    _attempt_error(
-                        attempt, type(exc).__name__, str(exc), wall, os.getpid()
-                    )
+                state.attempt_failed(
+                    attempt,
+                    type(exc).__name__,
+                    str(exc),
+                    traceback_module.format_exc(),
+                    time.perf_counter() - started,
+                    os.getpid(),
                 )
-                state.last_traceback = traceback_module.format_exc()
-                state.worker_pid = os.getpid()
             else:
                 result.attempts = attempt
                 yield result

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.moves import RING_OFFSETS, move_tables, move_tables_array
+from repro.core.moves import RING_OFFSETS, move_tables
 from repro.core.properties import satisfies_either_property
 from repro.core.vector_chain import VectorCompressionChain
 from repro.errors import ConfigurationError
@@ -193,19 +193,6 @@ class TestMoveTables:
             assert neighbors_after[mask] == sum(
                 1 for node in neighbors(target) if node in occupied
             )
-
-    def test_array_form_matches_list_form(self):
-        """move_tables_array() is the same data as move_tables(), column-wise."""
-        neighbors_before, neighbors_after, property_ok = move_tables()
-        array = move_tables_array()
-        assert array.shape == (256, 3)
-        assert not array.flags.writeable
-        assert array[:, 0].tolist() == neighbors_before
-        assert array[:, 1].tolist() == neighbors_after
-        assert array[:, 2].tolist() == [int(ok) for ok in property_ok]
-
-    def test_array_form_is_memoized(self):
-        assert move_tables_array() is move_tables_array()
 
 
 class TestOccupancyGrid:

@@ -5,6 +5,8 @@ import pytest
 from repro.core.compression import CompressionSimulation
 from repro.errors import AnalysisError, ConfigurationError
 from repro.runtime import (
+    AmoebotJob,
+    BridgingJob,
     ChainJob,
     EnsembleRunner,
     ResultsTable,
@@ -13,6 +15,7 @@ from repro.runtime import (
     run_ensemble,
     run_job,
     scaling_time_jobs,
+    SeparationJob,
 )
 from repro.rng import spawn_seeds
 
@@ -22,6 +25,34 @@ def small_sweep_jobs():
     return lambda_sweep_jobs(
         n=20, lambdas=[1.5, 2.5, 4.0, 6.0], iterations=4000, seed=0, replicas=2
     )
+
+
+#: One valid job of each type, with keyword overrides.
+JOB_TYPES = {
+    "chain": lambda **kw: ChainJob(
+        job_id="a", lam=4.0, seed=0, n=10, iterations=100, **kw
+    ),
+    "amoebot": lambda **kw: AmoebotJob(
+        job_id="a", lam=4.0, seed=0, n=10, activations=100, **kw
+    ),
+    "separation": lambda **kw: SeparationJob(
+        job_id="a", lam=4.0, gamma=2.0, seed=0, n=10, iterations=100, **kw
+    ),
+    "bridging": lambda **kw: BridgingJob(
+        job_id="a", lam=4.0, gamma=2.0, seed=0, n=10, arm_length=4,
+        iterations=100, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("record_every", [0, -5])
+@pytest.mark.parametrize("job_type", sorted(JOB_TYPES))
+def test_record_every_rejected_at_construction(job_type, record_every):
+    """Every job type rejects a non-positive interval when it is built,
+    not later inside a worker attempt."""
+    with pytest.raises(ConfigurationError, match="record_every must be positive"):
+        JOB_TYPES[job_type](record_every=record_every)
+    assert JOB_TYPES[job_type](record_every=None).record_every is None
 
 
 class TestChainJob:

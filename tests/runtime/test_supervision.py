@@ -191,29 +191,61 @@ class TestSerialSupervision:
         assert all(p.eta_seconds is not None for p in reports)
         assert reports[-1].eta_seconds == 0.0
 
-    def test_unsupervised_runs_bypass_the_supervised_layer(self):
-        assert not EnsembleRunner().supervised
-        assert EnsembleRunner(retry=QUICK_RETRY).supervised
-        assert EnsembleRunner(fault_plan=RunnerFaultPlan()).supervised
-        assert EnsembleRunner(failure_policy="quarantine").supervised
+    def test_default_policy_aborts_with_the_failure_record(self, monkeypatch, tmp_path):
+        """``failure_policy="raise"`` without a retry policy: the abort
+        carries the structured failure, and the checkpoint keeps it for a
+        re-run to retry."""
+        from repro.runtime import EnsembleCheckpoint, supervision
+
+        jobs = small_jobs()
+        doomed = jobs[1].job_id
+        real_execute = supervision.execute_job
+
+        def explode(job):
+            if job.job_id == doomed:
+                raise OSError("disk on fire")
+            return real_execute(job)
+
+        monkeypatch.setattr(supervision, "execute_job", explode)
+        with pytest.raises(EnsembleAborted, match="1 attempt") as excinfo:
+            run_ensemble(jobs, checkpoint=tmp_path)
+        error = excinfo.value
+        assert [f.job.job_id for f in error.failures] == [doomed]
+        failure = error.failures[0]
+        assert isinstance(failure, JobFailure)
+        assert failure.attempts == 1
+        assert failure.error_type == "OSError"
+        assert failure.message == "disk on fire"
+        assert [r.job.job_id for r in error.partial.results] == [jobs[0].job_id]
+        cp = EnsembleCheckpoint(tmp_path)
+        assert cp.quarantined_ids() == [doomed]
+        assert cp.load_failure(jobs[1]).error_type == "OSError"
+
+        # A clean re-run resumes the completed job and retries the failed one.
+        monkeypatch.undo()
+        resumed = run_ensemble(jobs, checkpoint=tmp_path)
+        assert resumed.loaded_from_checkpoint == 1
+        assert resumed.executed == 2
+        assert not resumed.failures
+        assert cp.quarantined_ids() == []
 
 
 class TestAbortAttachesPartial:
     def test_infrastructure_error_wraps_with_partial(self, monkeypatch, tmp_path):
         """A mid-run crash must surface everything that did complete."""
+        from repro.runtime import EnsembleCheckpoint
+
         jobs = small_jobs()
-        real_execute = __import__(
-            "repro.runtime.jobs", fromlist=["execute_job"]
-        ).execute_job
+        real_store = EnsembleCheckpoint.store
         calls = []
 
-        def explode_on_second(job):
-            calls.append(job.job_id)
+        def explode_on_second(self, result):
+            calls.append(result.job.job_id)
             if len(calls) == 2:
                 raise OSError("disk on fire")
-            return real_execute(job)
+            return real_store(self, result)
 
-        monkeypatch.setattr("repro.runtime.runner.execute_job", explode_on_second)
+        monkeypatch.setattr(EnsembleCheckpoint, "store", explode_on_second)
         with pytest.raises(EnsembleAborted, match="disk on fire") as excinfo:
             run_ensemble(jobs, checkpoint=tmp_path)
         error = excinfo.value
