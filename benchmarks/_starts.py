@@ -1,14 +1,14 @@
 """O(n) compact starting configurations for large-n benchmarks.
 
 ``repro.lattice.shapes.spiral`` builds the exact Harary-Harborth
-minimum-perimeter configuration, but it does so greedily — every added
-particle rescans the frontier, which is quadratic in ``n`` and already
-takes half a minute at ``n = 5000``.  The large-n benches only need *a*
-compact, connected start of exactly ``n`` particles, so this builder
-takes the largest filled hexagon that fits and tops it up from the next
-ring: every ring node is adjacent to the filled interior, so any subset
-of the ring keeps the configuration connected, and the result is within
-one ring of minimum perimeter.  Construction is O(n).
+minimum-perimeter configuration greedily, in O(n log n) with a frontier
+heap.  The large-n benches only need *a* compact, connected start of
+exactly ``n`` particles, and their ledger rows were recorded on this
+one, so this function stays: it takes the largest filled hexagon that
+fits and tops it up from the next ring: every ring node is adjacent to
+the filled interior, so any subset of the ring keeps the configuration
+connected, and the result is within one ring of minimum perimeter.
+Construction is O(n).
 """
 
 from __future__ import annotations

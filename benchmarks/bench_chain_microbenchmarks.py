@@ -120,6 +120,20 @@ def test_occupancy_grid_recenter_reuse_n100000(benchmark):
     )
 
 
+def test_spiral_construction_n1000(benchmark):
+    """Gate: ``spiral(1000)`` builds in at most 20 ms, best of rounds.
+
+    Every separation job builds its start with ``spiral``; the greedy
+    construction keeps an incremental frontier heap instead of rescanning
+    the frontier per particle (about 1.1 s at n = 1000 before)."""
+    configuration = benchmark.pedantic(spiral, args=(1000,), rounds=15, warmup_rounds=1)
+    assert configuration.n == 1000
+    best = benchmark.stats.stats.min
+    benchmark.extra_info["experiment"] = "spiral shape construction (n=1000)"
+    _emit.record("spiral_n1000", n=1000, best_seconds=best, constructions_per_second=1.0 / best)
+    assert best <= 0.020, f"spiral(1000) took {best * 1e3:.1f} ms, over the 20 ms gate"
+
+
 def test_amoebot_activation_throughput(benchmark):
     system = AmoebotSystem(line(100), lam=4.0, seed=0)
     benchmark(system.run, 2000)

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.amoebot.local_algorithm import (
     Action,
     ContractBack,
@@ -57,7 +59,7 @@ from repro.amoebot.local_algorithm import (
 from repro.amoebot.scheduler import PoissonScheduler
 from repro.amoebot.system import SystemStats
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
-from repro.core.fast_chain import GUARD_BAND, OccupancyGrid
+from repro.core.fast_chain import GUARD_BAND, OccupancyGrid, occupy, start_invariants
 from repro.core.moves import move_tables
 from repro.errors import ConfigurationError, SchedulerError
 from repro.lattice.configuration import ParticleConfiguration
@@ -106,17 +108,17 @@ class FastAmoebotSystem:
         rates: Optional[Dict[int, float]] = None,
         draw_block: int = DEFAULT_ACTIVATION_BLOCK,
     ) -> None:
-        if not initial.is_connected:
+        # Identifiers follow sorted node order, as in the reference simulator.
+        self.grid, tails = occupy(initial)
+        edges, connected, hole_free = start_invariants(initial, self.grid, tails)
+        if not connected:
             raise ConfigurationError("the initial configuration must be connected")
         self.lam = float(lam)
         if self.lam <= 0:
             raise ConfigurationError(f"lambda must be positive, got {lam}")
         self._rng = make_rng(seed)
-        ordered = sorted(initial.nodes)
-        self.n = len(ordered)
-        self.grid = OccupancyGrid(ordered)
-        size = self.grid.width * self.grid.height
-        self._tail: List[int] = [self.grid.flat_index(node) for node in ordered]
+        self.n = len(tails)
+        self._tail: List[int] = tails.tolist()
         self._head: List[int] = [-1] * self.n
         # One state code per particle: -2 Byzantine (kinematics frozen),
         # -1 contracted, 0..5 expanded with that tail-to-head direction.
@@ -124,10 +126,10 @@ class FastAmoebotSystem:
         self._flag: List[bool] = [False] * self.n
         self._crashed: List[bool] = [False] * self.n
         self._byzantine: List[bool] = [False] * self.n
-        self._eff = bytearray(size)
-        self._expn = bytearray(size)
-        for flat in self._tail:
-            self._eff[flat] = 1
+        # Every particle starts contracted: the effective plane is the
+        # occupancy plane, and no cell belongs to an expanded particle.
+        self._eff = bytearray(self.grid.cells)
+        self._expn = bytearray(len(self.grid.cells))
         self.scheduler = PoissonScheduler(
             list(range(self.n)), rates=rates, seed=self._rng, draw_block=draw_block
         )
@@ -139,8 +141,8 @@ class FastAmoebotSystem:
         # ``lam ** (nh - nt)`` so the Metropolis comparisons see equal floats.
         self._acceptance = [self.lam ** delta for delta in range(-5, 6)]
         self._nb_before, self._nb_after, self._property_ok = move_tables()
-        self._edge_count = initial.edge_count
-        self._hole_free = initial.is_hole_free
+        self._edge_count = edges
+        self._hole_free = hole_free
         self._configuration_cache: Optional[ParticleConfiguration] = initial
         self._occupied_cache: Optional[frozenset[Node]] = frozenset(initial.nodes)
 
@@ -599,24 +601,21 @@ class FastAmoebotSystem:
 
     def _reallocate(self) -> None:
         """Re-center the grid and rebuild the flat indices and byte planes."""
-        old = self.grid
-        tail_nodes = [old.node_at(flat) for flat in self._tail]
-        head_nodes = [old.node_at(flat) if flat >= 0 else None for flat in self._head]
-        occupied = list(tail_nodes)
-        occupied.extend(node for node in head_nodes if node is not None)
-        fresh = OccupancyGrid(occupied)
-        self.grid = fresh
-        size = fresh.width * fresh.height
-        eff = bytearray(size)
-        expn = bytearray(size)
-        self._tail = [fresh.flat_index(node) for node in tail_nodes]
-        self._head = [
-            fresh.flat_index(node) if node is not None else -1 for node in head_nodes
-        ]
-        for i, flat in enumerate(self._tail):
-            eff[flat] = 1
-            if self._head[i] >= 0:
-                expn[flat] = 1
-                expn[self._head[i]] = 1
-        self._eff = eff
-        self._expn = expn
+        tail = np.array(self._tail, dtype=np.int64)
+        head = np.array(self._head, dtype=np.int64)
+        expanded = head >= 0
+        # Every occupied cell: the tails, then the heads of expanded particles.
+        xs, ys = self.grid.coordinates(np.concatenate((tail, head[expanded])))
+        self.grid = OccupancyGrid.from_coordinates(xs, ys)
+        flats = self.grid.flat_indices(xs, ys)
+        tail = flats[: self.n]
+        head[expanded] = flats[self.n :]
+        eff = np.zeros(len(self.grid.cells), dtype=np.uint8)
+        expn = np.zeros_like(eff)
+        eff[tail] = 1
+        expn[tail[expanded]] = 1
+        expn[head[expanded]] = 1
+        self._tail = tail.tolist()
+        self._head = head.tolist()
+        self._eff = bytearray(eff)
+        self._expn = bytearray(expn)

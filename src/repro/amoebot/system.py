@@ -95,7 +95,8 @@ class AmoebotSystem:
         self.algorithm = CompressionAlgorithm(lam)
         self.particles: Dict[int, Particle] = {}
         self._occupancy: Dict[Node, Tuple[int, str]] = {}
-        for identifier, node in enumerate(sorted(initial.nodes)):
+        ordered = sorted(initial.nodes)
+        for identifier, node in enumerate(ordered):
             particle = Particle(identifier=identifier, tail=node)
             self.particles[identifier] = particle
             self._occupancy[node] = (identifier, "tail")
@@ -104,7 +105,7 @@ class AmoebotSystem:
         # a numpy int8 view of the whole system state (``self.grid.array``).
         # The role map ``_occupancy`` stays authoritative for head/tail info;
         # ``_apply`` updates both in lockstep.
-        self.grid = OccupancyGrid(sorted(initial.nodes))
+        self.grid = OccupancyGrid(ordered)
         self.scheduler = PoissonScheduler(
             sorted(self.particles), rates=rates, seed=self._rng, draw_block=draw_block
         )

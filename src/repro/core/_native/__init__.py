@@ -69,11 +69,12 @@ class Grid(ctypes.Structure):
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 
-#: Argument types of each loop; see the signatures in ``chain_loops.c``.
+#: Argument types of each function; see the signatures in ``chain_loops.c``.
 SIGNATURES = {
     "edge": (_I, _P, _P, _P, _P, _P, _P),
     "edge_site": (_I, _P, _P, _P, _P, _P, _P, _P),
     "edge_color": (_I, _P, _P, _P, _P, _P, _P, _P, _P, ctypes.c_double, _P),
+    "flood": (_P, _I, _I, _I, _I, _P, _P),
 }
 
 
@@ -120,7 +121,7 @@ def build(compiler: str, directory: Path) -> Path:
 
 
 def open_library(path) -> ctypes.CDLL:
-    """Load a build of ``chain_loops.c`` and declare its loops' signatures."""
+    """Load a build of ``chain_loops.c`` and declare its functions' signatures."""
     library = ctypes.CDLL(str(path))
     for name, argtypes in SIGNATURES.items():
         function = getattr(library, name)

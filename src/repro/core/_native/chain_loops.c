@@ -7,6 +7,10 @@
  *   edge_site   <- FastCompressionChain._run_edge_site  (bridging)
  *   edge_color  <- FastCompressionChain._run_edge_color (separation)
  *
+ * A fourth function, `flood`, is the breadth-first search behind
+ * repro.core.fast_chain.start_invariants: connectivity and holes of a
+ * start configuration, read off its occupancy plane.
+ *
  * They read the same BatchedMoveDraws arrays, the same 256-entry move
  * tables and the same acceptance floats, and compare `uniform >= table[...]`
  * in double precision exactly as the Python loops do, so trajectories are
@@ -307,4 +311,39 @@ int64_t edge_color(
     counters[SWAPPED] += swaps;
     counters[EDGE_DELTA] += edges;
     return consumed;
+}
+
+/* Breadth-first flood over the 6-connected cells that hold `want`, from
+ * `start`, within the width x height window (no guard band is assumed:
+ * every neighbor is bounds-checked).  Marks each reached cell in `seen`
+ * and returns how many it reached; cells already seen are not entered,
+ * so one `seen` plane serves a particle flood and an empty-cell flood.
+ * `queue` needs room for every cell the flood can reach.  The engine
+ * reads connectivity and holes of a start configuration off it. */
+int64_t flood(
+    const int8_t *cells, int64_t width, int64_t height, int64_t start,
+    int64_t want, uint8_t *seen, int64_t *queue)
+{
+    static const int64_t dx[6] = {1, 0, -1, -1, 0, 1};
+    static const int64_t dy[6] = {0, 1, 1, 0, -1, -1};
+    int64_t head = 0, tail = 0;
+    if (start < 0 || start >= width * height || seen[start] || cells[start] != want)
+        return 0;
+    seen[start] = 1;
+    queue[tail++] = start;
+    while (head < tail) {
+        int64_t flat = queue[head++];
+        int64_t y = flat / width, x = flat % width;
+        for (int d = 0; d < 6; d++) {
+            int64_t nx = x + dx[d], ny = y + dy[d];
+            if (nx < 0 || nx >= width || ny < 0 || ny >= height)
+                continue;
+            int64_t next = ny * width + nx;
+            if (seen[next] || cells[next] != want)
+                continue;
+            seen[next] = 1;
+            queue[tail++] = next;
+        }
+    }
+    return tail;
 }

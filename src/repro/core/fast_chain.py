@@ -70,6 +70,21 @@ which builds an engine with :func:`repro.core._native.load_library`
 patched to return ``None``.  :meth:`step` and ``run(callback=...)``
 resolve one proposal at a time in Python on either build.
 
+How construction works
+----------------------
+Construction is linear in ``n`` and builds no per-particle tuple.
+:func:`occupy` reads ``initial.nodes`` once into int64 coordinate arrays,
+scatters them into the grid (:meth:`OccupancyGrid.from_coordinates`) and
+lists the occupied cells column by column, which is the order of
+``sorted(initial.nodes)``.  :func:`start_invariants` then reads the
+start's edge count off the plane with three shifted ANDs, and its
+connectivity and hole-freeness with two floods of ``chain_loops.c``'s
+``flood``: one over the particles, one over the empty cells.  Without the
+compiled library those two facts come from the set-based
+:class:`~repro.lattice.configuration.ParticleConfiguration` properties,
+which remain the specification the floods are tested against
+(``tests/lattice/test_plane_invariants.py``).
+
 Use the reference engine when auditing dynamics or stepping through
 individual proposals; use this engine for everything else.  The
 differential harness is the contract that keeps the two interchangeable.
@@ -78,15 +93,16 @@ differential harness is the contract that keeps the two interchangeable.
 from __future__ import annotations
 
 import ctypes
+import itertools
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
-from repro.lattice.triangular import DIRECTIONS, Node, nodes_bounding_box
+from repro.lattice.triangular import DIRECTIONS, Node
 from repro.core import _native
 from repro.core.kernels import (
     MOVEMENT_REJECTION_REASONS,
@@ -158,28 +174,59 @@ class OccupancyGrid:
     )
 
     def __init__(self, nodes: Iterable[Node], margin: int = DEFAULT_GRID_MARGIN) -> None:
-        node_list = list(nodes)
-        if not node_list:
+        coordinates = np.array(list(nodes), dtype=np.int64).reshape(-1, 2)
+        self._adopt(self.from_coordinates(coordinates[:, 0], coordinates[:, 1], margin))
+
+    @classmethod
+    def from_coordinates(
+        cls,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        margin: int = DEFAULT_GRID_MARGIN,
+        reuse: Optional["OccupancyGrid"] = None,
+    ) -> "OccupancyGrid":
+        """A grid occupied at exactly the nodes ``(xs[i], ys[i])``.
+
+        The window is the nodes' bounding box plus ``margin`` free cells
+        on every side, and the int64 coordinate arrays are scattered into
+        it in one numpy pass.  When ``reuse`` is a grid of the new
+        window's dimensions, its buffers are zeroed and repainted in
+        place and ``reuse`` itself is returned with only its origin
+        moved.  This is the one bounding-box-and-scatter step behind
+        construction, :meth:`recenter` and the chain engine's
+        reallocation.
+        """
+        if xs.size == 0:
             raise ConfigurationError("an occupancy grid needs at least one occupied node")
         if margin <= GUARD_BAND:
             raise ConfigurationError(
                 f"margin must exceed the guard band ({GUARD_BAND}), got {margin}"
             )
-        min_x, min_y, max_x, max_y = nodes_bounding_box(node_list)
-        self.origin_x = min_x - margin
-        self.origin_y = min_y - margin
-        width = (max_x - min_x + 1) + 2 * margin
-        height = (max_y - min_y + 1) + 2 * margin
-        self.width = width
-        self.height = height
-        self.cells = bytearray(width * height)
-        self.array = np.frombuffer(self.cells, dtype=np.int8).reshape(height, width)
-        for node in node_list:
-            self.cells[self.flat_index(node)] = 1
-        self.direction_offsets = tuple(dy * width + dx for dx, dy in DIRECTIONS)
-        self.ring_offsets = tuple(
-            tuple(dy * width + dx for dx, dy in ring) for ring in RING_OFFSETS
-        )
+        min_x, min_y = int(xs.min()), int(ys.min())
+        width = (int(xs.max()) - min_x + 1) + 2 * margin
+        height = (int(ys.max()) - min_y + 1) + 2 * margin
+        if reuse is not None and reuse.width == width and reuse.height == height:
+            grid = reuse
+            grid.array.fill(0)
+        else:
+            grid = cls.__new__(cls)
+            grid.width = width
+            grid.height = height
+            grid.cells = bytearray(width * height)
+            grid.array = np.frombuffer(grid.cells, dtype=np.int8).reshape(height, width)
+            grid.direction_offsets = tuple(dy * width + dx for dx, dy in DIRECTIONS)
+            grid.ring_offsets = tuple(
+                tuple(dy * width + dx for dx, dy in ring) for ring in RING_OFFSETS
+            )
+        grid.origin_x = min_x - margin
+        grid.origin_y = min_y - margin
+        grid.array.reshape(-1)[grid.flat_indices(xs, ys)] = 1
+        return grid
+
+    def _adopt(self, other: "OccupancyGrid") -> None:
+        """Take over another grid's window and buffers."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(other, name))
 
     # ------------------------------------------------------------------ #
     # Coordinate mapping
@@ -187,6 +234,21 @@ class OccupancyGrid:
     def flat_index(self, node: Node) -> int:
         """Return the flat cell index of axial node ``(x, y)``."""
         return (node[1] - self.origin_y) * self.width + (node[0] - self.origin_x)
+
+    def flat_indices(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The flat cell indices of the nodes ``(xs[i], ys[i])`` (vectorized)."""
+        flats = ys - self.origin_y  # one temporary, updated in place
+        flats *= self.width
+        flats += xs
+        flats -= self.origin_x
+        return flats
+
+    def coordinates(self, flats: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(xs, ys)`` int64 coordinate arrays of flat cell indices."""
+        ys, xs = np.divmod(flats, self.width)
+        xs += self.origin_x
+        ys += self.origin_y
+        return xs, ys
 
     def node_at(self, flat: int) -> Node:
         """Return the axial node of a flat cell index."""
@@ -226,10 +288,8 @@ class OccupancyGrid:
 
     def occupied_nodes(self) -> List[Node]:
         """Decode and return all occupied nodes (vectorized scan)."""
-        flats = np.flatnonzero(self.array.reshape(-1))
-        width = self.width
-        ox, oy = self.origin_x, self.origin_y
-        return [(int(f % width) + ox, int(f // width) + oy) for f in flats]
+        xs, ys = self.coordinates(np.flatnonzero(self.array.reshape(-1)))
+        return list(zip(xs.tolist(), ys.tolist()))
 
     def occupied_count(self) -> int:
         """Number of occupied cells."""
@@ -254,46 +314,95 @@ class OccupancyGrid:
     def recenter(self, extra: Sequence[Node] = (), margin: int = DEFAULT_GRID_MARGIN) -> None:
         """Re-center the window around the current occupancy plus ``extra`` nodes.
 
-        When the new window's dimensions equal the old ones — the common
-        case in steady state, where the bounding box drifts but barely
-        changes size — the existing buffers are reused: the cell plane is
-        zeroed and repainted in place and only the origin moves, so
-        :attr:`cells`, :attr:`array` and the offset tuples all remain
-        valid objects (re-centering is a pure occupancy rewrite).  When
-        the dimensions change, everything is reallocated and holders of
-        raw references to :attr:`cells` et al. must re-read them
-        afterwards; callers that cannot tolerate the distinction should
-        re-read unconditionally.
+        The ``extra`` nodes widen the window but are left as they were:
+        unoccupied ones stay unoccupied.  When the new window's dimensions
+        equal the old ones — the common case in steady state, where the
+        bounding box drifts but barely changes size — the existing
+        buffers are reused: the cell plane is zeroed and repainted in
+        place and only the origin moves, so :attr:`cells`, :attr:`array`
+        and the offset tuples all remain valid objects (re-centering is a
+        pure occupancy rewrite).  When the dimensions change, everything
+        is reallocated and holders of raw references to :attr:`cells` et
+        al. must re-read them afterwards; callers that cannot tolerate
+        the distinction should re-read unconditionally.
         """
-        flats = np.flatnonzero(self.array.reshape(-1))
-        ys, xs = np.divmod(flats, self.width)
-        xs += self.origin_x
-        ys += self.origin_y
-        extra = list(extra)
-        if flats.size:
-            min_x, max_x = int(xs.min()), int(xs.max())
-            min_y, max_y = int(ys.min()), int(ys.max())
-            for x, y in extra:
-                min_x, max_x = min(min_x, x), max(max_x, x)
-                min_y, max_y = min(min_y, y), max(max_y, y)
-            width = (max_x - min_x + 1) + 2 * margin
-            height = (max_y - min_y + 1) + 2 * margin
-            if width == self.width and height == self.height:
-                # In-place fast path: same window size, new origin.
-                self.origin_x = min_x - margin
-                self.origin_y = min_y - margin
-                new_flats = (ys - self.origin_y) * width + (xs - self.origin_x)
-                self.array.fill(0)
-                self.array.reshape(-1)[new_flats] = 1
-                return
-        occupied = [(int(x), int(y)) for x, y in zip(xs, ys)]
-        fresh = OccupancyGrid(occupied + extra, margin=margin)
-        occupied_set = set(occupied)
-        for node in extra:
-            if node not in occupied_set:
-                fresh.cells[fresh.flat_index(node)] = 0
-        for name in self.__slots__:
-            setattr(self, name, getattr(fresh, name))
+        xs, ys = self.coordinates(np.flatnonzero(self.array.reshape(-1)))
+        vacant = [node for node in extra if not self.is_occupied(node)]
+        if vacant:
+            extra_xs, extra_ys = np.array(vacant, dtype=np.int64).T
+            xs = np.concatenate((xs, extra_xs))
+            ys = np.concatenate((ys, extra_ys))
+        fresh = OccupancyGrid.from_coordinates(xs, ys, margin, reuse=self)
+        if fresh is not self:
+            self._adopt(fresh)
+        for node in vacant:
+            self.cells[self.flat_index(node)] = 0
+
+
+def occupy(initial: ParticleConfiguration) -> Tuple[OccupancyGrid, np.ndarray]:
+    """The grid of a configuration and the flat cell of each of its particles.
+
+    ``initial.nodes`` is read once into int64 coordinate arrays and
+    scattered into the grid.  The particles come in the order of
+    ``sorted(initial.nodes)`` — the index order every engine assigns —
+    without a sort: listing the occupied cells column by column (x, then
+    y within a column) is that order, and it is one linear scan of the
+    plane.
+    """
+    n = len(initial.nodes)
+    coordinates = np.fromiter(
+        itertools.chain.from_iterable(initial.nodes), dtype=np.int64, count=2 * n
+    )
+    grid = OccupancyGrid.from_coordinates(coordinates[0::2], coordinates[1::2])
+    columns, rows = np.divmod(np.flatnonzero(grid.array.T), grid.height)
+    return grid, rows * grid.width + columns
+
+
+def start_invariants(
+    initial: ParticleConfiguration, grid: OccupancyGrid, pos: np.ndarray
+) -> Tuple[int, bool, bool]:
+    """``(e, connected, hole_free)`` of ``initial``, read off its occupancy plane.
+
+    ``grid`` and ``pos`` are what :func:`occupy` returned for ``initial``.
+    Everything is read off a copy of the plane cut to the bounding box
+    plus a border of one empty cell, so the work and the scratch memory
+    scale with the bounding box, not the window.  The edge count is three
+    shifted ANDs (the E, NE and NW neighbors, so each edge is counted
+    once).  With the compiled library, connectivity and holes are two
+    floods of ``chain_loops.c``'s ``flood``: the particles reachable from
+    the first particle must be all ``n`` of them, and the empty cells
+    reachable from the box's corner must be all its empty cells.  The
+    border is empty and connected and so belongs to the exterior, and an
+    empty cell the flood does not reach is enclosed: a hole, exactly as
+    :mod:`repro.lattice.holes` defines it on the same padded box.
+    Without the library both come from the set-based
+    :class:`~repro.lattice.configuration.ParticleConfiguration`
+    properties, which are the specification.
+    """
+    plane = grid.array
+    rows = np.flatnonzero(plane.any(axis=1))
+    columns = np.flatnonzero(plane.any(axis=0))
+    top, left = rows[0] - 1, columns[0] - 1
+    box = np.ascontiguousarray(plane[top : rows[-1] + 2, left : columns[-1] + 2])
+    edges = int(
+        np.count_nonzero(box[:, :-1] & box[:, 1:])
+        + np.count_nonzero(box[:-1, :] & box[1:, :])
+        + np.count_nonzero(box[:-1, 1:] & box[1:, :-1])
+    )
+    library = _native.load_library()
+    if library is None:
+        return edges, initial.is_connected, initial.is_hole_free
+    height, width = box.shape
+    row, column = divmod(int(pos[0]), grid.width)
+    first = (row - top) * width + (column - left)
+    n = len(pos)
+    seen = np.zeros(box.size, dtype=np.uint8)
+    queue = np.empty(box.size, dtype=np.int64)
+    arguments = (box.ctypes.data, width, height)
+    scratch = (seen.ctypes.data, queue.ctypes.data)
+    connected = library.flood(*arguments, int(first), 1, *scratch) == n
+    hole_free = library.flood(*arguments, 0, 0, *scratch) == box.size - n
+    return edges, connected, hole_free
 
 
 class FastCompressionChain:
@@ -340,20 +449,21 @@ class FastCompressionChain:
                 f"lam={lam} disagrees with the kernel's lam={kernel.lam}; "
                 f"pass one or the other"
             )
-        if not initial.is_connected:
+        # Particle indices follow sorted node order, as in the reference engine.
+        self._grid, pos = occupy(initial)
+        self._edge_count, connected, self._hole_free = start_invariants(
+            initial, self._grid, pos
+        )
+        if not connected:
             raise ConfigurationError("the initial configuration must be connected")
         self._kernel = kernel
         self._mode = kernel.mode
         self.lam = kernel.lam
         self._rng = make_rng(seed)
-        ordered = sorted(initial.nodes)  # index order matches the reference engine
-        self._n = len(ordered)
+        self._n = len(pos)
         self._draws = BatchedMoveDraws(self._rng, self._n, draw_block, lanes=kernel.lanes)
-        self._grid = OccupancyGrid(ordered)
         # Indexes like a list from Python, and hands C an int64 pointer.
-        self._pos = array("q", [self._grid.flat_index(node) for node in ordered])
-        self._edge_count = initial.edge_count
-        self._hole_free = initial.is_hole_free
+        self._pos = array("q", pos.tobytes())
         self._iterations = 0
         self._accepted = 0
         self._accepted_swaps = 0
@@ -362,7 +472,7 @@ class FastCompressionChain:
         }
         self._swap_probability = kernel.swap_probability
         self._nb_before, self._nb_after, self._property_ok = move_tables()
-        self._init_kernel_state(initial, ordered)
+        self._init_kernel_state(initial)
         # A hole-free start is not kept: perimeter and hole count come from
         # counters from here on, and releasing a large configuration would
         # stall the first run() that moves a particle.  A holey one is kept,
@@ -374,7 +484,7 @@ class FastCompressionChain:
         if self._library is not None:
             self._init_native()
 
-    def _init_kernel_state(self, initial: ParticleConfiguration, ordered: List[Node]) -> None:
+    def _init_kernel_state(self, initial: ParticleConfiguration) -> None:
         """Build the acceptance tables and auxiliary byte planes."""
         kernel = self._kernel
         if self._mode == "edge":
@@ -384,9 +494,13 @@ class FastCompressionChain:
         elif self._mode == "edge_site":
             self._site_rows = kernel.acceptance_rows()
             self._site_plane = kernel.build_site_plane(self._grid)
-            self._site_count = sum(self._site_plane[flat] for flat in self._pos)
+            self._site_count = int(
+                np.frombuffer(self._site_plane, dtype=np.uint8)[
+                    np.frombuffer(self._pos, dtype=np.int64)
+                ].sum()
+            )
         elif self._mode == "edge_color":
-            if set(kernel.colors) != set(ordered):
+            if kernel.colors.keys() != initial.nodes:
                 raise ConfigurationError(
                     "the kernel's color map must cover exactly the occupied nodes"
                 )
@@ -1121,27 +1235,14 @@ class FastCompressionChain:
         """
         grid = self._grid
         pos = np.frombuffer(self._pos, dtype=np.int64)
-        ys, xs = np.divmod(pos, grid.width)
-        xs += grid.origin_x
-        ys += grid.origin_y
+        xs, ys = grid.coordinates(pos)
         mode = self._mode
         if mode == "edge_color":
             colors = np.frombuffer(self._color_plane, dtype=np.uint8)[pos]
-        margin = DEFAULT_GRID_MARGIN
-        min_x, max_x = int(xs.min()), int(xs.max())
-        min_y, max_y = int(ys.min()), int(ys.max())
-        width = (max_x - min_x + 1) + 2 * margin
-        height = (max_y - min_y + 1) + 2 * margin
-        in_place = width == grid.width and height == grid.height
-        if in_place:
-            grid.origin_x = min_x - margin
-            grid.origin_y = min_y - margin
-            grid.array.fill(0)
-        else:
-            grid = OccupancyGrid(list(zip(xs.tolist(), ys.tolist())))
-            self._grid = grid
-        new_pos = (ys - grid.origin_y) * grid.width + (xs - grid.origin_x)
-        grid.array.reshape(-1)[new_pos] = 1
+        fresh = OccupancyGrid.from_coordinates(xs, ys, reuse=grid)
+        in_place = fresh is grid
+        grid = self._grid = fresh
+        new_pos = grid.flat_indices(xs, ys)
         if mode == "edge_color":
             # Carry each particle's color byte across the window shift.
             if not in_place:

@@ -88,35 +88,28 @@ def min_perimeter(n: int) -> int:
 
 
 def min_perimeter_hexagon(n: int) -> int:
-    """Perimeter of the most compressed achievable configuration of ``n`` particles.
+    """Perimeter of the greedy spiral of ``n`` particles, built and measured.
 
-    The minimum-perimeter configuration of ``n`` particles on the triangular
-    lattice is a "spiral hexagon": a filled hexagon possibly with a partial
-    outer layer.  This function computes its exact perimeter by building on
-    the standard result that a filled hexagon with ``k`` full rings contains
-    ``1 + 3k(k+1)`` particles and has perimeter ``6k``.  Remaining particles
-    are wrapped around the outside, each new layer particle first increasing
-    the perimeter by one and subsequent ones following the edge-count
-    greedy rule.  The value returned agrees with exhaustive enumeration for
-    all n the test suite can reach.
+    The minimum-perimeter configuration of ``n`` particles on the
+    triangular lattice is a "spiral hexagon": a filled hexagon possibly
+    with a partial outer layer.  This function builds it with
+    :func:`repro.lattice.shapes.spiral` and returns the configuration's
+    traced perimeter, so it is a constructive witness rather than a
+    formula; the closed form is :func:`min_perimeter`, and the test suite
+    checks that the two agree.
     """
     _validate_n(n)
     if n == 1:
         return 0
-    # Exact formula: the minimum perimeter of n cells on the triangular
-    # lattice (equivalently, minimum boundary of n hexagons in the
-    # honeycomb) is obtained greedily by spiral filling.  We compute it by
-    # simulating the spiral and using Lemma 2.3 with the maximum edge count.
     from repro.lattice.shapes import spiral
 
-    configuration = spiral(n)
-    return configuration.perimeter
+    return spiral(n).perimeter
 
 
 def alpha_compression_threshold(n: int, alpha: float) -> float:
     """Return the perimeter threshold ``alpha * pmin(n)`` used by Definition 2.2.
 
-    ``pmin(n)`` is computed exactly via :func:`min_perimeter_hexagon`.
+    ``pmin(n)`` is the exact closed form :func:`min_perimeter`.
     """
     if alpha <= 1:
         raise ConfigurationError(f"alpha must exceed 1, got {alpha}")

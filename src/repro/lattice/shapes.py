@@ -9,7 +9,8 @@ testing.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+import heapq
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
@@ -113,27 +114,36 @@ def spiral(n: int) -> ParticleConfiguration:
     Built greedily: starting from a single particle, repeatedly add the
     unoccupied node adjacent to the configuration that gains the most
     induced edges, breaking ties by distance to the origin and then by
-    coordinates.  The result matches the Harary-Harborth minimum perimeter
-    ``ceil(sqrt(12 n - 3)) - 3`` (checked by the test suite).
+    coordinates (smaller ``y``, then smaller ``x``).  The result matches
+    the Harary-Harborth minimum perimeter ``ceil(sqrt(12 n - 3)) - 3``
+    (checked by the test suite).
+
+    The frontier is kept incrementally, in O(n log n): a map from each
+    frontier node to its occupied-neighbor count, and a heap keyed
+    ``(-degree, distance, y, x)``.  Adding a node raises its empty
+    neighbors' degrees and pushes their new keys; a popped key whose
+    degree is no longer the node's current one is stale and skipped.
+    Degrees only grow, so a node's current key always pops before its
+    stale ones, and the heap's minimum is exactly the greedy choice.
     """
     _validate_n(n)
-    occupied: Set[Node] = {(0, 0)}
+    origin: Node = (0, 0)
+    occupied: Set[Node] = {origin}
+    degree: Dict[Node, int] = {}
+    heap: List[Tuple[int, int, int, int]] = []
+    added = origin
     while len(occupied) < n:
-        candidates: Set[Node] = set()
-        for node in occupied:
-            for nb in neighbors(node):
-                if nb not in occupied:
-                    candidates.add(nb)
-        best = max(
-            candidates,
-            key=lambda c: (
-                sum(1 for nb in neighbors(c) if nb in occupied),
-                -hex_distance((0, 0), c),
-                -c[1],
-                -c[0],
-            ),
-        )
-        occupied.add(best)
+        for nb in neighbors(added):
+            if nb not in occupied:
+                count = degree[nb] = degree.get(nb, 0) + 1
+                heapq.heappush(heap, (-count, hex_distance(origin, nb), nb[1], nb[0]))
+        while True:
+            negative_degree, _, y, x = heapq.heappop(heap)
+            added = (x, y)
+            if degree.get(added) == -negative_degree:
+                break
+        occupied.add(added)
+        del degree[added]
     return ParticleConfiguration(occupied)
 
 

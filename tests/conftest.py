@@ -93,13 +93,23 @@ def build_engine(python_loops):
     return build
 
 
+@pytest.fixture
+def native_build(request, monkeypatch):
+    """The compiled build under test: ``--native-library`` if given, else the cache."""
+    path = request.config.getoption("--native-library")
+    if path is not None:
+        library = _native.open_library(path)
+        monkeypatch.setattr(_native, "load_library", lambda: library)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--native-library",
         default=None,
         help=(
             "path to a build of repro/core/_native/chain_loops.c (for example "
-            "a sanitizer build) that tests/core/test_native_loops.py runs "
-            "against instead of the cached build"
+            "a sanitizer build) that tests/core/test_native_loops.py and "
+            "tests/lattice/test_plane_invariants.py run against instead of "
+            "the cached build"
         ),
     )

@@ -33,7 +33,7 @@ import pytest
 
 from repro.algorithms.separation import ColoredConfiguration
 from repro.algorithms.shortcut_bridging import v_shaped_terrain
-from repro.core import ENGINES, _native
+from repro.core import ENGINES
 from repro.core.fast_chain import DEFAULT_GRID_MARGIN, GUARD_BAND, FastCompressionChain, OccupancyGrid
 from repro.core.kernels import BridgingKernel, CompressionKernel, SeparationKernel
 from repro.core.markov_chain import CompressionMarkovChain
@@ -47,13 +47,7 @@ from repro.lattice.triangular import DIRECTIONS
 CHUNKINGS = (1, 7, 1000, 33333, 5, 2048)
 
 
-@pytest.fixture(autouse=True)
-def native_build(request, monkeypatch):
-    """The build under test: ``--native-library`` if given, else the cache."""
-    path = request.config.getoption("--native-library")
-    if path is not None:
-        library = _native.open_library(path)
-        monkeypatch.setattr(_native, "load_library", lambda: library)
+pytestmark = pytest.mark.usefixtures("native_build")
 
 
 def compression(initial, lam=4.0):

@@ -29,6 +29,52 @@ from repro.lattice.shapes import (
     spiral,
     staircase,
 )
+from repro.lattice.triangular import hex_distance, neighbors
+
+
+def greedy_spiral_order(limit):
+    """The first ``limit`` nodes of the greedy spiral, one full frontier scan each.
+
+    This is the original O(n^2) construction of ``spiral``, kept as the
+    oracle of the incremental one: every step rescans the whole frontier
+    for the most occupied neighbors, then the smallest distance to the
+    origin, then the smallest ``y``, then the smallest ``x``.  The
+    construction never looks at ``n``, so ``spiral(n)`` must be exactly
+    the first ``n`` nodes of this order.
+    """
+    occupied = {(0, 0)}
+    order = [(0, 0)]
+    while len(order) < limit:
+        frontier = {nb for node in occupied for nb in neighbors(node) if nb not in occupied}
+        best = max(
+            frontier,
+            key=lambda c: (
+                sum(1 for nb in neighbors(c) if nb in occupied),
+                -hex_distance((0, 0), c),
+                -c[1],
+                -c[0],
+            ),
+        )
+        occupied.add(best)
+        order.append(best)
+    return order
+
+
+class TestSpiralOracle:
+    """``spiral`` returns the greedy oracle's node set for every ``n``."""
+
+    @staticmethod
+    def check_up_to(limit):
+        order = greedy_spiral_order(limit)
+        for n in range(1, limit + 1):
+            assert spiral(n).nodes == frozenset(order[:n]), n
+
+    def test_every_n_up_to_300(self):
+        self.check_up_to(300)
+
+    @pytest.mark.slow
+    def test_every_n_up_to_2000(self):
+        self.check_up_to(2000)
 
 
 class TestGeometryIdentities:
