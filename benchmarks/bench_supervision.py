@@ -1,8 +1,8 @@
 """Supervision overhead: the watched pool vs a bare process pool.
 
 Every ``run_ensemble(..., workers=k)`` runs on the supervised pool, which
-buys fault tolerance — heartbeats, per-attempt timeouts, dead-worker
-replacement, retry bookkeeping — with extra queue traffic (an assignment
+buys fault tolerance — dead-worker detection and replacement,
+per-attempt timeouts, retry bookkeeping — with extra queue traffic (an assignment
 ack per job) and a polling supervisor loop.  That is only acceptable if a
 healthy ensemble pays (nearly) nothing for it: the acceptance gate
 (``test_supervision_overhead_64jobs``, slow lane) demands that a

@@ -24,9 +24,9 @@ Algorithm M ships as two interchangeable engines:
   perimeter follows from the Euler-formula identity
   ``p = 3n - 3 - e + 3h`` (with ``h = 0`` once the configuration is
   hole-free, which Lemma 3.2 makes permanent).  Its ``run()`` is one
-  sequential C loop per kernel mode (``_native/chain_loops.c``, compiled
-  and cached on first use, see :mod:`repro.core._native`), a
-  statement-for-statement port of the Python loops it keeps for a
+  sequential C loop for every kernel mode (``_native/chain_loops.c``,
+  compiled and cached on first use, see :mod:`repro.core._native`), a
+  statement-for-statement port of the Python loop it keeps for a
   machine without a C compiler (one logged warning; same results,
   ~5-20x slower).  Use it for everything that is not an audit: it is
   the default of every job factory and experiment.

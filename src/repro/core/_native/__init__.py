@@ -1,4 +1,8 @@
-"""Build, cache and load the compiled chain loops (``chain_loops.c``).
+"""Build, cache and load the compiled chain loop (``chain_loops.c``).
+
+The library exports two functions, the keys of :data:`SIGNATURES`:
+``run_chain``, the run loop of every kernel mode, and ``flood``, the
+breadth-first search behind the engine's start invariants.
 
 :func:`load_library` compiles ``chain_loops.c`` with the system C
 compiler on first use, caches the shared object under
@@ -14,7 +18,7 @@ When the cache directory is not writable the build goes to a fresh
 ``tempfile.mkdtemp()`` directory instead, which is removed once the
 library is loaded.  When no compiler is found or the build fails,
 :func:`load_library` logs one WARNING and returns ``None``; the engine
-then runs its Python loops, with identical results.
+then runs its Python loop, with identical results.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ COMPILERS = ("cc", "gcc", "clang")
 
 #: What the fallback WARNING says happens next.
 FALLBACK_NOTE = (
-    "engine='fast' and engine='vector' run the Python loops "
+    "engine='fast' and engine='vector' run the Python loop "
     "(same results, ~5-20x slower)"
 )
 
@@ -71,9 +75,7 @@ _I = ctypes.c_int64
 
 #: Argument types of each function; see the signatures in ``chain_loops.c``.
 SIGNATURES = {
-    "edge": (_I, _P, _P, _P, _P, _P, _P),
-    "edge_site": (_I, _P, _P, _P, _P, _P, _P, _P),
-    "edge_color": (_I, _P, _P, _P, _P, _P, _P, _P, _P, ctypes.c_double, _P),
+    "run_chain": (_I, _I, _P, _P, _P, _P, _P, _P, _P, _P, ctypes.c_double, _P),
     "flood": (_P, _I, _I, _I, _I, _P, _P),
 }
 
@@ -132,7 +134,7 @@ def open_library(path) -> ctypes.CDLL:
 
 @functools.lru_cache(maxsize=None)
 def load_library() -> Optional[ctypes.CDLL]:
-    """The compiled loops, built on first call; ``None`` if they cannot be."""
+    """The compiled library, built on first call; ``None`` if it cannot be."""
     compiler = find_compiler()
     if compiler is None:
         logger.warning(

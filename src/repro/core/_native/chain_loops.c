@@ -1,30 +1,32 @@
-/* Sequential Algorithm M loops for the vector engine.
+/* Sequential Algorithm M loop for the vector engine.
  *
- * Each function is a statement-for-statement port of one of
- * FastCompressionChain's per-mode run loops (repro/core/fast_chain.py):
+ * `run_chain` is a statement-for-statement port of
+ * FastCompressionChain._run_python (repro/core/fast_chain.py), the one
+ * run loop of every kernel mode: compression ("edge"), bridging
+ * ("edge_site") and separation ("edge_color").  The modes share the move
+ * filter and differ only in the Metropolis weight, so one always-inlined
+ * body takes the mode as a compile-time constant and `run_chain` calls it
+ * once per mode: each call compiles to the loop of that mode alone.
  *
- *   edge        <- FastCompressionChain.run          (compression)
- *   edge_site   <- FastCompressionChain._run_edge_site  (bridging)
- *   edge_color  <- FastCompressionChain._run_edge_color (separation)
- *
- * A fourth function, `flood`, is the breadth-first search behind
+ * A second function, `flood`, is the breadth-first search behind
  * repro.core.fast_chain.start_invariants: connectivity and holes of a
  * start configuration, read off its occupancy plane.
  *
- * They read the same BatchedMoveDraws arrays, the same 256-entry move
- * tables and the same acceptance floats, and compare `uniform >= table[...]`
- * in double precision exactly as the Python loops do, so trajectories are
- * bit-identical.  A loop resolves `count` proposals in tape order and
- * returns how many it consumed: all of them, or fewer when an accepted
- * move lands in the guard band, in which case it stops right after that
- * move and sets counters[GUARD_HIT] so the driver re-centers the grid.
+ * The loop reads the same BatchedMoveDraws arrays, the same 256-entry
+ * move tables and the same acceptance floats as the Python loop, and
+ * compares `uniform >= table[...]` in double precision exactly as it
+ * does, so trajectories are bit-identical.  It resolves `count` proposals
+ * in tape order and returns how many it consumed: all of them, or fewer
+ * when an accepted move lands in the guard band, in which case it stops
+ * right after that move and sets counters[GUARD_HIT] so the driver
+ * re-centers the grid.
  *
  * Build: cc -O3 -shared -fPIC -o chain_loops.so chain_loops.c
  */
 
 #include <stdint.h>
 
-/* Each loop prefetches the position of the particle drawn this many
+/* The loop prefetches the position of the particle drawn this many
  * proposals ahead.  On large systems pos[] outgrows the L1 cache, and its
  * load heads every proposal's chain of dependent loads (position, then
  * the cells around it).  A prefetch is only a hint: results are the same
@@ -32,16 +34,24 @@
 #define PREFETCH_AHEAD 16
 #ifdef __GNUC__
 #define PREFETCH(address) __builtin_prefetch(address)
+#define ALWAYS_INLINE __attribute__((always_inline))
 #else
 #define PREFETCH(address) ((void)0)
+#define ALWAYS_INLINE
 #endif
 
 /* Property "five neighbors": a particle with five occupied neighbors
  * never moves (repro.constants.FORBIDDEN_NEIGHBOR_COUNT). */
 #define FORBIDDEN_NEIGHBOR_COUNT 5
 
+/* Kernel modes, in the order of repro.core.kernels.KERNEL_MODES. */
+enum { EDGE, EDGE_SITE, EDGE_COLOR };
+
+/* Entries per row of an acceptance table: the edge deltas -6..6. */
+#define EDGE_DELTAS 13
+
 /* Slots of the int64 counter array, in the order of
- * repro.core.vector_chain.COUNTERS.  Loops add to them. */
+ * repro.core.fast_chain.COUNTERS.  The loop adds to them. */
 enum {
     TARGET_OCCUPIED,
     FIVE_NEIGHBORS,
@@ -57,7 +67,7 @@ enum {
     GUARD_HIT,
 };
 
-/* The grid window and move tables every loop reads. */
+/* The grid window and move tables the loop reads. */
 typedef struct {
     int64_t *pos;                     /* flat cell of each particle */
     int8_t *cells;                    /* occupancy plane, 0/1 */
@@ -89,125 +99,17 @@ static inline unsigned ring_mask(const int8_t *cells, int64_t source, const int6
          | (unsigned)cells[source + ring[7]] << 7;
 }
 
-int64_t edge(
-    int64_t count, const int64_t *indices, const int64_t *directions,
-    const double *uniforms, const grid_t *g, const double *acceptance,
-    int64_t *counters)
-{
-    int64_t *pos = g->pos;
-    int8_t *cells = g->cells;
-    int64_t occupied_rejects = 0, five_rejects = 0, property_rejects = 0;
-    int64_t metropolis_rejects = 0, accepted = 0, edges = 0;
-    int64_t consumed = count;
-    for (int64_t cursor = 0; cursor < count; cursor++) {
-        if (cursor + PREFETCH_AHEAD < count)
-            PREFETCH(pos + indices[cursor + PREFETCH_AHEAD]);
-        int64_t index = indices[cursor];
-        int64_t source = pos[index];
-        int64_t direction = directions[cursor];
-        int64_t target = source + g->direction_offsets[direction];
-        if (cells[target]) {
-            occupied_rejects++;
-            continue;
-        }
-        unsigned mask = ring_mask(cells, source, g->ring_offsets + 8 * direction);
-        int neighbors_before = g->nb_before[mask];
-        if (neighbors_before == FORBIDDEN_NEIGHBOR_COUNT) {
-            five_rejects++;
-            continue;
-        }
-        if (!g->property_ok[mask]) {
-            property_rejects++;
-            continue;
-        }
-        int delta = g->nb_after[mask] - neighbors_before;
-        if (uniforms[cursor] >= acceptance[delta + 6]) {
-            metropolis_rejects++;
-            continue;
-        }
-        cells[source] = 0;
-        cells[target] = 1;
-        pos[index] = target;
-        edges += delta;
-        accepted++;
-        if (in_guard_band(g, target)) {
-            consumed = cursor + 1;
-            counters[GUARD_HIT] = 1;
-            break;
-        }
-    }
-    counters[TARGET_OCCUPIED] += occupied_rejects;
-    counters[FIVE_NEIGHBORS] += five_rejects;
-    counters[PROPERTY_FAILED] += property_rejects;
-    counters[METROPOLIS_REJECTED] += metropolis_rejects;
-    counters[MOVED] += accepted;
-    counters[EDGE_DELTA] += edges;
-    return consumed;
-}
-
-int64_t edge_site(
-    int64_t count, const int64_t *indices, const int64_t *directions,
-    const double *uniforms, const grid_t *g, const uint8_t *site,
-    const double *site_rows, int64_t *counters)
-{
-    int64_t *pos = g->pos;
-    int8_t *cells = g->cells;
-    int64_t occupied_rejects = 0, five_rejects = 0, property_rejects = 0;
-    int64_t metropolis_rejects = 0, accepted = 0, edges = 0, sites = 0;
-    int64_t consumed = count;
-    for (int64_t cursor = 0; cursor < count; cursor++) {
-        if (cursor + PREFETCH_AHEAD < count)
-            PREFETCH(pos + indices[cursor + PREFETCH_AHEAD]);
-        int64_t index = indices[cursor];
-        int64_t source = pos[index];
-        int64_t direction = directions[cursor];
-        int64_t target = source + g->direction_offsets[direction];
-        if (cells[target]) {
-            occupied_rejects++;
-            continue;
-        }
-        unsigned mask = ring_mask(cells, source, g->ring_offsets + 8 * direction);
-        int neighbors_before = g->nb_before[mask];
-        if (neighbors_before == FORBIDDEN_NEIGHBOR_COUNT) {
-            five_rejects++;
-            continue;
-        }
-        if (!g->property_ok[mask]) {
-            property_rejects++;
-            continue;
-        }
-        int delta = g->nb_after[mask] - neighbors_before;
-        int site_delta = (int)site[target] - (int)site[source];
-        if (uniforms[cursor] >= site_rows[(site_delta + 1) * 13 + delta + 6]) {
-            metropolis_rejects++;
-            continue;
-        }
-        cells[source] = 0;
-        cells[target] = 1;
-        pos[index] = target;
-        edges += delta;
-        sites += site_delta;
-        accepted++;
-        if (in_guard_band(g, target)) {
-            consumed = cursor + 1;
-            counters[GUARD_HIT] = 1;
-            break;
-        }
-    }
-    counters[TARGET_OCCUPIED] += occupied_rejects;
-    counters[FIVE_NEIGHBORS] += five_rejects;
-    counters[PROPERTY_FAILED] += property_rejects;
-    counters[METROPOLIS_REJECTED] += metropolis_rejects;
-    counters[MOVED] += accepted;
-    counters[EDGE_DELTA] += edges;
-    counters[SITE_DELTA] += sites;
-    return consumed;
-}
-
-int64_t edge_color(
-    int64_t count, const int64_t *indices, const int64_t *directions,
+/* One run of the chain in kernel mode `mode`, a compile-time constant at
+ * each call site.  `plane` is the site plane (EDGE_SITE), the color plane
+ * (EDGE_COLOR) or NULL; `uniforms2` and `swap_acceptance` are read in
+ * EDGE_COLOR only.  `rows` is the acceptance table, one row of
+ * EDGE_DELTAS entries per value of the mode's auxiliary delta: a single
+ * row for EDGE, the site delta + 1 for EDGE_SITE, the same-color delta
+ * + 5 for EDGE_COLOR. */
+static inline ALWAYS_INLINE int64_t run_mode(
+    int mode, int64_t count, const int64_t *indices, const int64_t *directions,
     const double *uniforms, const double *uniforms2, const grid_t *g,
-    uint8_t *plane, const double *movement_rows, const double *swap_acceptance,
+    uint8_t *plane, const double *rows, const double *swap_acceptance,
     double swap_probability, int64_t *counters)
 {
     int64_t *pos = g->pos;
@@ -215,8 +117,9 @@ int64_t edge_color(
     const int64_t *direction_offsets = g->direction_offsets;
     int64_t occupied_rejects = 0, five_rejects = 0, property_rejects = 0;
     int64_t metropolis_rejects = 0, swap_empty = 0, swap_same = 0;
-    int64_t swap_rejects = 0, accepted = 0, swaps = 0, edges = 0;
+    int64_t swap_rejects = 0, accepted = 0, swaps = 0, edges = 0, sites = 0;
     int64_t consumed = count;
+    const double *row = rows; /* EDGE keeps the single row */
     for (int64_t cursor = 0; cursor < count; cursor++) {
         if (cursor + PREFETCH_AHEAD < count)
             PREFETCH(pos + indices[cursor + PREFETCH_AHEAD]);
@@ -224,7 +127,7 @@ int64_t edge_color(
         int64_t source = pos[index];
         int64_t direction = directions[cursor];
         int64_t target = source + direction_offsets[direction];
-        if (uniforms2[cursor] < swap_probability) {
+        if (mode == EDGE_COLOR && uniforms2[cursor] < swap_probability) {
             /* Color-swap attempt: occupancy never changes. */
             uint8_t target_color = plane[target];
             if (!target_color) {
@@ -274,26 +177,38 @@ int64_t edge_color(
             continue;
         }
         int delta = g->nb_after[mask] - neighbors_before;
-        uint8_t color = plane[source];
-        int a_before = 0;
-        int a_after = -1; /* the mover itself is always adjacent to the target */
-        for (int k = 0; k < 6; k++) {
-            if (plane[source + direction_offsets[k]] == color)
-                a_before++;
-            if (plane[target + direction_offsets[k]] == color)
-                a_after++;
+        int site_delta = 0;
+        uint8_t color = 0;
+        if (mode == EDGE_SITE) {
+            site_delta = (int)plane[target] - (int)plane[source];
+            row = rows + (site_delta + 1) * EDGE_DELTAS;
+        } else if (mode == EDGE_COLOR) {
+            color = plane[source];
+            int a_before = 0;
+            int a_after = -1; /* the mover itself is always adjacent to the target */
+            for (int k = 0; k < 6; k++) {
+                if (plane[source + direction_offsets[k]] == color)
+                    a_before++;
+                if (plane[target + direction_offsets[k]] == color)
+                    a_after++;
+            }
+            row = rows + (a_after - a_before + 5) * EDGE_DELTAS;
         }
-        if (uniforms[cursor] >= movement_rows[(a_after - a_before + 5) * 13 + delta + 6]) {
+        if (uniforms[cursor] >= row[delta + 6]) {
             metropolis_rejects++;
             continue;
         }
         cells[source] = 0;
         cells[target] = 1;
-        plane[target] = color;
-        plane[source] = 0;
         pos[index] = target;
         edges += delta;
         accepted++;
+        if (mode == EDGE_SITE) {
+            sites += site_delta;
+        } else if (mode == EDGE_COLOR) {
+            plane[target] = color;
+            plane[source] = 0;
+        }
         if (in_guard_band(g, target)) {
             consumed = cursor + 1;
             counters[GUARD_HIT] = 1;
@@ -310,7 +225,31 @@ int64_t edge_color(
     counters[MOVED] += accepted;
     counters[SWAPPED] += swaps;
     counters[EDGE_DELTA] += edges;
+    counters[SITE_DELTA] += sites;
     return consumed;
+}
+
+/* Resolve `count` proposals in kernel mode `mode` (see run_mode) and
+ * return how many were consumed.  Each case inlines run_mode with a
+ * constant mode, so the tests of the other modes compile away. */
+int64_t run_chain(
+    int64_t mode, int64_t count, const int64_t *indices, const int64_t *directions,
+    const double *uniforms, const double *uniforms2, const grid_t *g,
+    uint8_t *plane, const double *rows, const double *swap_acceptance,
+    double swap_probability, int64_t *counters)
+{
+    switch (mode) {
+    case EDGE:
+        return run_mode(EDGE, count, indices, directions, uniforms, uniforms2, g,
+                        plane, rows, swap_acceptance, swap_probability, counters);
+    case EDGE_SITE:
+        return run_mode(EDGE_SITE, count, indices, directions, uniforms, uniforms2, g,
+                        plane, rows, swap_acceptance, swap_probability, counters);
+    case EDGE_COLOR:
+        return run_mode(EDGE_COLOR, count, indices, directions, uniforms, uniforms2, g,
+                        plane, rows, swap_acceptance, swap_probability, counters);
+    }
+    return 0; /* the engine rejects unknown modes when it is built */
 }
 
 /* Breadth-first flood over the 6-connected cells that hold `want`, from

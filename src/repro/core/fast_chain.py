@@ -47,23 +47,27 @@ engine) but is built for long runs at large ``n``:
 
 How ``run()`` works
 -------------------
-``_native/chain_loops.c`` holds one sequential loop per kernel mode
-(``edge`` compression, ``edge_site`` bridging, ``edge_color``
-separation).  Each is a statement-for-statement port of the matching
-Python loop in this module (:meth:`FastCompressionChain._run_edge` and
-its siblings): same 256-entry move tables, same acceptance floats, same
-``uniform >= acceptance[...]`` comparisons in double precision, same
+Every kernel mode (``edge`` compression, ``edge_site`` bridging,
+``edge_color`` separation) runs through one loop:
+:meth:`FastCompressionChain._run_python` in Python, and
+``run_chain`` in ``_native/chain_loops.c``, its statement-for-statement
+port.  The modes share the move filter and differ in the Metropolis
+weight only: one acceptance table, :attr:`_rows`, with a row per value
+of the mode's auxiliary delta (a single row for compression), and the
+byte plane that delta is read off.  Both loops use the same 256-entry
+move tables, the same acceptance floats, the same
+``uniform >= row[...]`` comparisons in double precision and the same
 counters.  ``run()`` refills the tape with
 ``BatchedMoveDraws.refill(blocks=k)`` — which invokes the generator
 exactly as ``k`` single-block refills would, so the random stream is
-unchanged — and makes one C call per tape span.  A C loop stops right
+unchanged — and makes one C call per tape span.  The loop stops right
 after an accepted move that lands in the grid's guard band; ``run()``
 then re-centers the grid in numpy (:meth:`_reallocate`) and resumes.
 Re-centering is invisible in node space, so trajectories are unaffected.
 
 The C source is compiled with the system C compiler on the first
 construction in a process and cached (:mod:`repro.core._native`).  The
-Python loops run in two cases only: without a working compiler (after
+Python loop runs in two cases only: without a working compiler (after
 one logged warning; same results, several times slower), and as the
 oracle of the differential fuzz in ``tests/core/test_native_loops.py``,
 which builds an engine with :func:`repro.core._native.load_library`
@@ -105,6 +109,7 @@ from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.triangular import DIRECTIONS, Node
 from repro.core import _native
 from repro.core.kernels import (
+    KERNEL_MODES,
     MOVEMENT_REJECTION_REASONS,
     SWAP_REJECTION_REASONS,
     CompressionKernel,
@@ -123,7 +128,7 @@ DEFAULT_GRID_MARGIN = 32
 #: far enough from the border that all offset reads stay in bounds.
 GUARD_BAND = 4
 
-#: Slots of the counter array the C loops add to (the enum in
+#: Slots of the counter array the run loops add to (the enum in
 #: ``chain_loops.c`` lists them in the same order).
 COUNTERS = MOVEMENT_REJECTION_REASONS + SWAP_REJECTION_REASONS + (
     "moved",
@@ -134,7 +139,7 @@ COUNTERS = MOVEMENT_REJECTION_REASONS + SWAP_REJECTION_REASONS + (
 )
 _MOVED, _SWAPPED, _EDGE_DELTA, _SITE_DELTA, _GUARD_HIT = range(7, 12)
 
-#: Most draw blocks materialized per tape refill of the compiled loops.
+#: Most draw blocks materialized per tape refill of the compiled loop.
 _MAX_PREFETCH_BLOCKS = 16
 
 
@@ -429,7 +434,7 @@ class FastCompressionChain:
         Optional :class:`~repro.core.kernels.WeightKernel` selecting the
         acceptance rule (and any auxiliary byte plane).  ``None`` builds
         the default compression kernel from ``lam``.  Every registered
-        kernel mode has a compiled loop.
+        kernel mode runs the compiled loop.
     """
 
     def __init__(
@@ -485,14 +490,20 @@ class FastCompressionChain:
             self._init_native()
 
     def _init_kernel_state(self, initial: ParticleConfiguration) -> None:
-        """Build the acceptance tables and auxiliary byte planes."""
+        """Build the acceptance tables and auxiliary byte planes.
+
+        ``_rows`` is the movement acceptance table of every mode, indexed
+        ``[row][e_delta + 6]``: one row for compression, the site delta
+        + 1 for bridging, the same-color delta + 5 for separation.
+        """
         kernel = self._kernel
+        self._swap_acceptance: Optional[List[float]] = None
         if self._mode == "edge":
             # The kernel reproduces the exact float list the engine always
             # precomputed, so the Metropolis comparisons are unchanged.
-            self._acceptance = kernel.acceptance_list()
+            self._rows = [kernel.acceptance_list()]
         elif self._mode == "edge_site":
-            self._site_rows = kernel.acceptance_rows()
+            self._rows = kernel.acceptance_rows()
             self._site_plane = kernel.build_site_plane(self._grid)
             self._site_count = int(
                 np.frombuffer(self._site_plane, dtype=np.uint8)[
@@ -504,30 +515,26 @@ class FastCompressionChain:
                 raise ConfigurationError(
                     "the kernel's color map must cover exactly the occupied nodes"
                 )
-            self._movement_rows = kernel.movement_rows()
+            self._rows = kernel.movement_rows()
             self._swap_acceptance = kernel.swap_row()
             self._color_plane = kernel.build_color_plane(self._grid, self._pos)
         else:
             raise ConfigurationError(f"unknown kernel mode {self._mode!r}")
 
     def _init_native(self) -> None:
-        """Build the arrays the compiled loops read through raw pointers."""
-        self._loop = getattr(self._library, self._mode)
+        """Build the arrays the compiled loop reads through raw pointers."""
+        self._mode_index = KERNEL_MODES.index(self._mode)
         self._counters = np.zeros(len(COUNTERS), dtype=np.int64)
         self._tape_lanes = [None]
         self._move_tables = [
             np.array(table, dtype=np.uint8)
             for table in (self._nb_before, self._nb_after, self._property_ok)
         ]
-        if self._mode == "edge":
-            self._tables = [np.array(self._acceptance, dtype=np.float64)]
-        elif self._mode == "edge_site":
-            self._tables = [np.array(self._site_rows, dtype=np.float64)]
-        else:
-            self._tables = [
-                np.array(self._movement_rows, dtype=np.float64),
-                np.array(self._swap_acceptance, dtype=np.float64),
-            ]
+        self._rows_array = np.array(self._rows, dtype=np.float64)
+        self._swap_array = (
+            None if self._swap_acceptance is None
+            else np.array(self._swap_acceptance, dtype=np.float64)
+        )
         self._bind_grid()
 
     # ------------------------------------------------------------------ #
@@ -716,21 +723,22 @@ class FastCompressionChain:
         """
         mode = self._mode
         if mode == "edge":
-            return self._acceptance[edge_delta + 6]
-        if mode == "edge_site":
+            row = 0
+        elif mode == "edge_site":
             site = self._site_plane
-            return self._site_rows[site[target] - site[source] + 1][edge_delta + 6]
-        plane = self._color_plane
-        offsets = self._grid.direction_offsets
-        color = plane[source]
-        a_before = 0
-        a_after = -1  # the mover itself is always adjacent to the target
-        for offset in offsets:
-            if plane[source + offset] == color:
-                a_before += 1
-            if plane[target + offset] == color:
-                a_after += 1
-        return self._movement_rows[a_after - a_before + 5][edge_delta + 6]
+            row = site[target] - site[source] + 1
+        else:
+            plane = self._color_plane
+            color = plane[source]
+            a_before = 0
+            a_after = -1  # the mover itself is always adjacent to the target
+            for offset in self._grid.direction_offsets:
+                if plane[source + offset] == color:
+                    a_before += 1
+                if plane[target + offset] == color:
+                    a_after += 1
+            row = a_after - a_before + 5
+        return self._rows[row][edge_delta + 6]
 
     def _swap_step(self, index: int, direction_index: int, q: float) -> StepResult:
         """A color-swap attempt (``edge_color`` kernels only)."""
@@ -784,10 +792,10 @@ class FastCompressionChain:
         """Run the chain for a number of iterations.
 
         Without a callback this is the engine's hot path: one call into the
-        kernel mode's compiled loop per tape span, or the mode's Python loop
-        (``_run_edge`` and its siblings) when the loops did not compile.
-        With a callback every proposal goes through :meth:`step`, and the
-        callback receives its :class:`~repro.core.markov_chain.StepResult`.
+        compiled ``run_chain`` per tape span, or :meth:`_run_python` when
+        the C source did not compile.  With a callback every proposal goes
+        through :meth:`step`, and the callback receives its
+        :class:`~repro.core.markov_chain.StepResult`.
         """
         if iterations < 0:
             raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
@@ -797,253 +805,75 @@ class FastCompressionChain:
                 callback(self._iterations, result)
             return
         if self._library is None:
-            getattr(self, f"_run_{self._mode}")(iterations)
-            return
-        draws = self._draws
-        loop = self._loop
-        counters = self._counters
-        counters.fill(0)
-        remaining = iterations
-        while remaining > 0:
-            if draws.cursor >= draws.size:
-                wanted = -(-remaining // draws.block)  # ceil division
-                draws.refill(blocks=min(wanted, _MAX_PREFETCH_BLOCKS))
-            start = draws.cursor
-            offset = start * 8  # every tape lane holds 8-byte items
-            consumed = loop(
-                min(draws.size - start, remaining),
-                *[base + offset for base in self._tape_bases(draws)],
-                *self._loop_args,
-            )
-            draws.cursor = start + consumed
-            remaining -= consumed
-            if counters[_GUARD_HIT]:
-                counters[_GUARD_HIT] = 0
-                self._reallocate()
-        self._iterations += iterations
-        self._flush(counters.tolist())
-
-    def _run_edge(self, iterations: int) -> None:
-        """The Python loop for ``edge`` kernels (compression).
-
-        All state bound to locals, no per-proposal allocations, counters
-        flushed back to the instance at the end.  ``chain_loops.c``'s
-        ``edge`` ports it statement for statement.
-        """
-        draws = self._draws
-        nb_before_table = self._nb_before
-        nb_after_table = self._nb_after
-        property_table = self._property_ok
-        acceptance = self._acceptance
-        pos = self._pos
-        grid = self._grid
-        cells = grid.cells
-        in_guard_band = grid.in_guard_band
-        direction_offsets = grid.direction_offsets
-        ring_offsets = grid.ring_offsets
-        forbidden = FORBIDDEN_NEIGHBOR_COUNT
-        occupied_rejects = five_rejects = property_rejects = metropolis_rejects = 0
-        accepted = 0
-        edges = self._edge_count
-        remaining = iterations
-        while remaining > 0:
-            if draws.cursor >= draws.size:
-                draws.refill()
-            indices, directions, uniforms = draws.lists()
-            start = draws.cursor
-            stop = start + min(draws.size - start, remaining)
-            consumed = stop - start
-            hit_guard = False
-            for cursor in range(start, stop):
-                index = indices[cursor]
-                source = pos[index]
-                direction = directions[cursor]
-                target = source + direction_offsets[direction]
-                if cells[target]:
-                    occupied_rejects += 1
-                    continue
-                ring = ring_offsets[direction]
-                mask = (
-                    cells[source + ring[0]]
-                    | cells[source + ring[1]] << 1
-                    | cells[source + ring[2]] << 2
-                    | cells[source + ring[3]] << 3
-                    | cells[source + ring[4]] << 4
-                    | cells[source + ring[5]] << 5
-                    | cells[source + ring[6]] << 6
-                    | cells[source + ring[7]] << 7
+            counts = self._run_python(iterations)
+        else:
+            draws = self._draws
+            run_chain = self._library.run_chain
+            mode = self._mode_index
+            counters = self._counters
+            counters.fill(0)
+            remaining = iterations
+            while remaining > 0:
+                if draws.cursor >= draws.size:
+                    wanted = -(-remaining // draws.block)  # ceil division
+                    draws.refill(blocks=min(wanted, _MAX_PREFETCH_BLOCKS))
+                start = draws.cursor
+                offset = start * 8  # every tape lane holds 8-byte items
+                consumed = run_chain(
+                    mode,
+                    min(draws.size - start, remaining),
+                    *[base and base + offset for base in self._tape_bases(draws)],
+                    *self._loop_args,
                 )
-                neighbors_before = nb_before_table[mask]
-                if neighbors_before == forbidden:
-                    five_rejects += 1
-                    continue
-                if not property_table[mask]:
-                    property_rejects += 1
-                    continue
-                delta = nb_after_table[mask] - neighbors_before
-                if uniforms[cursor] >= acceptance[delta + 6]:
-                    metropolis_rejects += 1
-                    continue
-                cells[source] = 0
-                cells[target] = 1
-                pos[index] = target
-                edges += delta
-                accepted += 1
-                if in_guard_band(target):
-                    consumed = cursor - start + 1
-                    hit_guard = True
-                    break
-            draws.cursor = start + consumed
-            remaining -= consumed
-            if hit_guard:
-                self._reallocate()
-                pos = self._pos
-                grid = self._grid
-                cells = grid.cells
-                in_guard_band = grid.in_guard_band
-                direction_offsets = grid.direction_offsets
-                ring_offsets = grid.ring_offsets
-
-        self._edge_count = edges
+                draws.cursor = start + consumed
+                remaining -= consumed
+                if counters[_GUARD_HIT]:
+                    counters[_GUARD_HIT] = 0
+                    self._reallocate()
+            counts = counters.tolist()
         self._iterations += iterations
-        self._accepted += accepted
-        rejections = self._rejections
-        rejections["target_occupied"] += occupied_rejects
-        rejections["five_neighbors"] += five_rejects
-        rejections["property_failed"] += property_rejects
-        rejections["metropolis_rejected"] += metropolis_rejects
-        if accepted:
-            self._configuration_cache = None
+        self._flush(counts)
 
-    def _run_edge_site(self, iterations: int) -> None:
-        """The hot loop for ``edge_site`` kernels (bridging).
+    def _run_python(self, iterations: int) -> List[int]:
+        """The Python run loop of every kernel mode; returns its counts in
+        :data:`COUNTERS` order.
 
-        The compression loop plus two reads of the static site plane and
-        a 2-D acceptance lookup per structurally legal proposal.
+        All state bound to locals and no per-proposal allocations.  The
+        mode only adds branches: the lane-2 swap attempt (``edge_color``)
+        and the auxiliary delta that picks the acceptance row (site plane
+        for ``edge_site``, same-color neighbors for ``edge_color``; the
+        single row of ``edge`` is bound once).  ``chain_loops.c``'s
+        ``run_chain`` ports it statement for statement.
         """
+        sited = self._mode == "edge_site"
+        colored = self._mode == "edge_color"
         draws = self._draws
         nb_before_table = self._nb_before
         nb_after_table = self._nb_after
         property_table = self._property_ok
-        site_rows = self._site_rows
-        pos = self._pos
-        grid = self._grid
-        cells = grid.cells
-        site = self._site_plane
-        in_guard_band = grid.in_guard_band
-        direction_offsets = grid.direction_offsets
-        ring_offsets = grid.ring_offsets
-        forbidden = FORBIDDEN_NEIGHBOR_COUNT
-        occupied_rejects = five_rejects = property_rejects = metropolis_rejects = 0
-        accepted = 0
-        edges = self._edge_count
-        sites = self._site_count
-        remaining = iterations
-        while remaining > 0:
-            if draws.cursor >= draws.size:
-                draws.refill()
-            indices, directions, uniforms = draws.lists()
-            start = draws.cursor
-            stop = start + min(draws.size - start, remaining)
-            consumed = stop - start
-            hit_guard = False
-            for cursor in range(start, stop):
-                index = indices[cursor]
-                source = pos[index]
-                direction = directions[cursor]
-                target = source + direction_offsets[direction]
-                if cells[target]:
-                    occupied_rejects += 1
-                    continue
-                ring = ring_offsets[direction]
-                mask = (
-                    cells[source + ring[0]]
-                    | cells[source + ring[1]] << 1
-                    | cells[source + ring[2]] << 2
-                    | cells[source + ring[3]] << 3
-                    | cells[source + ring[4]] << 4
-                    | cells[source + ring[5]] << 5
-                    | cells[source + ring[6]] << 6
-                    | cells[source + ring[7]] << 7
-                )
-                neighbors_before = nb_before_table[mask]
-                if neighbors_before == forbidden:
-                    five_rejects += 1
-                    continue
-                if not property_table[mask]:
-                    property_rejects += 1
-                    continue
-                delta = nb_after_table[mask] - neighbors_before
-                site_delta = site[target] - site[source]
-                if uniforms[cursor] >= site_rows[site_delta + 1][delta + 6]:
-                    metropolis_rejects += 1
-                    continue
-                cells[source] = 0
-                cells[target] = 1
-                pos[index] = target
-                edges += delta
-                sites += site_delta
-                accepted += 1
-                if in_guard_band(target):
-                    consumed = cursor - start + 1
-                    hit_guard = True
-                    break
-            draws.cursor = start + consumed
-            remaining -= consumed
-            if hit_guard:
-                self._reallocate()
-                pos = self._pos
-                grid = self._grid
-                cells = grid.cells
-                site = self._site_plane
-                in_guard_band = grid.in_guard_band
-                direction_offsets = grid.direction_offsets
-                ring_offsets = grid.ring_offsets
-
-        self._edge_count = edges
-        self._site_count = sites
-        self._iterations += iterations
-        self._accepted += accepted
-        rejections = self._rejections
-        rejections["target_occupied"] += occupied_rejects
-        rejections["five_neighbors"] += five_rejects
-        rejections["property_failed"] += property_rejects
-        rejections["metropolis_rejected"] += metropolis_rejects
-        if accepted:
-            self._configuration_cache = None
-
-    def _run_edge_color(self, iterations: int) -> None:
-        """The hot loop for ``edge_color`` kernels (separation).
-
-        Per iteration the lane-2 uniform splits between an inlined swap
-        attempt (color plane reads only) and the compression loop
-        augmented with same-color neighbor counts off the color plane.
-        """
-        draws = self._draws
-        nb_before_table = self._nb_before
-        nb_after_table = self._nb_after
-        property_table = self._property_ok
-        movement_rows = self._movement_rows
+        rows = self._rows
+        row = rows[0]  # edge kernels keep the single row
         swap_acceptance = self._swap_acceptance
         swap_probability = self._swap_probability
         pos = self._pos
         grid = self._grid
         cells = grid.cells
-        plane = self._color_plane
+        plane = self._plane()
         in_guard_band = grid.in_guard_band
         direction_offsets = grid.direction_offsets
         ring_offsets = grid.ring_offsets
         forbidden = FORBIDDEN_NEIGHBOR_COUNT
         occupied_rejects = five_rejects = property_rejects = metropolis_rejects = 0
         swap_empty = swap_same = swap_rejects = 0
-        accepted = swaps = 0
-        edges = self._edge_count
+        accepted = swaps = edges = sites = 0
+        uniforms2 = None
         remaining = iterations
         while remaining > 0:
             if draws.cursor >= draws.size:
                 draws.refill()
             indices, directions, uniforms = draws.lists()
-            uniforms2 = draws.lists2()
+            if colored:
+                uniforms2 = draws.lists2()
             start = draws.cursor
             stop = start + min(draws.size - start, remaining)
             consumed = stop - start
@@ -1053,7 +883,7 @@ class FastCompressionChain:
                 source = pos[index]
                 direction = directions[cursor]
                 target = source + direction_offsets[direction]
-                if uniforms2[cursor] < swap_probability:
+                if colored and uniforms2[cursor] < swap_probability:
                     # Color-swap attempt: occupancy never changes.
                     target_color = plane[target]
                     if not target_color:
@@ -1105,24 +935,32 @@ class FastCompressionChain:
                     property_rejects += 1
                     continue
                 delta = nb_after_table[mask] - neighbors_before
-                color = plane[source]
-                a_before = 0
-                a_after = -1  # the mover itself is always adjacent to the target
-                for offset in direction_offsets:
-                    if plane[source + offset] == color:
-                        a_before += 1
-                    if plane[target + offset] == color:
-                        a_after += 1
-                if uniforms[cursor] >= movement_rows[a_after - a_before + 5][delta + 6]:
+                if sited:
+                    site_delta = plane[target] - plane[source]
+                    row = rows[site_delta + 1]
+                elif colored:
+                    color = plane[source]
+                    a_before = 0
+                    a_after = -1  # the mover itself is always adjacent to the target
+                    for offset in direction_offsets:
+                        if plane[source + offset] == color:
+                            a_before += 1
+                        if plane[target + offset] == color:
+                            a_after += 1
+                    row = rows[a_after - a_before + 5]
+                if uniforms[cursor] >= row[delta + 6]:
                     metropolis_rejects += 1
                     continue
                 cells[source] = 0
                 cells[target] = 1
-                plane[target] = color
-                plane[source] = 0
                 pos[index] = target
                 edges += delta
                 accepted += 1
+                if sited:
+                    sites += site_delta
+                elif colored:
+                    plane[target] = color
+                    plane[source] = 0
                 if in_guard_band(target):
                     consumed = cursor - start + 1
                     hit_guard = True
@@ -1134,31 +972,29 @@ class FastCompressionChain:
                 pos = self._pos
                 grid = self._grid
                 cells = grid.cells
-                plane = self._color_plane
+                plane = self._plane()
                 in_guard_band = grid.in_guard_band
                 direction_offsets = grid.direction_offsets
                 ring_offsets = grid.ring_offsets
-
-        self._edge_count = edges
-        self._iterations += iterations
-        self._accepted += accepted
-        self._accepted_swaps += swaps
-        rejections = self._rejections
-        rejections["target_occupied"] += occupied_rejects
-        rejections["five_neighbors"] += five_rejects
-        rejections["property_failed"] += property_rejects
-        rejections["metropolis_rejected"] += metropolis_rejects
-        rejections["swap_target_empty"] += swap_empty
-        rejections["swap_same_color"] += swap_same
-        rejections["swap_rejected"] += swap_rejects
-        if accepted:
-            self._configuration_cache = None
+        return [
+            occupied_rejects, five_rejects, property_rejects, metropolis_rejects,
+            swap_empty, swap_same, swap_rejects, accepted, swaps, edges, sites, 0,
+        ]
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
+    def _plane(self) -> Optional[bytearray]:
+        """The mode's byte plane: terrain (``edge_site``), colors
+        (``edge_color``), or ``None`` (``edge``)."""
+        if self._mode == "edge_site":
+            return self._site_plane
+        if self._mode == "edge_color":
+            return self._color_plane
+        return None
+
     def _bind_grid(self) -> None:
-        """Rebuild the argument tuple every compiled-loop call passes."""
+        """Rebuild the arguments every ``run_chain`` call passes after the tape."""
         grid = self._grid
         self._offsets = (
             np.array(grid.direction_offsets, dtype=np.int64),
@@ -1177,24 +1013,22 @@ class FastCompressionChain:
             nb_after=nb_after.ctypes.data,
             property_ok=property_ok.ctypes.data,
         )
-        # The mode's arguments between the grid and the counters, in the
-        # order of its signature in ``chain_loops.c``.
-        mode_args = [table.ctypes.data for table in self._tables]
-        if self._mode == "edge_site":
-            self._plane_view = np.frombuffer(self._site_plane, dtype=np.uint8)
-            mode_args.insert(0, self._plane_view.ctypes.data)
-        elif self._mode == "edge_color":
-            self._plane_view = np.frombuffer(self._color_plane, dtype=np.uint8)
-            mode_args = [self._plane_view.ctypes.data, *mode_args, self._swap_probability]
+        # NULL (None) for the plane and swap table a mode lacks.
+        plane = self._plane()
+        self._plane_view = None if plane is None else np.frombuffer(plane, dtype=np.uint8)
         self._loop_args = (
             ctypes.addressof(self._grid_struct),
-            *mode_args,
+            None if plane is None else self._plane_view.ctypes.data,
+            self._rows_array.ctypes.data,
+            None if self._swap_array is None else self._swap_array.ctypes.data,
+            self._swap_probability,
             self._counters.ctypes.data,
         )
 
     def _tape_bases(self, draws) -> list:
-        """The addresses of the tape lanes the loop reads, checked once per
-        refill: C reads them as contiguous ``int64``/``float64`` arrays."""
+        """The addresses of the four tape lanes ``run_chain`` takes, checked
+        once per refill: C reads them as contiguous ``int64``/``float64``
+        arrays.  The lane-2 address is ``None`` (NULL) on one-lane tapes."""
         if draws.indices is not self._tape_lanes[0]:
             lanes = [draws.indices, draws.directions, draws.uniforms]
             if self._mode == "edge_color":
@@ -1208,10 +1042,12 @@ class FastCompressionChain:
                     )
             self._tape_lanes = lanes
             self._tape_addresses = [lane.ctypes.data for lane in lanes]
+            self._tape_addresses += [None] * (4 - len(lanes))
         return self._tape_addresses
 
     def _flush(self, counts) -> None:
-        """Add one compiled ``run()``'s counter array to the engine's counters."""
+        """Add one ``run()``'s counts, in :data:`COUNTERS` order, to the
+        engine's counters."""
         rejections = self._rejections
         for reason, count in zip(COUNTERS, counts):
             if reason in rejections:

@@ -57,8 +57,6 @@ from repro.errors import AlgorithmError, ConfigurationError
 from repro.lattice.triangular import Node
 
 #: Ways a movement proposal can fail, in the order the engines test them.
-#: (Shared with :mod:`repro.core.markov_chain`, which re-exports the tuple
-#: as ``REJECTION_REASONS`` for backward compatibility.)
 MOVEMENT_REJECTION_REASONS = (
     "target_occupied",
     "five_neighbors",
@@ -100,8 +98,8 @@ class WeightKernel:
     name:
         Stable identifier (used in job descriptions and benchmarks).
     mode:
-        One of :data:`KERNEL_MODES`; tells an engine which inner loop to
-        run and which auxiliary plane to maintain.
+        One of :data:`KERNEL_MODES`; tells an engine how to pick the
+        acceptance row and which auxiliary plane to maintain.
     lanes:
         Number of uniform lanes the kernel consumes from the
         :class:`repro.rng.BatchedMoveDraws` tape per iteration (2 when
@@ -310,7 +308,3 @@ class SeparationKernel(WeightKernel):
             plane[flat] = self.colors[node] + 1
         return plane
 
-
-def default_kernel(lam: float) -> CompressionKernel:
-    """The kernel an engine builds when none is supplied."""
-    return CompressionKernel(lam)

@@ -48,19 +48,10 @@ from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.triangular import DIRECTIONS, Node, add, neighbors
-from repro.core.kernels import (
-    MOVEMENT_REJECTION_REASONS,
-    CompressionKernel,
-    WeightKernel,
-)
+from repro.core.kernels import CompressionKernel, WeightKernel
 from repro.core.moves import Move
 from repro.core.properties import satisfies_either_property
 from repro.rng import DEFAULT_DRAW_BLOCK, BatchedMoveDraws, RandomState, make_rng
-
-#: Reasons a proposed step may not result in a move (movement proposals;
-#: kernels with extra move types extend this via their
-#: ``rejection_reasons`` — see :mod:`repro.core.kernels`).
-REJECTION_REASONS = MOVEMENT_REJECTION_REASONS
 
 
 @dataclass(frozen=True)
@@ -77,8 +68,12 @@ class StepResult:
         ``e' - e`` for the proposal, or ``None`` when the target was occupied
         (the quantity is never evaluated in that case).
     reason:
-        ``"moved"`` if the move was performed, otherwise one of
-        :data:`REJECTION_REASONS`.
+        ``"moved"`` if the move was performed, ``"swapped"`` for an
+        accepted color swap, otherwise one of the kernel's
+        ``rejection_reasons``:
+        :data:`~repro.core.kernels.MOVEMENT_REJECTION_REASONS`, plus
+        :data:`~repro.core.kernels.SWAP_REJECTION_REASONS` for kernels
+        with color swaps.
     """
 
     moved: bool

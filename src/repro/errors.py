@@ -19,10 +19,6 @@ class DisconnectedConfigurationError(ConfigurationError):
     """Raised when an operation requires a connected configuration."""
 
 
-class HoleError(ConfigurationError):
-    """Raised when an operation requires a hole-free configuration."""
-
-
 class InvalidMoveError(ReproError):
     """Raised when a particle move violates the chain's move rules."""
 

@@ -15,7 +15,7 @@ boundary, replica ensembles for mixing estimates, and n-scaling studies:
 * :mod:`repro.runtime.checkpoint` — atomic per-job persistence so long
   ensembles survive interruption and resume exactly;
 * :mod:`repro.runtime.supervision` — fault-tolerant execution: supervised
-  worker processes with heartbeats and dead-worker replacement, retry
+  worker processes with dead-worker detection and replacement, retry
   policies (backoff, deterministic jitter, supervisor-enforced timeouts),
   quarantined :class:`~repro.runtime.supervision.JobFailure` records, and
   the runner-level fault-injection harness

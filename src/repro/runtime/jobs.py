@@ -248,10 +248,6 @@ class ChainResult:
     #: like ``wall_seconds`` — never part of the deterministic payload.
     attempts: int = 1
 
-    def final_point(self):
-        """The last recorded trace sample."""
-        return self.trace.final()
-
     def row(self) -> Dict[str, Any]:
         """Flatten the result into one results-table row (plain scalars only).
 

@@ -10,7 +10,7 @@ contract:
   enforced *by the supervisor* (a stalled worker is killed, not waited
   on).  The default is one attempt and no timeout.
 * :class:`SupervisedPool` — worker processes watched over a result queue
-  and per-worker heartbeats: dead workers are detected and replaced, jobs
+  and ``is_alive()`` polling: dead workers are detected and replaced, jobs
   in flight on them are retried or quarantined, and in-flight work is
   bounded at one job per worker (no poisoned ``imap`` iterator, no
   unbounded task backlog).
@@ -43,7 +43,6 @@ import multiprocessing
 import os
 import queue as queue_module
 import socket
-import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -296,13 +295,7 @@ class RunnerFaultPlan:
 # ---------------------------------------------------------------------- #
 # Worker side
 # ---------------------------------------------------------------------- #
-def _worker_main(
-    worker_id: int,
-    tasks,
-    results,
-    heartbeat,
-    heartbeat_interval: float,
-) -> None:
+def _worker_main(worker_id: int, tasks, results) -> None:
     """Worker process body: execute tasks one at a time, forever.
 
     Protocol on the shared result queue (all payloads plain picklables):
@@ -314,50 +307,34 @@ def _worker_main(
       traceback_text, wall_seconds)`` — the job raised; the exception is
       flattened to strings so unpicklable exception objects can never
       poison the queue.
-
-    A daemon thread stamps ``heartbeat`` (a shared double) with
-    ``time.time()`` every ``heartbeat_interval`` seconds, giving the
-    supervisor a liveness signal that survives the main thread being
-    busy in a long engine run.
     """
-    heartbeat.value = time.time()
-    stop_beating = threading.Event()
-
-    def _beat() -> None:
-        while not stop_beating.wait(heartbeat_interval):
-            heartbeat.value = time.time()
-
-    threading.Thread(target=_beat, daemon=True).start()
-    try:
-        while True:
-            task = tasks.get()
-            if task is None:
-                return
-            job, attempt, fault = task
-            results.put(("started", worker_id, job.job_id, attempt))
-            started = time.perf_counter()
-            try:
-                if fault is not None:
-                    fault.trigger()
-                result = execute_job(job)
-            except Exception as exc:
-                results.put(
-                    (
-                        "error",
-                        worker_id,
-                        job.job_id,
-                        attempt,
-                        type(exc).__name__,
-                        str(exc),
-                        traceback_module.format_exc(),
-                        time.perf_counter() - started,
-                    )
+    while True:
+        task = tasks.get()
+        if task is None:
+            return
+        job, attempt, fault = task
+        results.put(("started", worker_id, job.job_id, attempt))
+        started = time.perf_counter()
+        try:
+            if fault is not None:
+                fault.trigger()
+            result = execute_job(job)
+        except Exception as exc:
+            results.put(
+                (
+                    "error",
+                    worker_id,
+                    job.job_id,
+                    attempt,
+                    type(exc).__name__,
+                    str(exc),
+                    traceback_module.format_exc(),
+                    time.perf_counter() - started,
                 )
-            else:
-                result.attempts = attempt
-                results.put(("ok", worker_id, job.job_id, attempt, result))
-    finally:
-        stop_beating.set()
+            )
+        else:
+            result.attempts = attempt
+            results.put(("ok", worker_id, job.job_id, attempt, result))
 
 
 # ---------------------------------------------------------------------- #
@@ -383,18 +360,13 @@ class _Flight:
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
-    __slots__ = ("worker_id", "process", "tasks", "heartbeat", "flight")
+    __slots__ = ("worker_id", "process", "tasks", "flight")
 
-    def __init__(self, worker_id: int, process, tasks, heartbeat) -> None:
+    def __init__(self, worker_id: int, process, tasks) -> None:
         self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
-        self.heartbeat = heartbeat
         self.flight: Optional[_Flight] = None
-
-    def heartbeat_age(self) -> float:
-        """Seconds since the worker last stamped its heartbeat."""
-        return max(0.0, time.time() - self.heartbeat.value)
 
     def discard(self) -> None:
         """Tear the worker down without waiting for it (replacement path)."""
@@ -472,9 +444,8 @@ class SupervisedPool:
     * each worker owns a one-slot task queue, so in-flight work is
       bounded at one job per worker and the supervisor always knows
       exactly which job died with which worker;
-    * a shared result queue plus per-worker heartbeats and
-      ``is_alive()`` polling detect dead workers within a supervisor
-      tick; the worker is replaced and the orphaned attempt becomes a
+    * a shared result queue plus ``is_alive()`` polling detect dead
+      workers within a supervisor tick; the worker is replaced and the orphaned attempt becomes a
       :class:`~repro.errors.WorkerCrashed` attempt error;
     * attempts exceeding ``retry.timeout_seconds`` get their worker
       killed from outside (:class:`~repro.errors.JobTimeout`), so a
@@ -494,7 +465,6 @@ class SupervisedPool:
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[RunnerFaultPlan] = None,
         start_method: Optional[str] = None,
-        heartbeat_seconds: float = 0.1,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be at least 1, got {workers}")
@@ -502,7 +472,6 @@ class SupervisedPool:
         self.retry = retry or RetryPolicy(max_attempts=1, backoff_seconds=0.0)
         self.fault_plan = fault_plan
         self.start_method = start_method
-        self.heartbeat_seconds = heartbeat_seconds
         self._context = (
             multiprocessing.get_context(start_method)
             if start_method
@@ -515,15 +484,14 @@ class SupervisedPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         tasks = self._context.Queue(1)
-        heartbeat = self._context.Value("d", 0.0)
         process = self._context.Process(
             target=_worker_main,
-            args=(worker_id, tasks, results, heartbeat, self.heartbeat_seconds),
+            args=(worker_id, tasks, results),
             daemon=True,
             name=f"repro-supervised-{worker_id}",
         )
         process.start()
-        return _Worker(worker_id, process, tasks, heartbeat)
+        return _Worker(worker_id, process, tasks)
 
     def run(self, jobs: Sequence[Job]) -> Iterator[Union[ChainResult, JobFailure]]:
         """Execute ``jobs``, yielding an outcome per job in completion order."""

@@ -6,9 +6,11 @@ import pytest
 
 from repro.analysis.experiments import (
     ExperimentRecord,
+    run_bridging_sweep,
     run_fig2_compression,
     run_fig10_expansion,
     run_lambda_sweep,
+    run_separation_experiment,
 )
 from repro.core.compression import CompressionSimulation
 from repro.errors import SerializationError
@@ -54,6 +56,26 @@ class TestExperimentHarness:
         rows = record.results["rows"]
         assert [row["lambda"] for row in rows] == [1.5, 4.0, 6.0]
         assert rows[0]["final_perimeter"] > rows[-1]["final_perimeter"]
+
+    def test_separation_experiment_rows_per_gamma_and_seed_determinism(self):
+        kwargs = dict(n=24, gammas=(0.5, 4.0), iterations=3000, replicas=2, seed=5)
+        record = run_separation_experiment(**kwargs)
+        assert record.experiment_id == "E15"
+        rows = record.results["rows"]
+        assert [row["gamma"] for row in rows] == [0.5, 4.0]
+        assert [row["replicas"] for row in rows] == [2, 2]
+        assert run_separation_experiment(**kwargs).results["rows"] == rows
+
+    def test_bridging_sweep_rows_per_gamma_and_seed_determinism(self):
+        kwargs = dict(
+            n=15, arm_length=5, iterations=3000, gammas=(1.0, 4.0), replicas=2, seed=5
+        )
+        record = run_bridging_sweep(**kwargs)
+        assert record.experiment_id == "E16"
+        rows = record.results["rows"]
+        assert [row["gamma"] for row in rows] == [1.0, 4.0]
+        assert [row["replicas"] for row in rows] == [2, 2]
+        assert run_bridging_sweep(**kwargs).results["rows"] == rows
 
 
 class TestSerialization:

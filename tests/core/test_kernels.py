@@ -27,7 +27,7 @@ from repro.core.kernels import (
     SeparationKernel,
     WeightKernel,
 )
-from repro.core.markov_chain import REJECTION_REASONS, CompressionMarkovChain
+from repro.core.markov_chain import CompressionMarkovChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.errors import AlgorithmError, ConfigurationError
 from repro.lattice.shapes import line, spiral
@@ -53,7 +53,6 @@ class TestKernelProtocol:
             assert kernel.mode in KERNEL_MODES
 
     def test_rejection_reason_sets(self):
-        assert REJECTION_REASONS == MOVEMENT_REJECTION_REASONS
         assert CompressionKernel(4.0).rejection_reasons == MOVEMENT_REJECTION_REASONS
         assert (
             SeparationKernel(4.0, 2.0, colors={(0, 0): 0}).rejection_reasons

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.fast_chain import FastCompressionChain
-from repro.core.markov_chain import REJECTION_REASONS, CompressionMarkovChain, StepResult
+from repro.core.kernels import MOVEMENT_REJECTION_REASONS
+from repro.core.markov_chain import CompressionMarkovChain, StepResult
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.shapes import line, random_connected, ring, spiral
@@ -32,7 +33,7 @@ class TestStepAccounting:
         for _ in range(500):
             result = chain.step()
             assert isinstance(result, StepResult)
-            assert result.reason in REJECTION_REASONS + ("moved",)
+            assert result.reason in MOVEMENT_REJECTION_REASONS + ("moved",)
             assert result.moved == (result.reason == "moved")
         assert chain.iterations == 500
         counts = chain.rejection_counts

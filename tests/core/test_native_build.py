@@ -39,8 +39,8 @@ def test_c_source_is_package_data():
     source = resources.files("repro.core._native").joinpath(_native.SOURCE_NAME)
     assert source.is_file()
     text = _native.source_bytes().decode()
-    for loop in ("edge", "edge_site", "edge_color"):
-        assert f"int64_t {loop}(" in text
+    for name in _native.SIGNATURES:
+        assert f"int64_t {name}(" in text
 
 
 def test_compiler_on_path_builds_and_loads(fresh_loader):

@@ -7,7 +7,6 @@ supervisor timeouts under every start method) lives in
 """
 
 import multiprocessing
-import time
 
 import pytest
 
@@ -302,24 +301,17 @@ class TestSupervisedPool:
     def test_empty_job_list_yields_nothing(self):
         assert list(SupervisedPool(workers=2).run([])) == []
 
-    def test_worker_heartbeat_advances_while_the_job_runs(self):
-        """The liveness signal must tick even while the worker is busy."""
+    def test_stalled_worker_acks_start_then_reports_ok(self):
+        """A worker busy past a stall still speaks the protocol: ``started``
+        on assignment, then ``ok`` for the first attempt."""
         ctx = multiprocessing.get_context("fork")
         tasks, results = ctx.Queue(1), ctx.Queue()
-        heartbeat = ctx.Value("d", 0.0)
-        process = ctx.Process(
-            target=_worker_main, args=(0, tasks, results, heartbeat, 0.02), daemon=True
-        )
+        process = ctx.Process(target=_worker_main, args=(0, tasks, results), daemon=True)
         process.start()
         try:
             job = small_jobs(1)[0]
             tasks.put((job, 1, FaultSpec(job.job_id, 1, "stall", seconds=0.3)))
             assert results.get(timeout=10.0)[0] == "started"
-            time.sleep(0.1)
-            first = heartbeat.value
-            assert first > 0.0
-            time.sleep(0.1)
-            assert heartbeat.value >= first
             kind, _, job_id, attempt, result = results.get(timeout=10.0)
             assert (kind, job_id, attempt) == ("ok", job.job_id, 1)
             assert result.attempts == 1
