@@ -10,7 +10,10 @@ numbers, giving the project a tracked perf trajectory instead of folklore.
 
 The format is deliberately trivial — one JSON object, one entry per
 benchmark, plus a ``_meta`` block — so any later tooling (plots,
-regression gates) can consume it without a schema migration.
+regression gates) can consume it without a schema migration.  ``_meta``
+records where the last write came from (:func:`provenance`): the git
+commit and whether the tree was dirty, the core count, the load average
+and the python, numpy and platform versions.
 
 The ledger also defends itself: overwriting an entry with a throughput
 number (any ``*_per_second`` or ``*it_per_s*`` field, or a ``speedup``
@@ -29,9 +32,12 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
+
+import numpy
 
 RESULTS_PATH = Path(__file__).parent / "BENCH_chain.json"
 
@@ -95,6 +101,37 @@ def _load(path: Path) -> Dict[str, Any]:
     return {}
 
 
+def _git(*args: str) -> Optional[str]:
+    """The output of a git command in this checkout, or ``None`` outside one."""
+    try:
+        result = subprocess.run(
+            ["git", *args],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return result.stdout.strip()
+
+
+def provenance() -> Dict[str, Any]:
+    """The ``_meta`` block: what machine and code a ledger write measured."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "git_sha": _git("rev-parse", "HEAD"),
+        # Ledgers are usually written before the change they measure is
+        # committed: then the sha is its parent's and the tree is dirty.
+        "git_dirty": None if status is None else bool(status),
+        "cpu_count": os.cpu_count(),
+        "loadavg": list(os.getloadavg()) if hasattr(os, "getloadavg") else None,
+        "numpy": numpy.__version__,
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+    }
+
+
 def record(
     name: str,
     path: Optional[Union[str, Path]] = None,
@@ -154,10 +191,7 @@ def record(
                 f">{REGRESSION_TOLERANCE:.0%} throughput regression ({detail}); pass "
                 f"force=True (or --force) if the regression is intentional"
             )
-    data["_meta"] = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-    }
+    data["_meta"] = provenance()
     data[name] = dict(fields)
     with target.open("w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)

@@ -10,21 +10,28 @@ the fast engine must hold at least a 10x advantage
 (``test_fast_engine_speedup_at_n1000``), while the differential harness
 (``tests/core/test_fast_chain_equivalence.py``) guarantees the two
 engines produce identical seeded trajectories — speed, not semantics.
+
+``test_tape_refill_speedup_n200467`` gates the compiled draw-tape fill at
+2x the numpy calls it replaces (``tests/test_native_tape.py`` pins that
+the two draw the same stream).
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import _emit
 from _starts import compact_disc
 from repro.amoebot.system import AmoebotSystem
+from repro.core import _native
 from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
 from repro.core.markov_chain import CompressionMarkovChain
 from repro.core.moves import enumerate_valid_moves
 from repro.lattice.shapes import line, random_connected, spiral
+from repro.rng import BatchedMoveDraws
 
 
 def _iterations_per_second(benchmark, iterations: int) -> float:
@@ -96,6 +103,55 @@ def test_fast_engine_speedup_at_n1000():
     assert speedup >= 10.0, (
         f"fast engine is only {speedup:.1f}x the reference at n=1000 "
         f"({fast_rate:.0f} vs {reference_rate:.0f} iterations/sec)"
+    )
+
+
+def test_tape_refill_speedup_n200467():
+    """Gate: the compiled tape fill is >= 2x numpy's calls at n=200,467.
+
+    One refill is the run loop's prefetch, 16 blocks of 1024 positions;
+    numpy draws the same stream with three calls per block on an
+    equally seeded generator.  Rounds interleave the two; each side's
+    best round is its ns per tape position."""
+    n, block, blocks, refills = 200_467, 1024, 16, 20
+    if _native.load_library() is None:
+        pytest.skip("chain_loops.c did not build: no compiled tape to time")
+    tape = BatchedMoveDraws(np.random.default_rng(0), n=n, block=block)
+    twin = np.random.default_rng(0)
+    assert tape._fill is not None
+
+    def compiled():
+        for _ in range(refills):
+            tape.refill(blocks=blocks)
+
+    def numpy_calls():
+        for _ in range(refills * blocks):
+            twin.integers(0, n, size=block)
+            twin.integers(0, 6, size=block)
+            twin.random(block)
+
+    positions = refills * blocks * block
+    rounds = {compiled: [], numpy_calls: []}
+    for _ in range(7):
+        for fill, times in rounds.items():
+            started = time.perf_counter()
+            fill()
+            times.append(time.perf_counter() - started)
+    compiled_ns, numpy_ns = (1e9 * min(times) / positions for times in rounds.values())
+    speedup = numpy_ns / compiled_ns
+    _emit.record(
+        "tape_refill_n200467",
+        n=n,
+        block=block,
+        blocks=blocks,
+        rounds=len(rounds[compiled]),
+        compiled_ns_per_it=compiled_ns,
+        numpy_ns_per_it=numpy_ns,
+        speedup=speedup,
+    )
+    assert speedup >= 2.0, (
+        f"the compiled tape fill is only {speedup:.2f}x numpy's calls at n={n} "
+        f"({compiled_ns:.1f} vs {numpy_ns:.1f} ns per position)"
     )
 
 

@@ -84,13 +84,20 @@ def test_vector_engine_speedup_at_n1000(python_loops):
 def test_vector_advantage_grows_with_n(python_loops):
     """The compiled loops' lead must not fade at scale: their advantage
     over the Python loops at n=20000 must exceed their advantage at
-    n=1000."""
+    n=1000.  Each n's advantage is the best of five interleaved
+    (Python, compiled) rounds, as in the n=1000 gate above."""
     python_engine = python_loops(FastCompressionChain)
-    small = _measured_rate(VectorCompressionChain, 1000) / _measured_rate(python_engine, 1000)
-    large = _measured_rate(VectorCompressionChain, 20000) / _measured_rate(python_engine, 20000)
+    rounds = 5
+    ratios = {1000: [], 20000: []}
+    for _ in range(rounds):
+        for n, ratios_at_n in ratios.items():
+            python_rate = _measured_rate(python_engine, n)
+            ratios_at_n.append(_measured_rate(VectorCompressionChain, n) / python_rate)
+    small, large = (max(ratios_at_n) for ratios_at_n in ratios.values())
     _emit.record(
         "vector_scaling_advantage",
         speedup_n1000=small,
         speedup_n20000=large,
+        rounds=rounds,
     )
     assert large > small

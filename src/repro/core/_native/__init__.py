@@ -1,8 +1,12 @@
 """Build, cache and load the compiled chain loop (``chain_loops.c``).
 
-The library exports two functions, the keys of :data:`SIGNATURES`:
-``run_chain``, the run loop of every kernel mode, and ``flood``, the
-breadth-first search behind the engine's start invariants.
+The library exports three functions, the keys of :data:`SIGNATURES`:
+``run_chain``, the run loop of every kernel mode; ``flood``, the
+breadth-first search behind the engine's start invariants; and
+``fill_tape``, which draws the blocks of a :class:`repro.rng.BatchedMoveDraws`
+or :class:`repro.rng.BatchedActivationDraws` tape through the generator's
+``bitgen_t`` with numpy's own algorithms, so the tape is the one numpy
+would have drawn.
 
 :func:`load_library` compiles ``chain_loops.c`` with the system C
 compiler on first use, caches the shared object under
@@ -18,7 +22,8 @@ When the cache directory is not writable the build goes to a fresh
 ``tempfile.mkdtemp()`` directory instead, which is removed once the
 library is loaded.  When no compiler is found or the build fails,
 :func:`load_library` logs one WARNING and returns ``None``; the engine
-then runs its Python loop, with identical results.
+then runs its Python loop, and the tapes draw through numpy, with
+identical results.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ COMPILERS = ("cc", "gcc", "clang")
 
 #: What the fallback WARNING says happens next.
 FALLBACK_NOTE = (
-    "engine='fast' and engine='vector' run the Python loop "
-    "(same results, ~5-20x slower)"
+    "engine='fast' and engine='vector' run the Python loop and the draw "
+    "tapes are filled by numpy (same results, ~5-20x slower)"
 )
 
 
@@ -77,6 +82,7 @@ _I = ctypes.c_int64
 SIGNATURES = {
     "run_chain": (_I, _I, _P, _P, _P, _P, _P, _P, _P, _P, ctypes.c_double, _P),
     "flood": (_P, _I, _I, _I, _I, _P, _P),
+    "fill_tape": (_P, _I, _I, _I, _I, _P, _P, _P, _P),
 }
 
 

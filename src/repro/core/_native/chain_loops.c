@@ -1,4 +1,4 @@
-/* Sequential Algorithm M loop for the vector engine.
+/* Sequential Algorithm M loop for the vector engine, and the draw tape it reads.
  *
  * `run_chain` is a statement-for-statement port of
  * FastCompressionChain._run_python (repro/core/fast_chain.py), the one
@@ -11,6 +11,14 @@
  * A second function, `flood`, is the breadth-first search behind
  * repro.core.fast_chain.start_invariants: connectivity and holes of a
  * start configuration, read off its occupancy plane.
+ *
+ * A third, `fill_tape`, draws the blocks of a repro.rng.BatchedMoveDraws
+ * (or BatchedActivationDraws) tape straight from the numpy generator's
+ * `bitgen_t`, the C interface numpy documents for extending
+ * numpy.random.  It makes numpy's own calls in numpy's own order, with
+ * numpy's bounded-integer algorithm, so the tape and the generator state
+ * after it are the ones `Generator.integers` and `Generator.random`
+ * would have produced.
  *
  * The loop reads the same BatchedMoveDraws arrays, the same 256-entry
  * move tables and the same acceptance floats as the Python loop, and
@@ -285,4 +293,78 @@ int64_t flood(
         }
     }
     return tail;
+}
+
+/* Mirror of `bitgen_t` in numpy's random/bitgen.h: the generator state and
+ * its draw functions, as `Generator.bit_generator.ctypes.bit_generator`
+ * points to it. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+
+/* numpy's buffered_bounded_lemire_uint32: an integer uniform on [0, rng]
+ * by Lemire's multiply-and-reject method, for 0 < rng < 0xFFFFFFFF. */
+static inline uint32_t bounded_lemire_uint32(bitgen_t *bitgen, uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* `Generator.integers(0, rng + 1, size=count)` for rng <= 0xFFFFFFFF: the
+ * 32-bit branch of numpy's random_bounded_uint64_fill.  A range of one
+ * value draws nothing; the full 32-bit range takes next_uint32 as is. */
+static void fill_bounded(bitgen_t *bitgen, uint32_t rng, int64_t count, int64_t *out)
+{
+    if (rng == 0) {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = 0;
+    } else if (rng == UINT32_MAX) {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = bitgen->next_uint32(bitgen->state);
+    } else {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = bounded_lemire_uint32(bitgen, rng);
+    }
+}
+
+/* `Generator.random(count)`. */
+static void fill_uniform(bitgen_t *bitgen, int64_t count, double *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = bitgen->next_double(bitgen->state);
+}
+
+/* Draw `blocks` blocks of `block` tape positions and return how many
+ * positions were filled.  Per block, in the order of
+ * BatchedMoveDraws.refill: `block` particle indices on [0, n), `block`
+ * directions on [0, 6), `block` uniforms, and with lanes == 2 `block`
+ * lane-2 uniforms.  `indices` is NULL for the activation tape, which
+ * draws no indices (n is then ignored).  The caller keeps 1 <= n <= 2^32
+ * and holds the generator's lock. */
+int64_t fill_tape(
+    bitgen_t *bitgen, int64_t n, int64_t block, int64_t blocks, int64_t lanes,
+    int64_t *indices, int64_t *directions, double *uniforms, double *uniforms2)
+{
+    for (int64_t at = 0; at < blocks * block; at += block) {
+        if (indices)
+            fill_bounded(bitgen, (uint32_t)(n - 1), block, indices + at);
+        fill_bounded(bitgen, 5, block, directions + at);
+        fill_uniform(bitgen, block, uniforms + at);
+        if (lanes == 2)
+            fill_uniform(bitgen, block, uniforms2 + at);
+    }
+    return blocks * block;
 }

@@ -60,7 +60,11 @@ move tables, the same acceptance floats, the same
 counters.  ``run()`` refills the tape with
 ``BatchedMoveDraws.refill(blocks=k)`` — which invokes the generator
 exactly as ``k`` single-block refills would, so the random stream is
-unchanged — and makes one C call per tape span.  The loop stops right
+unchanged — and makes one C call per tape span.  The refill is a C call
+too: ``fill_tape`` in ``chain_loops.c`` draws the ``k`` blocks through
+the generator's ``bitgen_t`` with numpy's own algorithms, into lanes the
+tape reuses from refill to refill, so the loop reads the tape numpy
+would have drawn (``tests/test_native_tape.py``).  The loop stops right
 after an accepted move that lands in the grid's guard band; ``run()``
 then re-centers the grid in numpy (:meth:`_reallocate`) and resumes.
 Re-centering is invisible in node space, so trajectories are unaffected.
@@ -68,11 +72,12 @@ Re-centering is invisible in node space, so trajectories are unaffected.
 The C source is compiled with the system C compiler on the first
 construction in a process and cached (:mod:`repro.core._native`).  The
 Python loop runs in two cases only: without a working compiler (after
-one logged warning; same results, several times slower), and as the
-oracle of the differential fuzz in ``tests/core/test_native_loops.py``,
-which builds an engine with :func:`repro.core._native.load_library`
-patched to return ``None``.  :meth:`step` and ``run(callback=...)``
-resolve one proposal at a time in Python on either build.
+one logged warning, with numpy filling the tape; same results, several
+times slower), and as the oracle of the differential fuzz in
+``tests/core/test_native_loops.py``, which builds an engine with
+:func:`repro.core._native.load_library` patched to return ``None``.
+:meth:`step` and ``run(callback=...)`` resolve one proposal at a time in
+Python on either build.
 
 How construction works
 ----------------------

@@ -18,6 +18,15 @@ trajectories.  The tape is stored as numpy arrays (read in place by the
 fast engine's compiled loops) with a memoized plain-list view for the
 Python loops.
 
+Both tapes are filled in C when the compiled library of
+:mod:`repro.core._native` loads: its ``fill_tape`` draws through the
+generator's ``bitgen_t`` (numpy's documented C interface for extending
+:mod:`numpy.random`) with numpy's own bounded-integer and uniform
+algorithms, in numpy's call order, so the tape and the generator state
+after each refill are bit-identical to what the ``Generator.integers``
+and ``Generator.random`` calls would give.  Without the library (no C
+compiler), and for more than ``2**32`` particles, numpy draws the tape.
+
 The distributed amoebot layer has its own instance of the same idea:
 :class:`BatchedActivationDraws` tapes one ``(direction, uniform)`` pair
 per delivered activation, and the batched
@@ -40,6 +49,7 @@ they run in the ``pytest --doctest-modules`` documentation lane (see
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -71,7 +81,16 @@ class BatchedMoveDraws:
     compression engines' committed golden traces pin this bit-for-bit.
     The draws are kept as numpy arrays — the fast engine's compiled
     loops read them in place — with a memoized plain-list view
-    (:meth:`lists`) for the per-element Python loops.
+    (:meth:`lists`) for the per-element Python loops.  A refill
+    overwrites the arrays in place and allocates new ones only when the
+    number of materialized positions changes.
+
+    The compiled ``fill_tape`` of :mod:`repro.core._native` draws the
+    refill when the library loads (resolved once, at construction) and
+    ``n <= 2**32``; it reproduces ``rng.integers(0, n, size=block)``,
+    ``rng.integers(0, 6, size=block)`` and ``rng.random(block)`` draw for
+    draw, holding the bit generator's lock as numpy does.  Otherwise those
+    numpy calls draw it.  Either way the stream is the same.
 
     The uniform of a triple is consumed even when the proposal is rejected
     before the Metropolis filter (e.g. an occupied target); this keeps the
@@ -147,6 +166,8 @@ class BatchedMoveDraws:
         "size",
         "_lists",
         "_lists2",
+        "_fill",
+        "_addresses",
     )
 
     def __init__(
@@ -174,6 +195,8 @@ class BatchedMoveDraws:
         self.size = 0
         self._lists: Optional[Tuple[List[int], List[int], List[float]]] = None
         self._lists2: Optional[List[float]] = None
+        self._addresses: Tuple[Optional[int], ...] = ()
+        self._fill = _compiled_fill(rng, n)
 
     def refill(self, blocks: int = 1) -> None:
         """Materialize the next ``blocks`` blocks, discarding any unread remainder.
@@ -184,29 +207,33 @@ class BatchedMoveDraws:
         """
         if blocks < 1:
             raise ValueError(f"blocks must be at least 1, got {blocks}")
-        rng = self._rng
-        if blocks == 1:
-            self.indices = rng.integers(0, self._n, size=self.block)
-            self.directions = rng.integers(0, 6, size=self.block)
-            self.uniforms = rng.random(self.block)
+        block = self.block
+        size = blocks * block
+        if self.indices.size != size:
+            self.indices = np.empty(size, dtype=np.int64)
+            self.directions = np.empty(size, dtype=np.int64)
+            self.uniforms = np.empty(size, dtype=np.float64)
             if self.lanes == 2:
-                self.uniforms2 = rng.random(self.block)
+                self.uniforms2 = np.empty(size, dtype=np.float64)
+            self._addresses = _addresses(
+                self.indices, self.directions, self.uniforms,
+                self.uniforms2 if self.lanes == 2 else None,
+            )
+        if self._fill is not None:
+            fill, lock = self._fill
+            with lock:
+                fill(block, blocks, self.lanes, *self._addresses)
         else:
-            index_parts, direction_parts, uniform_parts = [], [], []
-            uniform2_parts = []
-            for _ in range(blocks):
-                index_parts.append(rng.integers(0, self._n, size=self.block))
-                direction_parts.append(rng.integers(0, 6, size=self.block))
-                uniform_parts.append(rng.random(self.block))
+            rng = self._rng
+            for start in range(0, size, block):
+                stop = start + block
+                self.indices[start:stop] = rng.integers(0, self._n, size=block)
+                self.directions[start:stop] = rng.integers(0, 6, size=block)
+                rng.random(out=self.uniforms[start:stop])
                 if self.lanes == 2:
-                    uniform2_parts.append(rng.random(self.block))
-            self.indices = np.concatenate(index_parts)
-            self.directions = np.concatenate(direction_parts)
-            self.uniforms = np.concatenate(uniform_parts)
-            if self.lanes == 2:
-                self.uniforms2 = np.concatenate(uniform2_parts)
+                    rng.random(out=self.uniforms2[start:stop])
         self.cursor = 0
-        self.size = blocks * self.block
+        self.size = size
         self._lists = None
         self._lists2 = None
 
@@ -286,7 +313,9 @@ class BatchedActivationDraws:
 
     Each refill draws ``block`` direction indices followed by ``block``
     uniforms, so equally seeded tapes with equal block sizes replay the
-    same stream regardless of who consumes them.
+    same stream regardless of who consumes them.  Like
+    :class:`BatchedMoveDraws`, the tape is refilled in place, by the
+    compiled ``fill_tape`` when the library loads and by numpy otherwise.
 
     Examples
     --------
@@ -300,23 +329,34 @@ class BatchedActivationDraws:
     True
     """
 
-    __slots__ = ("_rng", "block", "directions", "uniforms", "cursor", "size", "_lists")
+    __slots__ = (
+        "_rng", "block", "directions", "uniforms", "cursor", "size", "_lists",
+        "_fill", "_addresses",
+    )
 
     def __init__(self, rng: np.random.Generator, block: int = DEFAULT_ACTIVATION_BLOCK) -> None:
         if block <= 0:
             raise ValueError(f"block size must be positive, got {block}")
         self._rng = rng
         self.block = block
-        self.directions: np.ndarray = np.empty(0, dtype=np.int64)
-        self.uniforms: np.ndarray = np.empty(0, dtype=np.float64)
+        self.directions = np.empty(block, dtype=np.int64)
+        self.uniforms = np.empty(block, dtype=np.float64)
         self.cursor = 0
         self.size = 0
         self._lists: Optional[Tuple[List[int], List[float]]] = None
+        # No index lane: the compiled fill draws directions and uniforms only.
+        self._addresses = _addresses(None, self.directions, self.uniforms, None)
+        self._fill = _compiled_fill(rng, 6)
 
     def refill(self) -> None:
         """Materialize the next block, discarding any unread remainder."""
-        self.directions = self._rng.integers(0, 6, size=self.block)
-        self.uniforms = self._rng.random(self.block)
+        if self._fill is not None:
+            fill, lock = self._fill
+            with lock:
+                fill(self.block, 1, 1, *self._addresses)
+        else:
+            self.directions[:] = self._rng.integers(0, 6, size=self.block)
+            self._rng.random(out=self.uniforms)
         self.cursor = 0
         self.size = self.block
         self._lists = None
@@ -335,6 +375,33 @@ class BatchedActivationDraws:
         cursor = self.cursor
         self.cursor = cursor + 1
         return directions[cursor], uniforms[cursor]
+
+
+def _compiled_fill(rng: np.random.Generator, n: int):
+    """``(fill, lock)`` for a tape over ``n`` particles, or ``None``.
+
+    ``fill(block, blocks, lanes, indices, directions, uniforms,
+    uniforms2)`` is the compiled ``fill_tape`` bound to ``rng``'s
+    ``bitgen_t`` and to ``n``; ``lock`` is the bit generator's lock, held
+    around each call as numpy holds it (ctypes releases the GIL for the
+    call).  ``None`` when the library did not load, or when ``n > 2**32``
+    needs numpy's 64-bit bounded-integer path, which the C side does not
+    carry.
+    """
+    # Imported here: repro.core imports this module.
+    from repro.core import _native
+
+    library = _native.load_library()
+    if library is None or n > 2**32:
+        return None
+    bit_generator = rng.bit_generator
+    bitgen = bit_generator.ctypes.bit_generator.value
+    return functools.partial(library.fill_tape, bitgen, n), bit_generator.lock
+
+
+def _addresses(*lanes: Optional[np.ndarray]) -> Tuple[Optional[int], ...]:
+    """The data addresses of tape lanes, ``None`` (NULL) for a lane not drawn."""
+    return tuple(None if lane is None else lane.ctypes.data for lane in lanes)
 
 
 def make_rng(seed: RandomState = None) -> np.random.Generator:

@@ -8,9 +8,11 @@ one more than 30% worse (the way ``engine_speedup_n1000`` once drifted
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 
 _EMIT_PATH = Path(__file__).parent.parent / "benchmarks" / "_emit.py"
@@ -37,6 +39,24 @@ def test_record_creates_and_merges_entries(emit, tmp_path):
     assert data["alpha"] == {"n": 10, "iterations_per_second": 100.0}
     assert data["beta"] == {"n": 20, "speedup": 3.0}
     assert "_meta" in data
+
+
+def test_meta_records_provenance(emit, tmp_path):
+    """Every write stamps the ledger with the commit and its dirty flag,
+    the machine's core count and load, and the python, numpy and platform
+    versions."""
+    ledger = tmp_path / "BENCH_test.json"
+    emit.record("alpha", path=ledger, n=10)
+    meta = read_ledger(ledger)["_meta"]
+    assert set(meta) == {
+        "git_sha", "git_dirty", "cpu_count", "loadavg", "numpy", "python", "platform",
+    }
+    assert meta["cpu_count"] == os.cpu_count()
+    assert meta["numpy"] == numpy.__version__
+    assert meta["python"] == sys.version.split()[0]
+    assert meta["git_sha"] is None or len(meta["git_sha"]) == 40
+    assert meta["git_dirty"] in (None, True, False)
+    assert meta["loadavg"] is None or len(meta["loadavg"]) == 3
 
 
 def test_small_regressions_and_improvements_pass(emit, tmp_path):

@@ -208,6 +208,7 @@ class TestLargeMultiblockRefill:
         tape.refill(blocks=blocks)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        # Concatenation needs the per-block parts plus the joined arrays
-        # (2x payload) transiently; 3x is the regression tripwire.
+        # A refill writes into lanes of exactly the payload's size (numpy,
+        # on the fallback, adds one block of draws at a time); 3x is the
+        # regression tripwire.
         assert peak < 3 * payload
