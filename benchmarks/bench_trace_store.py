@@ -16,12 +16,12 @@ a few rounds is the robust estimate of the sink's actual cost.  The
 cadence under test (a recorded point every 500 iterations, default
 4096-row segments) is denser than any production long run — the default
 trace cadence is ``iterations // 100`` — and the window is sized so at
-least one full segment commit (column files + manifest, all fsynced)
+least one full segment commit (segment file + manifest, both fsynced)
 lands inside the timed region.  The engine behind ``engine="fast"`` runs
 the compiled loops, so the 2.1M-iteration window lasts a few tenths of
 a second and reaches a recorded point every ~40 µs.  The writer keeps
 that hot path short: the sink buffers the trace point itself (a list
-append, no per-point dict), and a full segment's files and manifest are
+append, no per-point dict), and a full segment's file and manifest are
 written by a background thread while the engine keeps running
 (write-behind), so the commit's fsyncs overlap the chain instead of
 stalling it.  The window still holds only about one commit, so the

@@ -80,23 +80,44 @@ def batch_means(series: Sequence[float], batches: int = 10) -> Tuple[float, floa
     return float(means.mean()), float(means.std(ddof=1) / np.sqrt(batches))
 
 
+#: Index cells (resamples x sample size) drawn per chunk of the bootstrap:
+#: bounds its index matrix and the gathered values to 8 MB each at any
+#: sample size.
+_BOOTSTRAP_CHUNK_CELLS = 1 << 20
+
+
+def _check_bootstrap_args(level: float, resamples: int) -> None:
+    if not 0 < level < 1:
+        raise AnalysisError("level must lie in (0, 1)")
+    if resamples < 1:
+        raise AnalysisError(f"resamples must be at least 1, got {resamples}")
+
+
 def bootstrap_confidence_interval(
     series: Sequence[float],
     level: float = 0.95,
     resamples: int = 2000,
     seed: RandomState = None,
 ) -> Tuple[float, float]:
-    """Percentile bootstrap confidence interval for the mean of ``series``."""
+    """Percentile bootstrap confidence interval for the mean of ``series``.
+
+    The resample indices are drawn in chunks of ``rows x n`` with one
+    ``rng.integers(0, n, size=(rows, n))`` call each.  That is the stream
+    a loop of one ``rng.choice(series, size=n, replace=True)`` per
+    resample draws, so the interval, and the generator's state afterwards,
+    equal that loop's bit for bit.
+    """
     data = np.asarray(series, dtype=float)
     if data.size < 2:
         raise AnalysisError("need at least two samples")
-    if not 0 < level < 1:
-        raise AnalysisError("level must lie in (0, 1)")
+    _check_bootstrap_args(level, resamples)
     rng = make_rng(seed)
     means = np.empty(resamples)
-    for i in range(resamples):
-        sample = rng.choice(data, size=data.size, replace=True)
-        means[i] = sample.mean()
+    rows = max(1, _BOOTSTRAP_CHUNK_CELLS // data.size)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        indices = rng.integers(0, data.size, size=(stop - start, data.size))
+        means[start:stop] = data[indices].mean(axis=1)
     lower = float(np.percentile(means, 100 * (1 - level) / 2))
     upper = float(np.percentile(means, 100 * (1 + level) / 2))
     return (lower, upper)
@@ -134,6 +155,7 @@ def ensemble_summary(
     ``group``, ``count``, ``missing``, ``mean``, ``std_error``,
     ``ci_low``/``ci_high`` (``None`` where undefined).
     """
+    _check_bootstrap_args(level, resamples)
     groups = {None: table} if by is None else table.group_by(by)
     summaries: List[Dict[str, Any]] = []
     for group_key, group in groups.items():
@@ -323,9 +345,8 @@ def ensemble_summary_from_stores(
     """Summarize the final recorded ``value`` across on-disk trace stores.
 
     Runs entirely over :mod:`repro.io.trace_store` readers — only each
-    store's *final segment* of the requested column is read, so an
-    ensemble of 10^8-row traces summarizes in milliseconds without
-    materializing anything.
+    store's *final segment* is read, so an ensemble of 10^8-row traces
+    summarizes in milliseconds without materializing anything.
 
     Parameters
     ----------
@@ -448,8 +469,7 @@ def resampled_ci_from_stores(
     ``mean``, ``std_error``, ``ci_low``/``ci_high``.  Stores with no
     rows surviving the burn-in cut count as ``missing``.
     """
-    if not 0 < level < 1:
-        raise AnalysisError("level must lie in (0, 1)")
+    _check_bootstrap_args(level, resamples)
     if not 0 <= burn_in < 1:
         raise AnalysisError(f"burn_in must lie in [0, 1), got {burn_in}")
     store_means: Dict[Any, List[float]] = {}

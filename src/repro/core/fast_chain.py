@@ -142,7 +142,7 @@ COUNTERS = MOVEMENT_REJECTION_REASONS + SWAP_REJECTION_REASONS + (
     "site_delta",
     "guard_hit",
 )
-_MOVED, _SWAPPED, _EDGE_DELTA, _SITE_DELTA, _GUARD_HIT = range(7, 12)
+_GUARD_HIT = COUNTERS.index("guard_hit")
 
 #: Most draw blocks materialized per tape refill of the compiled loop.
 _MAX_PREFETCH_BLOCKS = 16
@@ -530,7 +530,6 @@ class FastCompressionChain:
         """Build the arrays the compiled loop reads through raw pointers."""
         self._mode_index = KERNEL_MODES.index(self._mode)
         self._counters = np.zeros(len(COUNTERS), dtype=np.int64)
-        self._tape_lanes = [None]
         self._move_tables = [
             np.array(table, dtype=np.uint8)
             for table in (self._nb_before, self._nb_after, self._property_ok)
@@ -813,8 +812,6 @@ class FastCompressionChain:
             counts = self._run_python(iterations)
         else:
             draws = self._draws
-            run_chain = self._library.run_chain
-            mode = self._mode_index
             counters = self._counters
             counters.fill(0)
             remaining = iterations
@@ -822,13 +819,21 @@ class FastCompressionChain:
                 if draws.cursor >= draws.size:
                     wanted = -(-remaining // draws.block)  # ceil division
                     draws.refill(blocks=min(wanted, _MAX_PREFETCH_BLOCKS))
+                if draws.indices is not self._tape:
+                    self._bind_tape()
+                run_chain, mode, indices, directions, uniforms, uniforms2, loop_args = (
+                    self._call
+                )
                 start = draws.cursor
                 offset = start * 8  # every tape lane holds 8-byte items
                 consumed = run_chain(
                     mode,
                     min(draws.size - start, remaining),
-                    *[base and base + offset for base in self._tape_bases(draws)],
-                    *self._loop_args,
+                    indices + offset,
+                    directions + offset,
+                    uniforms + offset,
+                    uniforms2 and uniforms2 + offset,
+                    *loop_args,
                 )
                 draws.cursor = start + consumed
                 remaining -= consumed
@@ -999,7 +1004,8 @@ class FastCompressionChain:
         return None
 
     def _bind_grid(self) -> None:
-        """Rebuild the arguments every ``run_chain`` call passes after the tape."""
+        """Rebuild the arguments every ``run_chain`` call passes after the
+        tape, and with them the cached call (:meth:`_bind_tape`)."""
         grid = self._grid
         self._offsets = (
             np.array(grid.direction_offsets, dtype=np.int64),
@@ -1029,40 +1035,56 @@ class FastCompressionChain:
             self._swap_probability,
             self._counters.ctypes.data,
         )
+        self._bind_tape()
 
-    def _tape_bases(self, draws) -> list:
-        """The addresses of the four tape lanes ``run_chain`` takes, checked
-        once per refill: C reads them as contiguous ``int64``/``float64``
-        arrays.  The lane-2 address is ``None`` (NULL) on one-lane tapes."""
-        if draws.indices is not self._tape_lanes[0]:
-            lanes = [draws.indices, draws.directions, draws.uniforms]
-            if self._mode == "edge_color":
-                lanes.append(draws.uniforms2)
-            for lane, dtype in zip(lanes, (np.int64, np.int64, np.float64, np.float64)):
-                if lane.dtype != dtype or not lane.flags.c_contiguous or lane.size != draws.size:
-                    raise ConfigurationError(
-                        f"draw tape lane of dtype {lane.dtype} and size {lane.size} "
-                        f"cannot be read as a contiguous {np.dtype(dtype)} array of "
-                        f"size {draws.size}"
-                    )
-            self._tape_lanes = lanes
-            self._tape_addresses = [lane.ctypes.data for lane in lanes]
-            self._tape_addresses += [None] * (4 - len(lanes))
-        return self._tape_addresses
+    def _bind_tape(self) -> None:
+        """Cache ``run_chain`` and its arguments but the iteration count:
+        the base addresses of the four tape lanes, which a call offsets by
+        the tape cursor, then :attr:`_loop_args`.  Rebuilt per grid bind
+        and whenever the tape reallocates its lanes.
+
+        C reads the lanes as contiguous ``int64``/``float64`` arrays; the
+        lane-2 address is ``None`` (NULL) on one-lane tapes.
+        """
+        draws = self._draws
+        lanes = [draws.indices, draws.directions, draws.uniforms]
+        if self._mode == "edge_color":
+            lanes.append(draws.uniforms2)
+        for lane, dtype in zip(lanes, (np.int64, np.int64, np.float64, np.float64)):
+            if lane.dtype != dtype or not lane.flags.c_contiguous or lane.size != draws.size:
+                raise ConfigurationError(
+                    f"draw tape lane of dtype {lane.dtype} and size {lane.size} "
+                    f"cannot be read as a contiguous {np.dtype(dtype)} array of "
+                    f"size {draws.size}"
+                )
+        addresses = [lane.ctypes.data for lane in lanes] + [None] * (4 - len(lanes))
+        self._tape = draws.indices
+        self._call = (
+            self._library.run_chain, self._mode_index, *addresses, self._loop_args
+        )
 
     def _flush(self, counts) -> None:
         """Add one ``run()``'s counts, in :data:`COUNTERS` order, to the
         engine's counters."""
+        (
+            occupied, five, failed, metropolis, swap_empty, swap_same, swap_rejected,
+            moved, swapped, edge_delta, site_delta, _,
+        ) = counts
         rejections = self._rejections
-        for reason, count in zip(COUNTERS, counts):
-            if reason in rejections:
-                rejections[reason] += count
-        self._edge_count += counts[_EDGE_DELTA]
-        self._accepted += counts[_MOVED]
-        self._accepted_swaps += counts[_SWAPPED]
-        if self._mode == "edge_site":
-            self._site_count += counts[_SITE_DELTA]
-        if counts[_MOVED]:
+        rejections["target_occupied"] += occupied
+        rejections["five_neighbors"] += five
+        rejections["property_failed"] += failed
+        rejections["metropolis_rejected"] += metropolis
+        if self._mode == "edge_color":
+            rejections["swap_target_empty"] += swap_empty
+            rejections["swap_same_color"] += swap_same
+            rejections["swap_rejected"] += swap_rejected
+        elif self._mode == "edge_site":
+            self._site_count += site_delta
+        self._edge_count += edge_delta
+        self._accepted += moved
+        self._accepted_swaps += swapped
+        if moved:
             self._configuration_cache = None
 
     def _reallocate(self) -> None:

@@ -4,18 +4,21 @@ The in-memory :class:`~repro.core.compression.CompressionTrace` and the
 whole-document JSON archives in :mod:`repro.io.serialization` are fine for
 the paper's 10^3-step figures; week-long 10^8-iteration runs need a trace
 layer that streams.  This module provides it with zero dependencies beyond
-numpy: one **directory per trace**, holding fixed-size ``.npy`` segment
-files per column plus a tiny JSON manifest.
+numpy: one **directory per trace**, holding one ``.npy`` file per
+fixed-size segment plus a tiny JSON manifest.
 
-Layout of a store directory::
+Layout of a store directory (format version 2)::
 
     trace-dir/
-        manifest.json             <- the commit record, replaced atomically
-        seg-00000.iteration.npy   <- segment 0, one file per column
-        seg-00000.perimeter.npy
+        manifest.json     <- the commit record, replaced atomically
+        seg-00000.npy     <- segment 0: a packed structured array, one
+        seg-00001.npy        field per column, in schema order
         ...
-        seg-00001.iteration.npy
-        ...
+
+Format version 1 wrote one ``seg-NNNNN.<column>.npy`` file per column of
+each segment.  The writer emits only version 2; :class:`TraceStoreReader`
+still reads version 1, so stores already on disk (and the checkpoints that
+reference them) stay usable.
 
 The crash-recovery contract
 ---------------------------
@@ -25,14 +28,17 @@ first (through the module-level :func:`_file_write` choke point, in
 tests kill a writer after exactly *k* bytes of segment *i*), is fsynced,
 and lands under its final name via ``os.replace``.  A segment becomes
 visible to readers only when a **manifest listing it** has been renamed
-into place, and the manifest is always written *after* the segment files
+into place, and the manifest is always written *after* the segment file
 it references.  Killing the writer at any byte of any file therefore
 leaves one of two states:
 
-* the old manifest — the half-written segment's files (or their ``.tmp``
-  precursors) exist on disk but are unreferenced, and readers ignore them;
+* the old manifest — the half-written segment file (or its ``.tmp``
+  precursor) exists on disk but is unreferenced, and readers ignore it;
 * the new manifest — every listed segment was durably and completely
   written before the manifest rename could happen.
+
+A short trace costs three fsyncs: the empty manifest committed at open,
+its one segment, and the closing manifest.
 
 Either way a :class:`TraceStoreReader` recovers **exactly** the committed
 segments: never a partial row, and never fewer rows than the last
@@ -75,15 +81,20 @@ from repro.errors import ConfigurationError, SerializationError
 
 PathLike = Union[str, Path]
 
-#: Format version embedded in every manifest.
-STORE_FORMAT_VERSION = 1
+#: Format version the writer embeds in every manifest: one file per
+#: segment.  The reader also accepts version 1 (one file per column of each
+#: segment).
+STORE_FORMAT_VERSION = 2
+
+#: Every format version :class:`TraceStoreReader` reads.
+READABLE_FORMAT_VERSIONS = (1, 2)
 
 #: Manifest document kind.
 STORE_KIND = "trace_store"
 
 #: Default rows per segment: small enough that a crash loses little, large
-#: enough that per-segment overhead (one file per column, one manifest
-#: rewrite) amortizes to nothing against the engines' throughput.
+#: enough that per-segment overhead (one segment file and one manifest
+#: rewrite, two fsyncs) amortizes to nothing against the engines' throughput.
 DEFAULT_ROWS_PER_SEGMENT = 4096
 
 #: The columnar schema of a standard compression trace — one column per
@@ -155,8 +166,18 @@ def _npy_bytes(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
-def _segment_file(index: int, column: str) -> str:
+def _segment_file(index: int) -> str:
+    return f"seg-{index:05d}.npy"
+
+
+def _column_file(index: int, column: str) -> str:
+    """A version-1 segment's file of one column."""
     return f"seg-{index:05d}.{column}.npy"
+
+
+def _record_dtype(columns: Sequence[Tuple[str, str]]) -> np.dtype:
+    """The packed structured dtype of a version-2 segment file."""
+    return np.dtype([(name, dtype) for name, dtype in columns])
 
 
 def _normalize_columns(columns: Sequence[Sequence[str]]) -> Tuple[Tuple[str, str], ...]:
@@ -230,6 +251,7 @@ class TraceStoreWriter:
         #: lists in column order, which a flush transposes.
         self._rows: List[Any] = []
         self._standard = self.columns == TRACE_COLUMNS
+        self._segment_dtype = _record_dtype(self.columns)
         self._segment_rows: List[int] = []
         self._committed_rows = 0
         #: The background commit of the last automatic flush, if one is
@@ -293,9 +315,9 @@ class TraceStoreWriter:
     def flush(self) -> None:
         """Persist buffered rows as one segment and commit the manifest.
 
-        Order is the whole contract: every column file of the new segment
-        is atomically renamed into place (and fsynced) *before* the
-        manifest that references it — so a crash at any byte leaves the
+        Order is the whole contract: the new segment's file is atomically
+        renamed into place (and fsynced) *before* the manifest that
+        references it — so a crash at any byte leaves the
         previous manifest, and with it a store of exactly the previously
         committed rows.  A flush with an empty buffer is a no-op.
 
@@ -341,7 +363,7 @@ class TraceStoreWriter:
         rows = len(self._rows)
         if rows == 0 and not complete:
             return
-        files = self._segment_files() if rows else []
+        files = [self._next_segment()] if rows else []
         files.append(self._manifest_file(complete))
         if background:
             self._commit_thread = threading.Thread(
@@ -375,23 +397,22 @@ class TraceStoreWriter:
             _write_atomic(path, data)
         self._committed_rows += rows
 
-    def _segment_files(self) -> List[Tuple[Path, bytes]]:
-        """Turn the buffered rows into the next segment's column files
-        (path and ``.npy`` bytes each) and empty the buffer."""
+    def _next_segment(self) -> Tuple[Path, bytes]:
+        """Turn the buffered rows into the next segment's file (path and
+        ``.npy`` bytes of one structured array) and empty the buffer."""
         rows = len(self._rows)
         index = len(self._segment_rows)
-        files = []
+        records = np.empty(rows, dtype=self._segment_dtype)
         for (name, dtype), values in zip(self.columns, self._column_values()):
             try:
-                array = np.fromiter(values, dtype=dtype, count=rows)
+                records[name] = np.fromiter(values, dtype=dtype, count=rows)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SerializationError(
                     f"column {name!r} holds a value that is not a {dtype} scalar: {exc}"
                 ) from None
-            files.append((self.directory / _segment_file(index, name), _npy_bytes(array)))
         self._segment_rows.append(rows)
         self._rows = []
-        return files
+        return self.directory / _segment_file(index), _npy_bytes(records)
 
     def _column_values(self) -> Iterator[Iterable[Any]]:
         """Each column's buffered values, in schema order."""
@@ -443,10 +464,11 @@ class TraceStoreReader:
 
     Safe to open while a writer is still running (or after one crashed):
     only manifest-listed segments are touched, and each is validated
-    against its declared dtype and row count on load — a listed segment
+    against its declared dtypes and row count on load — a listed segment
     that fails to load signals genuine corruption and raises
     :class:`~repro.errors.SerializationError`; unlisted remnants of a
-    crashed flush are silently invisible.
+    crashed flush are silently invisible.  Both format versions of
+    :data:`READABLE_FORMAT_VERSIONS` are read; any other is refused.
     """
 
     def __init__(self, directory: PathLike) -> None:
@@ -460,6 +482,12 @@ class TraceStoreReader:
             raise SerializationError(
                 f"{path} is not a trace store manifest "
                 f"(kind={manifest.get('kind')!r} if it parsed at all)"
+            )
+        self.format_version = manifest.get("format_version")
+        if self.format_version not in READABLE_FORMAT_VERSIONS:
+            raise SerializationError(
+                f"trace store manifest {path} has format_version "
+                f"{self.format_version!r}; this reader reads {READABLE_FORMAT_VERSIONS}"
             )
         try:
             self.columns = _normalize_columns(manifest["columns"])
@@ -493,16 +521,39 @@ class TraceStoreReader:
     # ------------------------------------------------------------------ #
     def segment_column(self, index: int, name: str) -> np.ndarray:
         """Load and validate one column of one committed segment."""
+        self._check_segment_index(index)
+        dtype = dict(self.columns).get(name)
+        if dtype is None:
+            raise SerializationError(f"unknown column {name!r}; store has {self.column_names}")
+        if self.format_version == 1:
+            return self._load(index, _column_file(index, name), np.dtype(dtype))
+        return np.ascontiguousarray(self._load_records(index)[name])
+
+    def segment(self, index: int) -> Dict[str, np.ndarray]:
+        """Load one committed segment as a dict of column arrays."""
+        if self.format_version == 1:
+            return {name: self.segment_column(index, name) for name, _ in self.columns}
+        self._check_segment_index(index)
+        records = self._load_records(index)
+        return {name: np.ascontiguousarray(records[name]) for name, _ in self.columns}
+
+    def _check_segment_index(self, index: int) -> None:
         if not 0 <= index < len(self.segments):
             raise SerializationError(
                 f"segment {index} out of range (store has {len(self.segments)})"
             )
-        dtype = dict(self.columns).get(name)
-        if dtype is None:
-            raise SerializationError(f"unknown column {name!r}; store has {self.column_names}")
-        path = self.directory / _segment_file(index, name)
+
+    def _load_records(self, index: int) -> np.ndarray:
+        """A version-2 segment: its one file, as a structured array."""
+        return self._load(index, _segment_file(index), _record_dtype(self.columns))
+
+    def _load(self, index: int, name: str, dtype: np.dtype) -> np.ndarray:
+        """Load one ``.npy`` file of segment ``index`` and check it holds
+        exactly the committed rows, as a 1-D array of ``dtype``."""
+        path = self.directory / name
         try:
-            array = np.load(path, allow_pickle=False)
+            with open(path, "rb") as handle:
+                array = np.lib.format.read_array(handle, allow_pickle=False)
         except (OSError, ValueError) as exc:
             raise SerializationError(
                 f"committed segment file {path} is missing or corrupt: {exc}"
@@ -512,15 +563,11 @@ class TraceStoreReader:
                 f"segment file {path} holds {array.shape} values; manifest "
                 f"committed {self.segments[index]} rows"
             )
-        if array.dtype.str != dtype:
+        if array.dtype != dtype:
             raise SerializationError(
-                f"segment file {path} has dtype {array.dtype.str}, manifest says {dtype}"
+                f"segment file {path} has dtype {array.dtype}, manifest says {dtype}"
             )
         return array
-
-    def segment(self, index: int) -> Dict[str, np.ndarray]:
-        """Load one committed segment as a dict of column arrays."""
-        return {name: self.segment_column(index, name) for name, _ in self.columns}
 
     def iter_segments(self) -> Iterator[Dict[str, np.ndarray]]:
         """Stream committed segments in order — the bounded-memory access path."""
@@ -550,11 +597,8 @@ class TraceStoreReader:
         """The last committed row, reading only the final segment."""
         if not self.segments:
             raise SerializationError(f"trace store {self.directory} has no rows")
-        last = len(self.segments) - 1
-        return {
-            name: self.segment_column(last, name)[-1].item()
-            for name in self.column_names
-        }
+        segment = self.segment(len(self.segments) - 1)
+        return {name: array[-1].item() for name, array in segment.items()}
 
     # ------------------------------------------------------------------ #
     # Trace interop

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core import _native
+from repro.io.trace_store import TraceStoreReader
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.shapes import hexagon, line, random_connected, ring, spiral, staircase
 
@@ -100,6 +104,28 @@ def native_build(request, monkeypatch):
     if path is not None:
         library = _native.open_library(path)
         monkeypatch.setattr(_native, "load_library", lambda: library)
+
+
+@pytest.fixture
+def rewrite_as_v1():
+    """``rewrite_as_v1(directory)`` turns a committed trace store into its
+    format-version-1 layout, the one stores written before version 2 have
+    on disk: one ``seg-NNNNN.<column>.npy`` file per column of each
+    segment, and a manifest saying ``format_version: 1``.
+    """
+
+    def rewrite(directory):
+        directory = Path(directory)
+        reader = TraceStoreReader(directory)
+        for index in range(reader.num_segments):
+            for name, column in reader.segment(index).items():
+                np.save(directory / f"seg-{index:05d}.{name}.npy", column, allow_pickle=False)
+            (directory / f"seg-{index:05d}.npy").unlink()
+        manifest = dict(reader.manifest, format_version=1)
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        return directory
+
+    return rewrite
 
 
 def pytest_addoption(parser):

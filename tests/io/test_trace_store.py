@@ -56,10 +56,13 @@ def test_write_read_trace_round_trip(tmp_path):
     assert loaded == trace
 
 
-def test_multi_segment_layout(tmp_path):
+def test_multi_segment_layout(tmp_path, rewrite_as_v1):
+    """Format version 1: one file per column of each segment."""
     trace = make_trace(10)
     write_trace(trace, tmp_path / "store", rows_per_segment=3)
+    rewrite_as_v1(tmp_path / "store")
     reader = TraceStoreReader(tmp_path / "store")
+    assert reader.format_version == 1
     assert reader.segments == [3, 3, 3, 1]
     assert reader.num_segments == 4
     assert reader.num_rows == 10
@@ -68,6 +71,36 @@ def test_multi_segment_layout(tmp_path):
     files = sorted(p.name for p in (tmp_path / "store").glob("seg-*.npy"))
     assert len(files) == 4 * len(TRACE_COLUMNS)
     assert not list((tmp_path / "store").glob("*.tmp"))
+    assert reader.read_trace() == trace
+
+
+def test_multi_segment_layout_v2(tmp_path):
+    """Format version 2: one structured-array file per segment."""
+    trace = make_trace(10)
+    write_trace(trace, tmp_path / "store", rows_per_segment=3)
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.format_version == 2
+    assert reader.manifest["format_version"] == 2
+    assert reader.segments == [3, 3, 3, 1]
+    assert reader.num_segments == 4
+    assert reader.num_rows == 10
+    assert reader.complete
+    assert reader.column_names == [name for name, _ in TRACE_COLUMNS]
+    files = sorted(p.name for p in (tmp_path / "store").glob("seg-*.npy"))
+    assert files == [f"seg-{index:05d}.npy" for index in range(4)]
+    assert not list((tmp_path / "store").glob("*.tmp"))
+    records = np.load(tmp_path / "store" / "seg-00000.npy", allow_pickle=False)
+    assert records.dtype == np.dtype(list(TRACE_COLUMNS))  # packed, schema order
+    assert records["iteration"].tolist() == [p.iteration for p in trace.points[:3]]
+
+
+def test_v2_columns_are_contiguous_arrays_of_their_dtype(tmp_path):
+    write_trace(make_trace(10), tmp_path / "store", rows_per_segment=4)
+    reader = TraceStoreReader(tmp_path / "store")
+    for name, dtype in TRACE_COLUMNS:
+        for array in (reader.segment_column(1, name), reader.segment(1)[name]):
+            assert array.dtype.str == dtype
+            assert array.flags.c_contiguous and array.shape == (4,)
 
 
 def test_empty_trace_store(tmp_path):
@@ -278,7 +311,20 @@ def test_writer_rejects_missing_column(tmp_path):
         writer.append({"iteration": 1})
 
 
-def test_writer_discards_previous_store(tmp_path):
+def test_writer_discards_previous_store(tmp_path, rewrite_as_v1):
+    """A version-1 store's per-column files go too."""
+    store = tmp_path / "store"
+    write_trace(make_trace(9), store, rows_per_segment=2)
+    rewrite_as_v1(store)
+    writer = TraceStoreWriter(store, rows_per_segment=2)
+    writer.append_point(make_trace(1).points[0])
+    writer.close()
+    reader = TraceStoreReader(store)
+    assert reader.num_rows == 1
+    assert sorted(p.name for p in store.glob("seg-*.npy")) == ["seg-00000.npy"]
+
+
+def test_writer_discards_previous_store_v2(tmp_path):
     store = tmp_path / "store"
     write_trace(make_trace(9), store, rows_per_segment=2)
     writer = TraceStoreWriter(store, rows_per_segment=2)
@@ -286,9 +332,7 @@ def test_writer_discards_previous_store(tmp_path):
     writer.close()
     reader = TraceStoreReader(store)
     assert reader.num_rows == 1
-    assert sorted(p.name for p in store.glob("seg-*.npy")) == [
-        f"seg-00000.{name}.npy" for name in sorted(reader.column_names)
-    ]
+    assert sorted(p.name for p in store.glob("seg-*.npy")) == ["seg-00000.npy"]
 
 
 def test_writer_validates_arguments(tmp_path):
@@ -334,9 +378,21 @@ def test_reader_refuses_missing_or_foreign_manifest(tmp_path):
         TraceStoreReader(store)
 
 
-def test_reader_refuses_corrupt_committed_segment(tmp_path):
+def test_reader_refuses_unknown_format_version(tmp_path):
+    store = tmp_path / "store"
+    write_trace(make_trace(2), store)
+    manifest = json.loads((store / "manifest.json").read_text())
+    for version in (0, 3, "2", None):
+        manifest["format_version"] = version
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SerializationError, match="format_version"):
+            TraceStoreReader(store)
+
+
+def test_reader_refuses_corrupt_committed_segment(tmp_path, rewrite_as_v1):
     store = tmp_path / "store"
     write_trace(make_trace(6), store, rows_per_segment=3)
+    rewrite_as_v1(store)
     victim = store / "seg-00001.alpha.npy"
     victim.write_bytes(victim.read_bytes()[:-9])  # truncate: partial row
     reader = TraceStoreReader(store)
@@ -347,17 +403,47 @@ def test_reader_refuses_corrupt_committed_segment(tmp_path):
     assert reader.segment_column(1, "iteration").shape == (3,)
 
 
-def test_reader_refuses_deleted_committed_segment(tmp_path):
+def test_reader_refuses_corrupt_committed_segment_v2(tmp_path):
     store = tmp_path / "store"
     write_trace(make_trace(6), store, rows_per_segment=3)
+    victim = store / "seg-00001.npy"
+    victim.write_bytes(victim.read_bytes()[:-9])  # truncate: partial row
+    reader = TraceStoreReader(store)
+    with pytest.raises(SerializationError, match="missing or corrupt"):
+        reader.segment_column(1, "alpha")
+    with pytest.raises(SerializationError, match="missing or corrupt"):
+        reader.final_row()
+    # An archive is not a segment either.
+    with open(victim, "wb") as handle:
+        np.savez(handle, alpha=np.zeros(3))
+    with pytest.raises(SerializationError, match="missing or corrupt"):
+        reader.segment(1)
+    # Other segments stay readable.
+    assert reader.segment_column(0, "alpha").shape == (3,)
+    assert reader.segment(0)["iteration"].shape == (3,)
+
+
+def test_reader_refuses_deleted_committed_segment(tmp_path, rewrite_as_v1):
+    store = tmp_path / "store"
+    write_trace(make_trace(6), store, rows_per_segment=3)
+    rewrite_as_v1(store)
     (store / "seg-00000.edges.npy").unlink()
     with pytest.raises(SerializationError, match="missing or corrupt"):
         list(TraceStoreReader(store).iter_rows())
 
 
-def test_reader_refuses_row_count_and_dtype_mismatch(tmp_path):
+def test_reader_refuses_deleted_committed_segment_v2(tmp_path):
+    store = tmp_path / "store"
+    write_trace(make_trace(6), store, rows_per_segment=3)
+    (store / "seg-00000.npy").unlink()
+    with pytest.raises(SerializationError, match="missing or corrupt"):
+        list(TraceStoreReader(store).iter_rows())
+
+
+def test_reader_refuses_row_count_and_dtype_mismatch(tmp_path, rewrite_as_v1):
     store = tmp_path / "store"
     write_trace(make_trace(4), store, rows_per_segment=4)
+    rewrite_as_v1(store)
     # Swap in a wrong-length array of the right dtype.
     np.save(store / "seg-00000.holes.npy", np.zeros(3, dtype="<i8"))
     with pytest.raises(SerializationError, match="manifest\\s+committed 4 rows"):
@@ -366,6 +452,28 @@ def test_reader_refuses_row_count_and_dtype_mismatch(tmp_path):
     np.save(store / "seg-00000.holes.npy", np.zeros(4, dtype="<f4"))
     with pytest.raises(SerializationError, match="dtype"):
         TraceStoreReader(store).segment_column(0, "holes")
+
+
+def test_reader_refuses_row_count_and_dtype_mismatch_v2(tmp_path):
+    store = tmp_path / "store"
+    write_trace(make_trace(4), store, rows_per_segment=4)
+    segment = store / "seg-00000.npy"
+    records = np.load(segment, allow_pickle=False)
+    # Swap in a wrong-length array of the right dtype.
+    np.save(segment, records[:3])
+    with pytest.raises(SerializationError, match="manifest\\s+committed 4 rows"):
+        TraceStoreReader(store).segment_column(0, "holes")
+    # Right length, but one field of the wrong dtype, a renamed field,
+    # the fields out of order, or a plain array.
+    wrong_dtype = [(n, "<f4" if n == "holes" else d) for n, d in TRACE_COLUMNS]
+    renamed = [("hole_count" if n == "holes" else n, d) for n, d in TRACE_COLUMNS]
+    reordered = list(reversed(TRACE_COLUMNS))
+    for dtype in (wrong_dtype, renamed, reordered, "<f8"):
+        np.save(segment, np.zeros(4, dtype=dtype))
+        with pytest.raises(SerializationError, match="dtype"):
+            TraceStoreReader(store).segment_column(0, "alpha")
+    np.save(segment, records)
+    assert TraceStoreReader(store).segment_column(0, "holes").shape == (4,)
 
 
 def test_reader_rejects_bad_requests(tmp_path):

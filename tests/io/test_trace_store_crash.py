@@ -22,7 +22,9 @@ at randomized byte offsets of randomized files:
 
 That is 50 randomized kill points per run; the byte layouts are recorded
 from an identical clean run, so every kill lands at a known offset of a
-known file.
+known file.  Two exhaustive sweeps complete them: the first byte of every
+write event of a tiny store, and every byte of each segment file (one
+file per segment) of a two-segment store.
 """
 
 from __future__ import annotations
@@ -305,24 +307,87 @@ def test_exhaustive_kill_points_tiny_store(tmp_path, monkeypatch):
         assert_recovers_exactly(crash_dir, committed, rows, len(rows))
 
 
-def test_reader_ignores_unreferenced_remnants(tmp_path):
-    """Files a crashed flush left behind (tmp precursors, orphan segments)
-    are invisible; a fresh writer over the directory clears them."""
-    store = tmp_path / "store"
+def test_exhaustive_kill_points_within_each_segment_file(tmp_path, monkeypatch):
+    """Every byte offset of every segment file of a two-segment store.
+
+    A segment is one file, so a kill anywhere inside it (header, any row,
+    the last byte) must leave the previous manifest and its rows intact.
+    """
+    rows = reference_rows(5)
+    rows_per_segment = 3
+    original = trace_store._file_write
+    events = record_layout(monkeypatch, tmp_path / "clean", rows, rows_per_segment)
+    assert sorted(name for name, _ in events if name.startswith("seg-")) == [
+        "seg-00000.npy.tmp", "seg-00001.npy.tmp"
+    ]
+
+    cases = 0
+    for event_index, (name, size) in enumerate(events):
+        if not name.startswith("seg-"):
+            continue
+        preceding = sum(length for _, length in events[:event_index])
+        for offset in range(size):
+            crash_dir = tmp_path / f"crash-{event_index}-{offset:04d}"
+            monkeypatch.setattr(
+                trace_store, "_file_write", crash_after(preceding + offset, original)
+            )
+            writer = None
+            with pytest.raises(InjectedCrash):
+                writer = TraceStoreWriter(crash_dir, rows_per_segment=rows_per_segment)
+                for row in rows:
+                    writer.append(row)
+                writer.close()
+            monkeypatch.setattr(trace_store, "_file_write", original)
+            committed = writer.committed_rows
+            assert committed == (0 if name.startswith("seg-00000") else 3)
+            assert_recovers_exactly(crash_dir, committed, rows, len(rows))
+            cases += 1
+    assert cases > 2 * 128  # at least the two .npy headers' bytes
+
+
+def _commit_four_rows(store):
     writer = TraceStoreWriter(store, rows_per_segment=2)
     rows = reference_rows(5)
     for row in rows[:4]:
         writer.append(row)
     assert writer.committed_rows == 4  # waits for the background commit
-    # Fake a crashed flush: an orphan segment file and a torn tmp file.
-    (store / "seg-00002.alpha.npy").write_bytes(b"\x93NUMPY garbage")
-    (store / "seg-00002.iteration.npy.tmp").write_bytes(b"torn")
-    reader = TraceStoreReader(store)
-    assert reader.num_rows == 4
-    assert list(reader.iter_rows()) == rows[:4]
-    # A new writer starts a fresh trace, remnants included.
+    return rows
+
+
+def _assert_fresh_writer_clears(store):
     fresh = TraceStoreWriter(store, rows_per_segment=2)
     fresh.close()
     assert not list(store.glob("*.tmp"))
     assert not list(store.glob("seg-*.npy"))
     assert TraceStoreReader(store).num_rows == 0
+
+
+def test_reader_ignores_unreferenced_remnants(tmp_path, rewrite_as_v1):
+    """Files a crashed flush left behind (tmp precursors, orphan segments)
+    are invisible; a fresh writer over the directory clears them.  This is
+    the format-version-1 layout, one file per column."""
+    store = tmp_path / "store"
+    rows = _commit_four_rows(store)
+    rewrite_as_v1(store)
+    # Fake a crashed flush: an orphan segment file and a torn tmp file.
+    (store / "seg-00002.alpha.npy").write_bytes(b"\x93NUMPY garbage")
+    (store / "seg-00002.iteration.npy.tmp").write_bytes(b"torn")
+    reader = TraceStoreReader(store)
+    assert reader.format_version == 1
+    assert reader.num_rows == 4
+    assert list(reader.iter_rows()) == rows[:4]
+    # A new writer starts a fresh trace, remnants included.
+    _assert_fresh_writer_clears(store)
+
+
+def test_reader_ignores_unreferenced_remnants_v2(tmp_path):
+    store = tmp_path / "store"
+    rows = _commit_four_rows(store)
+    # Fake a crashed flush: an orphan segment file and a torn tmp file.
+    (store / "seg-00002.npy").write_bytes(b"\x93NUMPY garbage")
+    (store / "seg-00003.npy.tmp").write_bytes(b"torn")
+    reader = TraceStoreReader(store)
+    assert reader.format_version == 2
+    assert reader.num_rows == 4
+    assert list(reader.iter_rows()) == rows[:4]
+    _assert_fresh_writer_clears(store)

@@ -159,6 +159,21 @@ class TestCheckpointIntegration:
             assert b.trace_store_path == str(tmp_path / "stores" / job.job_id)
             assert b.from_checkpoint
 
+    def test_resume_reattaches_v1_store(self, tmp_path, rewrite_as_v1):
+        """Stores written in format version 1 (one file per column) stay
+        re-attachable from the checkpoints that reference them."""
+        jobs = self.jobs(tmp_path / "stores")
+        first = run_ensemble(jobs, checkpoint=tmp_path / "cp")
+        for job in jobs:
+            rewrite_as_v1(tmp_path / "stores" / job.job_id)
+        resumed = run_ensemble(jobs, checkpoint=tmp_path / "cp")
+        assert resumed.loaded_from_checkpoint == len(jobs)
+        for job in jobs:
+            b = resumed.result_for(job.job_id)
+            assert TraceStoreReader(b.trace_store_path).format_version == 1
+            assert b.trace == first.result_for(job.job_id).trace
+            assert b.from_checkpoint
+
     def test_partial_resume_executes_only_missing(self, tmp_path):
         jobs = self.jobs(tmp_path / "stores")
         checkpoint = EnsembleCheckpoint(tmp_path / "cp")
