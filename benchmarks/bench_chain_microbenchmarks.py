@@ -13,7 +13,9 @@ engines produce identical seeded trajectories — speed, not semantics.
 
 ``test_tape_refill_speedup_n200467`` gates the compiled draw-tape fill at
 2x the numpy calls it replaces (``tests/test_native_tape.py`` pins that
-the two draw the same stream).
+the two draw the same stream).  ``test_run_call_n100`` records what one
+short ``run()`` costs, the call a ``lambda_sweep`` job makes a hundred
+times per replica.
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def test_fast_engine_speedup_at_n1000():
 def test_tape_refill_speedup_n200467():
     """Gate: the compiled tape fill is >= 2x numpy's calls at n=200,467.
 
-    One refill is the run loop's prefetch, 16 blocks of 1024 positions;
-    numpy draws the same stream with three calls per block on an
-    equally seeded generator.  Rounds interleave the two; each side's
+    One refill draws 16 blocks of 1024 positions (through the inlined
+    PCG64 of ``chain_loops.c``, numpy's default bit generator); numpy
+    draws the same stream with three calls per block on an equally
+    seeded generator.  Rounds interleave the two; each side's
     best round is its ns per tape position."""
     n, block, blocks, refills = 200_467, 1024, 16, 20
     if _native.load_library() is None:
@@ -152,6 +155,41 @@ def test_tape_refill_speedup_n200467():
     assert speedup >= 2.0, (
         f"the compiled tape fill is only {speedup:.2f}x numpy's calls at n={n} "
         f"({compiled_ns:.1f} vs {numpy_ns:.1f} ns per position)"
+    )
+
+
+def test_run_call_n100(python_loops):
+    """Microseconds per ``run(800)`` of the fast engine at n = 100.
+
+    A ``lambda_sweep`` replica records its trace in 800-iteration
+    ``run()`` calls, so at n = 100 the per-call cost outside the loop
+    matters.  The compiled build and the Python-loop build, seeded alike
+    (so they walk the same trajectory), alternate rounds of 200 calls;
+    each side's best round is its time per call.  No gate: the row
+    tracks the compiled call's fixed cost."""
+    n, iterations, calls, rounds = 100, 800, 200, 7
+    compiled = FastCompressionChain(line(n), lam=4.0, seed=0)
+    if compiled._library is None:
+        pytest.skip("chain_loops.c did not build: no compiled run() to time")
+    python = python_loops(FastCompressionChain)(line(n), lam=4.0, seed=0)
+    times = {compiled: [], python: []}
+    for _ in range(rounds):
+        for chain, series in times.items():
+            started = time.perf_counter()
+            for _ in range(calls):
+                chain.run(iterations)
+            series.append(time.perf_counter() - started)
+    assert compiled.occupied == python.occupied
+    compiled_us, python_us = (1e6 * min(series) / calls for series in times.values())
+    _emit.record(
+        "run_call_n100",
+        n=n,
+        iterations=iterations,
+        calls=calls,
+        rounds=rounds,
+        compiled_us_per_call=compiled_us,
+        python_us_per_call=python_us,
+        speedup=python_us / compiled_us,
     )
 
 

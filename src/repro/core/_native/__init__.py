@@ -4,9 +4,16 @@ The library exports three functions, the keys of :data:`SIGNATURES`:
 ``run_chain``, the run loop of every kernel mode; ``flood``, the
 breadth-first search behind the engine's start invariants; and
 ``fill_tape``, which draws the blocks of a :class:`repro.rng.BatchedMoveDraws`
-or :class:`repro.rng.BatchedActivationDraws` tape through the generator's
-``bitgen_t`` with numpy's own algorithms, so the tape is the one numpy
-would have drawn.
+or :class:`repro.rng.BatchedActivationDraws` tape with numpy's own
+algorithms, so the tape is the one numpy would have drawn.  Both
+``run_chain`` and ``fill_tape`` take the tape as a :class:`Tape` struct,
+which the tape owns: ``run_chain`` reads proposals from its cursor on and
+refills it one block at a time through ``fill_tape``, so a ``run()`` of
+the engine is one call into C.  ``fill_tape`` draws through the
+generator's ``bitgen_t`` function pointers, or, for a
+:class:`numpy.random.PCG64` whose state :func:`pcg64_layout_matches`
+has read correctly, through its own copy of numpy's PCG64 step, kept in
+registers for the whole fill.
 
 :func:`load_library` compiles ``chain_loops.c`` with the system C
 compiler on first use, caches the shared object under
@@ -39,6 +46,8 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -75,14 +84,74 @@ class Grid(ctypes.Structure):
     ]
 
 
+#: Draw sources of a :class:`Tape`, in the order of the enum in ``chain_loops.c``.
+BITGEN, PCG64 = 0, 1
+
+
+class Tape(ctypes.Structure):
+    """Mirror of ``tape_t`` in ``chain_loops.c``: a draw tape's generator,
+    shape, lanes and position.  ``indices`` is NULL on the activation tape,
+    ``uniforms2`` unless ``lanes == 2``."""
+
+    _fields_ = [
+        ("bitgen", ctypes.c_void_p),
+        ("source", ctypes.c_int64),
+        ("n", ctypes.c_int64),
+        ("block", ctypes.c_int64),
+        ("lanes", ctypes.c_int64),
+        ("indices", ctypes.c_void_p),
+        ("directions", ctypes.c_void_p),
+        ("uniforms", ctypes.c_void_p),
+        ("uniforms2", ctypes.c_void_p),
+        ("cursor", ctypes.c_int64),
+        ("size", ctypes.c_int64),
+    ]
+
+
+class _PCG64State(ctypes.Structure):
+    """numpy's ``pcg64_state``, as ``bit_generator.ctypes.state_address``
+    points to it: the 128-bit ``state`` and ``inc`` behind ``pcg_state``,
+    then the buffered half-word."""
+
+    _fields_ = [
+        ("pcg_state", ctypes.c_void_p),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+def pcg64_layout_matches(bit_generator) -> bool:
+    """Whether ``chain_loops.c`` may step ``bit_generator`` itself.
+
+    True only for a :class:`numpy.random.PCG64` whose state, read through
+    ``ctypes.state_address`` as two 128-bit integers of two native 64-bit
+    words each (low word first, as ``__uint128_t`` lies on a
+    little-endian machine), equals ``bit_generator.state``.  Any other
+    bit generator, or a numpy built with another layout, draws through
+    the ``bitgen_t`` function pointers instead.
+    """
+    if type(bit_generator) is not np.random.PCG64:
+        return False
+    numpy_state = _PCG64State.from_address(bit_generator.ctypes.state_address)
+    words = (ctypes.c_uint64 * 4).from_address(numpy_state.pcg_state)
+    read = {
+        "state": words[0] | words[1] << 64,
+        "inc": words[2] | words[3] << 64,
+        "has_uint32": numpy_state.has_uint32,
+        "uinteger": numpy_state.uinteger,
+    }
+    state = bit_generator.state
+    return read == {**state["state"], "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+
+
 _P = ctypes.c_void_p
 _I = ctypes.c_int64
 
 #: Argument types of each function; see the signatures in ``chain_loops.c``.
 SIGNATURES = {
-    "run_chain": (_I, _I, _P, _P, _P, _P, _P, _P, _P, _P, ctypes.c_double, _P),
+    "run_chain": (_P, _I, _I, _P, _P, _P, _P, ctypes.c_double, _P),
     "flood": (_P, _I, _I, _I, _I, _P, _P),
-    "fill_tape": (_P, _I, _I, _I, _I, _P, _P, _P, _P),
+    "fill_tape": (_P, _I),
 }
 
 

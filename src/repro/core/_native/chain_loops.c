@@ -13,25 +13,33 @@
  * start configuration, read off its occupancy plane.
  *
  * A third, `fill_tape`, draws the blocks of a repro.rng.BatchedMoveDraws
- * (or BatchedActivationDraws) tape straight from the numpy generator's
- * `bitgen_t`, the C interface numpy documents for extending
- * numpy.random.  It makes numpy's own calls in numpy's own order, with
- * numpy's bounded-integer algorithm, so the tape and the generator state
- * after it are the ones `Generator.integers` and `Generator.random`
- * would have produced.
+ * (or BatchedActivationDraws) tape, passed as its `tape_t` struct.  It
+ * makes numpy's own draws in numpy's own order, with numpy's
+ * bounded-integer algorithm, so the tape and the generator state after
+ * it are the ones `Generator.integers` and `Generator.random` would have
+ * produced.  One always-inlined fill body takes the draw source as a
+ * compile-time constant: numpy's PCG64 stepped here, on a copy of its
+ * state held in locals and written back once per fill, or any bit
+ * generator through its `bitgen_t`, the C interface numpy documents for
+ * extending numpy.random.
  *
- * The loop reads the same BatchedMoveDraws arrays, the same 256-entry
- * move tables and the same acceptance floats as the Python loop, and
- * compares `uniform >= table[...]` in double precision exactly as it
- * does, so trajectories are bit-identical.  It resolves `count` proposals
- * in tape order and returns how many it consumed: all of them, or fewer
- * when an accepted move lands in the guard band, in which case it stops
- * right after that move and sets counters[GUARD_HIT] so the driver
- * re-centers the grid.
+ * `run_chain` reads its proposals off the tape struct from the cursor on
+ * and, whenever the cursor reaches the end, refills exactly one block
+ * through `fill_tape`, so a run is one call from Python and the
+ * generator never runs ahead of the block holding the last position
+ * consumed.  It reads the same lanes, the same 256-entry move tables and
+ * the same acceptance floats as the Python loop, and compares
+ * `uniform >= table[...]` in double precision exactly as it does, so
+ * trajectories are bit-identical.  It resolves `count` proposals in tape
+ * order and returns how many it consumed: all of them, or fewer when an
+ * accepted move lands in the guard band, in which case it stops right
+ * after that move and sets counters[GUARD_HIT] so the driver re-centers
+ * the grid.
  *
  * Build: cc -O3 -shared -fPIC -o chain_loops.so chain_loops.c
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
 /* The loop prefetches the position of the particle drawn this many
@@ -107,8 +115,9 @@ static inline unsigned ring_mask(const int8_t *cells, int64_t source, const int6
          | (unsigned)cells[source + ring[7]] << 7;
 }
 
-/* One run of the chain in kernel mode `mode`, a compile-time constant at
- * each call site.  `plane` is the site plane (EDGE_SITE), the color plane
+/* Resolve the `count` proposals of one tape span, whose lanes start at
+ * `indices`, `directions`, `uniforms` and `uniforms2`, in kernel mode
+ * `mode`, a compile-time constant at each call site.  `plane` is the site plane (EDGE_SITE), the color plane
  * (EDGE_COLOR) or NULL; `uniforms2` and `swap_acceptance` are read in
  * EDGE_COLOR only.  `rows` is the acceptance table, one row of
  * EDGE_DELTAS entries per value of the mode's auxiliary delta: a single
@@ -237,25 +246,265 @@ static inline ALWAYS_INLINE int64_t run_mode(
     return consumed;
 }
 
-/* Resolve `count` proposals in kernel mode `mode` (see run_mode) and
- * return how many were consumed.  Each case inlines run_mode with a
- * constant mode, so the tests of the other modes compile away. */
+/* Mirror of `bitgen_t` in numpy's random/bitgen.h: the generator state and
+ * its draw functions, as `Generator.bit_generator.ctypes.bit_generator`
+ * points to it. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+
+/* Draw sources of a tape: numpy's `bitgen_t` function pointers, which
+ * serve every bit generator, or numpy's PCG64 inlined.  The Python side
+ * picks PCG64 only for a `numpy.random.PCG64` whose state it has read
+ * through `bit_generator.ctypes.state_address` (the layout below) and
+ * found equal to `bit_generator.state`. */
+enum { BITGEN, PCG64 };
+
+/* Mirror of repro.core._native.Tape: a BatchedMoveDraws (or
+ * BatchedActivationDraws) tape.  The lanes hold at least one block;
+ * `indices` is NULL on the activation tape, `uniforms2` unless
+ * lanes == 2.  Positions [cursor, size) are drawn and unread. */
+typedef struct {
+    bitgen_t *bitgen;
+    int64_t source;
+    int64_t n, block, lanes;
+    int64_t *indices;
+    int64_t *directions;
+    double *uniforms;
+    double *uniforms2;
+    int64_t cursor, size;
+} tape_t;
+
+#ifdef __SIZEOF_INT128__
+/* numpy's PCG64 state (random/src/pcg64/pcg64.h, with 128-bit integers),
+ * as `bitgen_t.state` points to it. */
+typedef __uint128_t pcg128_t;
+typedef struct {
+    pcg128_t state;
+    pcg128_t inc;
+} pcg64_random_t;
+typedef struct {
+    pcg64_random_t *pcg_state;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_state;
+#define PCG_MULTIPLIER_128 \
+    (((pcg128_t)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+#endif
+
+/* A fill's view of its draw source.  For PCG64 the generator state is
+ * copied in at the start of a fill and written back once at its end, so
+ * in between it lives in registers rather than behind numpy's pointer. */
+typedef struct {
+    bitgen_t *bitgen;
+#ifdef __SIZEOF_INT128__
+    pcg128_t state, inc;
+#endif
+    int has_uint32;
+    uint32_t uinteger;
+} source_t;
+
+static inline ALWAYS_INLINE source_t load_source(int source, bitgen_t *bitgen)
+{
+    source_t s = {.bitgen = bitgen};
+#ifdef __SIZEOF_INT128__
+    if (source == PCG64) {
+        const pcg64_state *numpy_state = bitgen->state;
+        s.state = numpy_state->pcg_state->state;
+        s.inc = numpy_state->pcg_state->inc;
+        s.has_uint32 = numpy_state->has_uint32;
+        s.uinteger = numpy_state->uinteger;
+    }
+#endif
+    (void)source;
+    return s;
+}
+
+static inline ALWAYS_INLINE void store_source(int source, const source_t *s)
+{
+#ifdef __SIZEOF_INT128__
+    if (source == PCG64) {
+        pcg64_state *numpy_state = s->bitgen->state;
+        numpy_state->pcg_state->state = s->state;
+        numpy_state->has_uint32 = s->has_uint32;
+        numpy_state->uinteger = s->uinteger;
+    }
+#endif
+    (void)source;
+    (void)s;
+}
+
+/* numpy's next_uint64; for PCG64, pcg64_random_r: one LCG step of the
+ * 128-bit state, then the XSL-RR output of the new state. */
+static inline ALWAYS_INLINE uint64_t next_uint64(int source, source_t *s)
+{
+#ifdef __SIZEOF_INT128__
+    if (source == PCG64) {
+        s->state = s->state * PCG_MULTIPLIER_128 + s->inc;
+        uint64_t xored = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
+        unsigned rotation = (unsigned)(s->state >> 122);
+        return (xored >> rotation) | (xored << ((-rotation) & 63));
+    }
+#endif
+    (void)source;
+    return s->bitgen->next_uint64(s->bitgen->state);
+}
+
+/* numpy's next_uint32; for PCG64, pcg64_next32: a 64-bit draw serves two
+ * calls, the low half first and the high half buffered for the next. */
+static inline ALWAYS_INLINE uint32_t next_uint32(int source, source_t *s)
+{
+    if (source == PCG64) {
+        if (s->has_uint32) {
+            s->has_uint32 = 0;
+            return s->uinteger;
+        }
+        uint64_t next = next_uint64(source, s);
+        s->has_uint32 = 1;
+        s->uinteger = (uint32_t)(next >> 32);
+        return (uint32_t)next;
+    }
+    return s->bitgen->next_uint32(s->bitgen->state);
+}
+
+/* numpy's next_double; for PCG64, the top 53 bits of a 64-bit draw. */
+static inline ALWAYS_INLINE double next_double(int source, source_t *s)
+{
+    if (source == PCG64)
+        return (double)(next_uint64(source, s) >> 11) * (1.0 / 9007199254740992.0);
+    return s->bitgen->next_double(s->bitgen->state);
+}
+
+/* numpy's buffered_bounded_lemire_uint32: an integer uniform on [0, rng]
+ * by Lemire's multiply-and-reject method, for 0 < rng < 0xFFFFFFFF. */
+static inline ALWAYS_INLINE uint32_t bounded_lemire_uint32(int source, source_t *s, uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)next_uint32(source, s) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)next_uint32(source, s) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* `Generator.integers(0, rng + 1, size=count)` for rng <= 0xFFFFFFFF: the
+ * 32-bit branch of numpy's random_bounded_uint64_fill.  A range of one
+ * value draws nothing; the full 32-bit range takes next_uint32 as is. */
+static inline ALWAYS_INLINE void fill_bounded(
+    int source, source_t *s, uint32_t rng, int64_t count, int64_t *out)
+{
+    if (rng == 0) {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = 0;
+    } else if (rng == UINT32_MAX) {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = next_uint32(source, s);
+    } else {
+        for (int64_t i = 0; i < count; i++)
+            out[i] = bounded_lemire_uint32(source, s, rng);
+    }
+}
+
+/* `Generator.random(count)`. */
+static inline ALWAYS_INLINE void fill_uniform(int source, source_t *s, int64_t count, double *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = next_double(source, s);
+}
+
+/* Draw `blocks` blocks from the draw source `source`, a compile-time
+ * constant at each call site, into the tape's lanes from position 0.
+ * Per block, in the order of BatchedMoveDraws.refill: `block` particle
+ * indices on [0, n) (not on the activation tape), `block` directions on
+ * [0, 6), `block` uniforms, and with lanes == 2 `block` lane-2 uniforms. */
+static inline ALWAYS_INLINE void fill_blocks(int source, tape_t *tape, int64_t blocks)
+{
+    source_t s = load_source(source, tape->bitgen);
+    const int64_t block = tape->block;
+    for (int64_t at = 0; at < blocks * block; at += block) {
+        if (tape->indices)
+            fill_bounded(source, &s, (uint32_t)(tape->n - 1), block, tape->indices + at);
+        fill_bounded(source, &s, 5, block, tape->directions + at);
+        fill_uniform(source, &s, block, tape->uniforms + at);
+        if (tape->lanes == 2)
+            fill_uniform(source, &s, block, tape->uniforms2 + at);
+    }
+    store_source(source, &s);
+    tape->cursor = 0;
+    tape->size = blocks * block;
+}
+
+/* Refill the tape with `blocks` blocks (its lanes must hold them) and
+ * return its new size.  The tape and the generator state after it are
+ * the ones numpy's `integers` and `random` calls would have given.  The
+ * caller keeps 1 <= n <= 2^32 and holds the generator's lock. */
+int64_t fill_tape(tape_t *tape, int64_t blocks)
+{
+#ifdef __SIZEOF_INT128__
+    if (tape->source == PCG64) {
+        fill_blocks(PCG64, tape, blocks);
+        return tape->size;
+    }
+#endif
+    fill_blocks(BITGEN, tape, blocks);
+    return tape->size;
+}
+
+/* `count` proposals in kernel mode `mode` off the tape, from its cursor
+ * on: one run_mode call per tape span, and a one-block refill whenever
+ * the cursor reaches the end of the tape. */
+static inline ALWAYS_INLINE int64_t run_tape(
+    int mode, tape_t *tape, int64_t count, const grid_t *g, uint8_t *plane,
+    const double *rows, const double *swap_acceptance, double swap_probability,
+    int64_t *counters)
+{
+    int64_t done = 0;
+    while (done < count && !counters[GUARD_HIT]) {
+        if (tape->cursor >= tape->size)
+            fill_tape(tape, 1);
+        const int64_t at = tape->cursor;
+        int64_t span = tape->size - at;
+        if (span > count - done)
+            span = count - done;
+        const int64_t consumed = run_mode(
+            mode, span, tape->indices + at, tape->directions + at, tape->uniforms + at,
+            mode == EDGE_COLOR ? tape->uniforms2 + at : NULL, g, plane, rows,
+            swap_acceptance, swap_probability, counters);
+        tape->cursor = at + consumed;
+        done += consumed;
+    }
+    return done;
+}
+
+/* Resolve `count` proposals in kernel mode `mode` (see run_mode) off the
+ * tape and return how many were consumed: `count`, or fewer when an
+ * accepted move lands in the guard band.  The caller holds the
+ * generator's lock.  Each case inlines run_tape with a constant mode, so
+ * the tests of the other modes compile away. */
 int64_t run_chain(
-    int64_t mode, int64_t count, const int64_t *indices, const int64_t *directions,
-    const double *uniforms, const double *uniforms2, const grid_t *g,
-    uint8_t *plane, const double *rows, const double *swap_acceptance,
-    double swap_probability, int64_t *counters)
+    tape_t *tape, int64_t mode, int64_t count, const grid_t *g, uint8_t *plane,
+    const double *rows, const double *swap_acceptance, double swap_probability,
+    int64_t *counters)
 {
     switch (mode) {
     case EDGE:
-        return run_mode(EDGE, count, indices, directions, uniforms, uniforms2, g,
-                        plane, rows, swap_acceptance, swap_probability, counters);
+        return run_tape(EDGE, tape, count, g, plane, rows, swap_acceptance,
+                        swap_probability, counters);
     case EDGE_SITE:
-        return run_mode(EDGE_SITE, count, indices, directions, uniforms, uniforms2, g,
-                        plane, rows, swap_acceptance, swap_probability, counters);
+        return run_tape(EDGE_SITE, tape, count, g, plane, rows, swap_acceptance,
+                        swap_probability, counters);
     case EDGE_COLOR:
-        return run_mode(EDGE_COLOR, count, indices, directions, uniforms, uniforms2, g,
-                        plane, rows, swap_acceptance, swap_probability, counters);
+        return run_tape(EDGE_COLOR, tape, count, g, plane, rows, swap_acceptance,
+                        swap_probability, counters);
     }
     return 0; /* the engine rejects unknown modes when it is built */
 }
@@ -293,78 +542,4 @@ int64_t flood(
         }
     }
     return tail;
-}
-
-/* Mirror of `bitgen_t` in numpy's random/bitgen.h: the generator state and
- * its draw functions, as `Generator.bit_generator.ctypes.bit_generator`
- * points to it. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *state);
-    uint32_t (*next_uint32)(void *state);
-    double (*next_double)(void *state);
-    uint64_t (*next_raw)(void *state);
-} bitgen_t;
-
-/* numpy's buffered_bounded_lemire_uint32: an integer uniform on [0, rng]
- * by Lemire's multiply-and-reject method, for 0 < rng < 0xFFFFFFFF. */
-static inline uint32_t bounded_lemire_uint32(bitgen_t *bitgen, uint32_t rng)
-{
-    const uint32_t rng_excl = rng + 1;
-    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
-    uint32_t leftover = (uint32_t)m;
-    if (leftover < rng_excl) {
-        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
-        while (leftover < threshold) {
-            m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
-            leftover = (uint32_t)m;
-        }
-    }
-    return (uint32_t)(m >> 32);
-}
-
-/* `Generator.integers(0, rng + 1, size=count)` for rng <= 0xFFFFFFFF: the
- * 32-bit branch of numpy's random_bounded_uint64_fill.  A range of one
- * value draws nothing; the full 32-bit range takes next_uint32 as is. */
-static void fill_bounded(bitgen_t *bitgen, uint32_t rng, int64_t count, int64_t *out)
-{
-    if (rng == 0) {
-        for (int64_t i = 0; i < count; i++)
-            out[i] = 0;
-    } else if (rng == UINT32_MAX) {
-        for (int64_t i = 0; i < count; i++)
-            out[i] = bitgen->next_uint32(bitgen->state);
-    } else {
-        for (int64_t i = 0; i < count; i++)
-            out[i] = bounded_lemire_uint32(bitgen, rng);
-    }
-}
-
-/* `Generator.random(count)`. */
-static void fill_uniform(bitgen_t *bitgen, int64_t count, double *out)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = bitgen->next_double(bitgen->state);
-}
-
-/* Draw `blocks` blocks of `block` tape positions and return how many
- * positions were filled.  Per block, in the order of
- * BatchedMoveDraws.refill: `block` particle indices on [0, n), `block`
- * directions on [0, 6), `block` uniforms, and with lanes == 2 `block`
- * lane-2 uniforms.  `indices` is NULL for the activation tape, which
- * draws no indices (n is then ignored).  The caller keeps 1 <= n <= 2^32
- * and holds the generator's lock. */
-int64_t fill_tape(
-    bitgen_t *bitgen, int64_t n, int64_t block, int64_t blocks, int64_t lanes,
-    int64_t *indices, int64_t *directions, double *uniforms, double *uniforms2)
-{
-    for (int64_t at = 0; at < blocks * block; at += block) {
-        if (indices)
-            fill_bounded(bitgen, (uint32_t)(n - 1), block, indices + at);
-        fill_bounded(bitgen, 5, block, directions + at);
-        fill_uniform(bitgen, block, uniforms + at);
-        if (lanes == 2)
-            fill_uniform(bitgen, block, uniforms2 + at);
-    }
-    return blocks * block;
 }

@@ -57,23 +57,28 @@ of the mode's auxiliary delta (a single row for compression), and the
 byte plane that delta is read off.  Both loops use the same 256-entry
 move tables, the same acceptance floats, the same
 ``uniform >= row[...]`` comparisons in double precision and the same
-counters.  ``run()`` refills the tape with
-``BatchedMoveDraws.refill(blocks=k)`` — which invokes the generator
-exactly as ``k`` single-block refills would, so the random stream is
-unchanged — and makes one C call per tape span.  The refill is a C call
-too: ``fill_tape`` in ``chain_loops.c`` draws the ``k`` blocks through
-the generator's ``bitgen_t`` with numpy's own algorithms, into lanes the
-tape reuses from refill to refill, so the loop reads the tape numpy
-would have drawn (``tests/test_native_tape.py``).  The loop stops right
+counters.  ``run()`` makes one C call
+(:meth:`~repro.rng.BatchedMoveDraws.run_compiled`), holding the bit
+generator's lock: ``run_chain`` reads the tape from its cursor and,
+whenever the cursor reaches the end, refills one block through
+``fill_tape`` in the same file, which makes numpy's own draws in numpy's
+order (stepping numpy's default PCG64 itself, with its state in
+registers), so the loop reads the tape numpy would have drawn
+(``tests/test_native_tape.py``).  The generator is never advanced past
+the block the last consumed position lies in, exactly as with the
+reference engine's one-block-at-a-time refills
+(``tests/core/test_generator_position.py``).  The loop stops right
 after an accepted move that lands in the grid's guard band; ``run()``
-then re-centers the grid in numpy (:meth:`_reallocate`) and resumes.
-Re-centering is invisible in node space, so trajectories are unaffected.
+then re-centers the grid in numpy (:meth:`_reallocate`) and makes the
+next call.  Re-centering is invisible in node space, so trajectories are
+unaffected.
 
 The C source is compiled with the system C compiler on the first
 construction in a process and cached (:mod:`repro.core._native`).  The
-Python loop runs in two cases only: without a working compiler (after
-one logged warning, with numpy filling the tape; same results, several
-times slower), and as the oracle of the differential fuzz in
+Python loop runs whenever the tape has no compiled fill: without a
+working compiler (after one logged warning, with numpy filling the tape;
+same results, several times slower), for more than ``2**32`` particles,
+and as the oracle of the differential fuzz in
 ``tests/core/test_native_loops.py``, which builds an engine with
 :func:`repro.core._native.load_library` patched to return ``None``.
 :meth:`step` and ``run(callback=...)`` resolve one proposal at a time in
@@ -143,9 +148,6 @@ COUNTERS = MOVEMENT_REJECTION_REASONS + SWAP_REJECTION_REASONS + (
     "guard_hit",
 )
 _GUARD_HIT = COUNTERS.index("guard_hit")
-
-#: Most draw blocks materialized per tape refill of the compiled loop.
-_MAX_PREFETCH_BLOCKS = 16
 
 
 class OccupancyGrid:
@@ -490,7 +492,9 @@ class FastCompressionChain:
         self._configuration_cache: Optional[ParticleConfiguration] = (
             None if self._hole_free else initial
         )
-        self._library = _native.load_library()
+        # The compiled loop refills the tape through its compiled fill, so
+        # a tape without one runs the Python loop, as without a compiler.
+        self._library = _native.load_library() if self._draws.compiled else None
         if self._library is not None:
             self._init_native()
 
@@ -796,8 +800,9 @@ class FastCompressionChain:
         """Run the chain for a number of iterations.
 
         Without a callback this is the engine's hot path: one call into the
-        compiled ``run_chain`` per tape span, or :meth:`_run_python` when
-        the C source did not compile.  With a callback every proposal goes
+        compiled ``run_chain``, plus one more after each guard-band
+        reallocation, or :meth:`_run_python` when the tape has no
+        compiled fill.  With a callback every proposal goes
         through :meth:`step`, and the callback receives its
         :class:`~repro.core.markov_chain.StepResult`.
         """
@@ -811,32 +816,13 @@ class FastCompressionChain:
         if self._library is None:
             counts = self._run_python(iterations)
         else:
-            draws = self._draws
+            run_compiled = self._draws.run_compiled
             counters = self._counters
             counters.fill(0)
             remaining = iterations
             while remaining > 0:
-                if draws.cursor >= draws.size:
-                    wanted = -(-remaining // draws.block)  # ceil division
-                    draws.refill(blocks=min(wanted, _MAX_PREFETCH_BLOCKS))
-                if draws.indices is not self._tape:
-                    self._bind_tape()
-                run_chain, mode, indices, directions, uniforms, uniforms2, loop_args = (
-                    self._call
-                )
-                start = draws.cursor
-                offset = start * 8  # every tape lane holds 8-byte items
-                consumed = run_chain(
-                    mode,
-                    min(draws.size - start, remaining),
-                    indices + offset,
-                    directions + offset,
-                    uniforms + offset,
-                    uniforms2 and uniforms2 + offset,
-                    *loop_args,
-                )
-                draws.cursor = start + consumed
-                remaining -= consumed
+                run_chain, mode, loop_args = self._call
+                remaining -= run_compiled(run_chain, mode, remaining, *loop_args)
                 if counters[_GUARD_HIT]:
                     counters[_GUARD_HIT] = 0
                     self._reallocate()
@@ -1004,8 +990,10 @@ class FastCompressionChain:
         return None
 
     def _bind_grid(self) -> None:
-        """Rebuild the arguments every ``run_chain`` call passes after the
-        tape, and with them the cached call (:meth:`_bind_tape`)."""
+        """Rebuild the cached ``run_chain`` call: the function, the mode and
+        the arguments after the iteration count.  Built at construction
+        and after each reallocation; the tape struct comes first in the
+        call, from :meth:`~repro.rng.BatchedMoveDraws.run_compiled`."""
         grid = self._grid
         self._offsets = (
             np.array(grid.direction_offsets, dtype=np.int64),
@@ -1027,40 +1015,17 @@ class FastCompressionChain:
         # NULL (None) for the plane and swap table a mode lacks.
         plane = self._plane()
         self._plane_view = None if plane is None else np.frombuffer(plane, dtype=np.uint8)
-        self._loop_args = (
-            ctypes.addressof(self._grid_struct),
-            None if plane is None else self._plane_view.ctypes.data,
-            self._rows_array.ctypes.data,
-            None if self._swap_array is None else self._swap_array.ctypes.data,
-            self._swap_probability,
-            self._counters.ctypes.data,
-        )
-        self._bind_tape()
-
-    def _bind_tape(self) -> None:
-        """Cache ``run_chain`` and its arguments but the iteration count:
-        the base addresses of the four tape lanes, which a call offsets by
-        the tape cursor, then :attr:`_loop_args`.  Rebuilt per grid bind
-        and whenever the tape reallocates its lanes.
-
-        C reads the lanes as contiguous ``int64``/``float64`` arrays; the
-        lane-2 address is ``None`` (NULL) on one-lane tapes.
-        """
-        draws = self._draws
-        lanes = [draws.indices, draws.directions, draws.uniforms]
-        if self._mode == "edge_color":
-            lanes.append(draws.uniforms2)
-        for lane, dtype in zip(lanes, (np.int64, np.int64, np.float64, np.float64)):
-            if lane.dtype != dtype or not lane.flags.c_contiguous or lane.size != draws.size:
-                raise ConfigurationError(
-                    f"draw tape lane of dtype {lane.dtype} and size {lane.size} "
-                    f"cannot be read as a contiguous {np.dtype(dtype)} array of "
-                    f"size {draws.size}"
-                )
-        addresses = [lane.ctypes.data for lane in lanes] + [None] * (4 - len(lanes))
-        self._tape = draws.indices
         self._call = (
-            self._library.run_chain, self._mode_index, *addresses, self._loop_args
+            self._library.run_chain,
+            self._mode_index,
+            (
+                ctypes.addressof(self._grid_struct),
+                None if plane is None else self._plane_view.ctypes.data,
+                self._rows_array.ctypes.data,
+                None if self._swap_array is None else self._swap_array.ctypes.data,
+                self._swap_probability,
+                self._counters.ctypes.data,
+            ),
         )
 
     def _flush(self, counts) -> None:

@@ -19,13 +19,20 @@ fast engine's compiled loops) with a memoized plain-list view for the
 Python loops.
 
 Both tapes are filled in C when the compiled library of
-:mod:`repro.core._native` loads: its ``fill_tape`` draws through the
-generator's ``bitgen_t`` (numpy's documented C interface for extending
-:mod:`numpy.random`) with numpy's own bounded-integer and uniform
-algorithms, in numpy's call order, so the tape and the generator state
-after each refill are bit-identical to what the ``Generator.integers``
-and ``Generator.random`` calls would give.  Without the library (no C
-compiler), and for more than ``2**32`` particles, numpy draws the tape.
+:mod:`repro.core._native` loads: its ``fill_tape`` makes numpy's own
+bounded-integer and uniform draws, in numpy's call order, so the tape
+and the generator state after each refill are bit-identical to what the
+``Generator.integers`` and ``Generator.random`` calls would give.  It
+steps a :class:`numpy.random.PCG64` (numpy's default) itself, with the
+generator state held in registers for the whole fill, once
+:func:`repro.core._native.pcg64_layout_matches` has checked that it
+reads numpy's state correctly; any other bit generator is drawn through
+its ``bitgen_t`` function pointers (numpy's documented C interface for
+extending :mod:`numpy.random`).  A tape keeps its lanes and position in
+a :class:`repro.core._native.Tape` struct, so the fast engine's compiled
+loop reads and refills the tape itself (:meth:`BatchedMoveDraws.run_compiled`).
+Without the library (no C compiler), and for more than ``2**32``
+particles, numpy draws the tape.
 
 The distributed amoebot layer has its own instance of the same idea:
 :class:`BatchedActivationDraws` tapes one ``(direction, uniform)`` pair
@@ -49,8 +56,8 @@ they run in the ``pytest --doctest-modules`` documentation lane (see
 
 from __future__ import annotations
 
-import functools
-from typing import List, Optional, Tuple, Union
+import ctypes
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -90,7 +97,10 @@ class BatchedMoveDraws:
     ``n <= 2**32``; it reproduces ``rng.integers(0, n, size=block)``,
     ``rng.integers(0, 6, size=block)`` and ``rng.random(block)`` draw for
     draw, holding the bit generator's lock as numpy does.  Otherwise those
-    numpy calls draw it.  Either way the stream is the same.
+    numpy calls draw it.  Either way the stream is the same.  With the
+    compiled fill the fast engine hands the whole tape to C
+    (:meth:`run_compiled`), which refills it one block at a time as it
+    reads, so the generator never runs ahead of the positions consumed.
 
     The uniform of a triple is consumed even when the proposal is rejected
     before the Metropolis filter (e.g. an occupied target); this keeps the
@@ -103,10 +113,7 @@ class BatchedMoveDraws:
     the generator is still invoked once per ``block`` in the canonical
     ``(indices, directions, uniforms)`` order, so the underlying random
     stream — and therefore every trajectory — is unchanged; only the
-    amount of tape materialized ahead of the cursor grows.  This is how
-    the compiled ``run()`` amortizes its per-call overhead over spans
-    longer than one block without breaking bit-identity with the
-    one-block-at-a-time consumers.
+    amount of tape materialized ahead of the cursor grows.
 
     Attributes
     ----------
@@ -167,7 +174,6 @@ class BatchedMoveDraws:
         "_lists",
         "_lists2",
         "_fill",
-        "_addresses",
     )
 
     def __init__(
@@ -187,16 +193,28 @@ class BatchedMoveDraws:
         self._n = n
         self.block = block
         self.lanes = lanes
-        self.indices: np.ndarray = np.empty(0, dtype=np.int64)
-        self.directions: np.ndarray = np.empty(0, dtype=np.int64)
-        self.uniforms: np.ndarray = np.empty(0, dtype=np.float64)
         self.uniforms2: np.ndarray = np.empty(0, dtype=np.float64)
         self.cursor = 0
         self.size = 0
         self._lists: Optional[Tuple[List[int], List[int], List[float]]] = None
         self._lists2: Optional[List[float]] = None
-        self._addresses: Tuple[Optional[int], ...] = ()
-        self._fill = _compiled_fill(rng, n)
+        self._fill = _compiled_fill(rng, n, block, lanes)
+        # One block of lanes from the start: the compiled loop refills into them.
+        self._allocate(block)
+
+    def _allocate(self, size: int) -> None:
+        """Give the lanes room for ``size`` positions, and the compiled
+        fill their addresses."""
+        self.indices = np.empty(size, dtype=np.int64)
+        self.directions = np.empty(size, dtype=np.int64)
+        self.uniforms = np.empty(size, dtype=np.float64)
+        if self.lanes == 2:
+            self.uniforms2 = np.empty(size, dtype=np.float64)
+        if self._fill is not None:
+            self._fill.point(
+                self.indices, self.directions, self.uniforms,
+                self.uniforms2 if self.lanes == 2 else None,
+            )
 
     def refill(self, blocks: int = 1) -> None:
         """Materialize the next ``blocks`` blocks, discarding any unread remainder.
@@ -210,19 +228,9 @@ class BatchedMoveDraws:
         block = self.block
         size = blocks * block
         if self.indices.size != size:
-            self.indices = np.empty(size, dtype=np.int64)
-            self.directions = np.empty(size, dtype=np.int64)
-            self.uniforms = np.empty(size, dtype=np.float64)
-            if self.lanes == 2:
-                self.uniforms2 = np.empty(size, dtype=np.float64)
-            self._addresses = _addresses(
-                self.indices, self.directions, self.uniforms,
-                self.uniforms2 if self.lanes == 2 else None,
-            )
+            self._allocate(size)
         if self._fill is not None:
-            fill, lock = self._fill
-            with lock:
-                fill(block, blocks, self.lanes, *self._addresses)
+            self._fill.refill(blocks)
         else:
             rng = self._rng
             for start in range(0, size, block):
@@ -236,6 +244,37 @@ class BatchedMoveDraws:
         self.size = size
         self._lists = None
         self._lists2 = None
+
+    @property
+    def compiled(self) -> bool:
+        """Whether ``fill_tape`` draws this tape, so that :meth:`run_compiled`
+        can hand it to C."""
+        return self._fill is not None
+
+    def run_compiled(self, loop: Callable[..., int], *arguments: Any) -> int:
+        """Call a compiled loop on the tape and return what it consumed.
+
+        ``loop(tape, *arguments)`` gets the address of the tape's
+        :class:`~repro.core._native.Tape` struct, reads positions from
+        the cursor on and, when the cursor reaches the end, refills one
+        block through ``fill_tape``; it returns the number of positions it
+        consumed.  The call holds the bit generator's lock.  The cursor
+        and size are copied back afterwards, and the list views dropped if
+        the loop refilled, which it did exactly when it consumed more than
+        was left.  Requires :attr:`compiled`.
+        """
+        fill = self._fill
+        tape = fill.tape
+        tape.cursor = self.cursor
+        left = self.size - self.cursor
+        with fill.lock:
+            consumed = loop(fill.address, *arguments)
+        self.cursor = tape.cursor
+        if consumed > left:
+            self.size = tape.size
+            self._lists = None
+            self._lists2 = None
+        return consumed
 
     def lists(self) -> Tuple[List[int], List[int], List[float]]:
         """The materialized draws as plain Python lists (memoized per refill).
@@ -330,8 +369,7 @@ class BatchedActivationDraws:
     """
 
     __slots__ = (
-        "_rng", "block", "directions", "uniforms", "cursor", "size", "_lists",
-        "_fill", "_addresses",
+        "_rng", "block", "directions", "uniforms", "cursor", "size", "_lists", "_fill",
     )
 
     def __init__(self, rng: np.random.Generator, block: int = DEFAULT_ACTIVATION_BLOCK) -> None:
@@ -344,16 +382,15 @@ class BatchedActivationDraws:
         self.cursor = 0
         self.size = 0
         self._lists: Optional[Tuple[List[int], List[float]]] = None
-        # No index lane: the compiled fill draws directions and uniforms only.
-        self._addresses = _addresses(None, self.directions, self.uniforms, None)
-        self._fill = _compiled_fill(rng, 6)
+        self._fill = _compiled_fill(rng, 6, block, 1)
+        if self._fill is not None:
+            # No index lane: the compiled fill draws directions and uniforms only.
+            self._fill.point(None, self.directions, self.uniforms, None)
 
     def refill(self) -> None:
         """Materialize the next block, discarding any unread remainder."""
         if self._fill is not None:
-            fill, lock = self._fill
-            with lock:
-                fill(self.block, 1, 1, *self._addresses)
+            self._fill.refill(1)
         else:
             self.directions[:] = self._rng.integers(0, 6, size=self.block)
             self._rng.random(out=self.uniforms)
@@ -377,16 +414,39 @@ class BatchedActivationDraws:
         return directions[cursor], uniforms[cursor]
 
 
-def _compiled_fill(rng: np.random.Generator, n: int):
-    """``(fill, lock)`` for a tape over ``n`` particles, or ``None``.
+class _CompiledFill(NamedTuple):
+    """A tape's handle on ``fill_tape``: the tape struct (and its address),
+    the library's ``fill_tape`` and the bit generator's lock."""
 
-    ``fill(block, blocks, lanes, indices, directions, uniforms,
-    uniforms2)`` is the compiled ``fill_tape`` bound to ``rng``'s
-    ``bitgen_t`` and to ``n``; ``lock`` is the bit generator's lock, held
-    around each call as numpy holds it (ctypes releases the GIL for the
-    call).  ``None`` when the library did not load, or when ``n > 2**32``
-    needs numpy's 64-bit bounded-integer path, which the C side does not
-    carry.
+    tape: Any  # repro.core._native.Tape
+    address: int
+    fill_tape: Callable[[int, int], int]
+    lock: Any
+
+    def point(self, *lanes: Optional[np.ndarray]) -> None:
+        """Point the struct at the tape's four lanes, NULL for a lane not drawn."""
+        tape = self.tape
+        tape.indices, tape.directions, tape.uniforms, tape.uniforms2 = (
+            None if lane is None else lane.ctypes.data for lane in lanes
+        )
+
+    def refill(self, blocks: int) -> None:
+        """Draw ``blocks`` blocks into the lanes, holding the generator's
+        lock as numpy does (ctypes releases the GIL for the call)."""
+        with self.lock:
+            self.fill_tape(self.address, blocks)
+
+
+def _compiled_fill(
+    rng: np.random.Generator, n: int, block: int, lanes: int
+) -> Optional[_CompiledFill]:
+    """The compiled fill of a tape over ``n`` particles, or ``None``.
+
+    ``None`` when the library did not load, or when ``n > 2**32`` needs
+    numpy's 64-bit bounded-integer path, which the C side does not carry.
+    The struct draws through the inlined PCG64 step when
+    :func:`~repro.core._native.pcg64_layout_matches` accepts the
+    generator, and through its ``bitgen_t`` otherwise.
     """
     # Imported here: repro.core imports this module.
     from repro.core import _native
@@ -395,13 +455,14 @@ def _compiled_fill(rng: np.random.Generator, n: int):
     if library is None or n > 2**32:
         return None
     bit_generator = rng.bit_generator
-    bitgen = bit_generator.ctypes.bit_generator.value
-    return functools.partial(library.fill_tape, bitgen, n), bit_generator.lock
-
-
-def _addresses(*lanes: Optional[np.ndarray]) -> Tuple[Optional[int], ...]:
-    """The data addresses of tape lanes, ``None`` (NULL) for a lane not drawn."""
-    return tuple(None if lane is None else lane.ctypes.data for lane in lanes)
+    tape = _native.Tape(
+        bitgen=bit_generator.ctypes.bit_generator.value,
+        source=_native.PCG64 if _native.pcg64_layout_matches(bit_generator) else _native.BITGEN,
+        n=n,
+        block=block,
+        lanes=lanes,
+    )
+    return _CompiledFill(tape, ctypes.addressof(tape), library.fill_tape, bit_generator.lock)
 
 
 def make_rng(seed: RandomState = None) -> np.random.Generator:
