@@ -15,7 +15,8 @@ engines produce identical seeded trajectories — speed, not semantics.
 2x the numpy calls it replaces (``tests/test_native_tape.py`` pins that
 the two draw the same stream).  ``test_run_call_n100`` records what one
 short ``run()`` costs, the call a ``lambda_sweep`` job makes a hundred
-times per replica.
+times per replica, and ``test_run_chain_disc_n200467`` what one long
+``run()`` costs per iteration on the paper-scale disc, draws included.
 """
 
 from __future__ import annotations
@@ -190,6 +191,36 @@ def test_run_call_n100(python_loops):
         compiled_us_per_call=compiled_us,
         python_us_per_call=python_us,
         speedup=python_us / compiled_us,
+    )
+
+
+def test_run_chain_disc_n200467():
+    """Nanoseconds per iteration of ``run(2_000_000)`` on the n = 200,467 disc.
+
+    The chain of ``perfbench``'s ``large_n_disc`` workload: a compressed
+    disc at lambda = 4, where about 0.25% of proposals reach the
+    Metropolis filter and read their uniform, so the loop's cost is
+    mostly the move checks and the index and direction draws.  One
+    engine runs the rounds back to back; the best round is the row, with
+    the median beside it.  No gate: the row tracks the compiled loop
+    with the draws it makes."""
+    n, iterations, rounds = 200_467, 2_000_000, 7
+    chain = FastCompressionChain(compact_disc(n), lam=4.0, seed=0)
+    if chain._library is None:
+        pytest.skip("chain_loops.c did not build: no compiled run() to time")
+    times = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        chain.run(iterations)
+        times.append(time.perf_counter() - started)
+    _emit.record(
+        "run_chain_disc_n200467",
+        n=n,
+        lam=4.0,
+        iterations=iterations,
+        rounds=rounds,
+        best_ns_per_it=1e9 * min(times) / iterations,
+        median_ns_per_it=1e9 * float(np.median(times)) / iterations,
     )
 
 

@@ -1,19 +1,24 @@
 """Build, cache and load the compiled chain loop (``chain_loops.c``).
 
-The library exports three functions, the keys of :data:`SIGNATURES`:
+The library exports four functions, the keys of :data:`SIGNATURES`:
 ``run_chain``, the run loop of every kernel mode; ``flood``, the
-breadth-first search behind the engine's start invariants; and
+breadth-first search behind the engine's start invariants;
 ``fill_tape``, which draws the blocks of a :class:`repro.rng.BatchedMoveDraws`
 or :class:`repro.rng.BatchedActivationDraws` tape with numpy's own
-algorithms, so the tape is the one numpy would have drawn.  Both
-``run_chain`` and ``fill_tape`` take the tape as a :class:`Tape` struct,
-which the tape owns: ``run_chain`` reads proposals from its cursor on and
-refills it one block at a time through ``fill_tape``, so a ``run()`` of
+algorithms, so the tape is the one numpy would have drawn; and
+``draw_deferred``, which writes a deferred uniform lane (below).
+``run_chain``, ``fill_tape`` and ``draw_deferred`` take the tape as a
+:class:`Tape` struct, which the tape owns: ``run_chain`` reads proposals
+from its cursor on and refills it one block at a time, so a ``run()`` of
 the engine is one call into C.  ``fill_tape`` draws through the
 generator's ``bitgen_t`` function pointers, or, for a
 :class:`numpy.random.PCG64` whose state :func:`pcg64_layout_matches`
 has read correctly, through its own copy of numpy's PCG64 step, kept in
-registers for the whole fill.
+registers for the whole fill.  On such a PCG64 tape ``run_chain``'s own
+refills defer the uniform lane: they save the state the lane starts
+from, jump the generator past it, and draw a uniform only when a
+proposal reads it; ``draw_deferred`` draws the whole lane when Python
+reads the tape, without touching the generator.
 
 :func:`load_library` compiles ``chain_loops.c`` with the system C
 compiler on first use, caches the shared object under
@@ -91,7 +96,10 @@ BITGEN, PCG64 = 0, 1
 class Tape(ctypes.Structure):
     """Mirror of ``tape_t`` in ``chain_loops.c``: a draw tape's generator,
     shape, lanes and position.  ``indices`` is NULL on the activation tape,
-    ``uniforms2`` unless ``lanes == 2``."""
+    ``uniforms2`` unless ``lanes == 2``.  While ``deferred`` is set the
+    uniform lane is not written yet; ``lane_state`` and ``lane_inc`` (two
+    64-bit words each, low first) are the PCG64 state and increment it
+    starts from."""
 
     _fields_ = [
         ("bitgen", ctypes.c_void_p),
@@ -105,6 +113,9 @@ class Tape(ctypes.Structure):
         ("uniforms2", ctypes.c_void_p),
         ("cursor", ctypes.c_int64),
         ("size", ctypes.c_int64),
+        ("deferred", ctypes.c_int64),
+        ("lane_state", ctypes.c_uint64 * 2),
+        ("lane_inc", ctypes.c_uint64 * 2),
     ]
 
 
@@ -152,6 +163,7 @@ SIGNATURES = {
     "run_chain": (_P, _I, _I, _P, _P, _P, _P, ctypes.c_double, _P),
     "flood": (_P, _I, _I, _I, _I, _P, _P),
     "fill_tape": (_P, _I),
+    "draw_deferred": (_P,),
 }
 
 

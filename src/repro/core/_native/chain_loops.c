@@ -24,17 +24,27 @@
  * extending numpy.random.
  *
  * `run_chain` reads its proposals off the tape struct from the cursor on
- * and, whenever the cursor reaches the end, refills exactly one block
- * through `fill_tape`, so a run is one call from Python and the
- * generator never runs ahead of the block holding the last position
- * consumed.  It reads the same lanes, the same 256-entry move tables and
- * the same acceptance floats as the Python loop, and compares
- * `uniform >= table[...]` in double precision exactly as it does, so
- * trajectories are bit-identical.  It resolves `count` proposals in tape
- * order and returns how many it consumed: all of them, or fewer when an
- * accepted move lands in the guard band, in which case it stops right
- * after that move and sets counters[GUARD_HIT] so the driver re-centers
- * the grid.
+ * and, whenever the cursor reaches the end, refills exactly one block,
+ * so a run is one call from Python and the generator never runs ahead of
+ * the block holding the last position consumed.  For numpy's PCG64 that
+ * refill defers the uniform lane: a proposal reads its uniform only when
+ * it reaches the Metropolis filter (0.25% of them on a compressed disc
+ * of 200,467 particles), so the refill saves the 128-bit state the lane
+ * starts from, moves the generator past the lane with one jump of the
+ * underlying LCG (state -> m^k state + inc (1 + m + ... + m^(k-1)), in
+ * O(log k) multiply-adds; Brown 1994), and the loop draws a uniform on
+ * first read, jumping a private copy of the lane state from the last
+ * uniform it read.  `draw_deferred` draws the whole lane when Python
+ * reads the tape, and leaves the generator alone.  The values are the
+ * ones `Generator.random` would have drawn.  Every other source, and an
+ * explicit `fill_tape`, draws the lane eagerly.  The loop reads the same
+ * lanes, the same 256-entry move tables and the same acceptance floats
+ * as the Python loop, and compares `uniform >= table[...]` in double
+ * precision exactly as it does, so trajectories are bit-identical.  It
+ * resolves `count` proposals in tape order and returns how many it
+ * consumed: all of them, or fewer when an accepted move lands in the
+ * guard band, in which case it stops right after that move and sets
+ * counters[GUARD_HIT] so the driver re-centers the grid.
  *
  * Build: cc -O3 -shared -fPIC -o chain_loops.so chain_loops.c
  */
@@ -115,19 +125,27 @@ static inline unsigned ring_mask(const int8_t *cells, int64_t source, const int6
          | (unsigned)cells[source + ring[7]] << 7;
 }
 
+/* A deferred uniform lane (defined with the draw sources below) and the
+ * read of a uniform that draws from it. */
+typedef struct lane lane_t;
+static inline double read_uniform(
+    int deferred, const double *uniforms, lane_t *lane, int64_t cursor);
+
 /* Resolve the `count` proposals of one tape span, whose lanes start at
  * `indices`, `directions`, `uniforms` and `uniforms2`, in kernel mode
- * `mode`, a compile-time constant at each call site.  `plane` is the site plane (EDGE_SITE), the color plane
- * (EDGE_COLOR) or NULL; `uniforms2` and `swap_acceptance` are read in
- * EDGE_COLOR only.  `rows` is the acceptance table, one row of
+ * `mode`; `mode` and `deferred` are compile-time constants at each call
+ * site.  A `deferred` span draws its uniforms from `lane` and never
+ * reads `uniforms`.  `plane` is the site plane (EDGE_SITE), the color
+ * plane (EDGE_COLOR) or NULL; `uniforms2` and `swap_acceptance` are read
+ * in EDGE_COLOR only.  `rows` is the acceptance table, one row of
  * EDGE_DELTAS entries per value of the mode's auxiliary delta: a single
  * row for EDGE, the site delta + 1 for EDGE_SITE, the same-color delta
  * + 5 for EDGE_COLOR. */
 static inline ALWAYS_INLINE int64_t run_mode(
-    int mode, int64_t count, const int64_t *indices, const int64_t *directions,
-    const double *uniforms, const double *uniforms2, const grid_t *g,
-    uint8_t *plane, const double *rows, const double *swap_acceptance,
-    double swap_probability, int64_t *counters)
+    int mode, int deferred, int64_t count, const int64_t *indices,
+    const int64_t *directions, const double *uniforms, lane_t *lane,
+    const double *uniforms2, const grid_t *g, uint8_t *plane, const double *rows,
+    const double *swap_acceptance, double swap_probability, int64_t *counters)
 {
     int64_t *pos = g->pos;
     int8_t *cells = g->cells;
@@ -170,7 +188,8 @@ static inline ALWAYS_INLINE int64_t run_mode(
                 else if (around_target == source_color)
                     after++;
             }
-            if (uniforms[cursor] >= swap_acceptance[after - before + 10]) {
+            if (read_uniform(deferred, uniforms, lane, cursor)
+                >= swap_acceptance[after - before + 10]) {
                 swap_rejects++;
                 continue;
             }
@@ -211,7 +230,7 @@ static inline ALWAYS_INLINE int64_t run_mode(
             }
             row = rows + (a_after - a_before + 5) * EDGE_DELTAS;
         }
-        if (uniforms[cursor] >= row[delta + 6]) {
+        if (read_uniform(deferred, uniforms, lane, cursor) >= row[delta + 6]) {
             metropolis_rejects++;
             continue;
         }
@@ -267,7 +286,11 @@ enum { BITGEN, PCG64 };
 /* Mirror of repro.core._native.Tape: a BatchedMoveDraws (or
  * BatchedActivationDraws) tape.  The lanes hold at least one block;
  * `indices` is NULL on the activation tape, `uniforms2` unless
- * lanes == 2.  Positions [cursor, size) are drawn and unread. */
+ * lanes == 2.  Positions [cursor, size) are drawn and unread.  While
+ * `deferred` is set, the uniform lane of the one block on the tape is
+ * not written yet: uniform i is the double of the PCG64 state i + 1
+ * steps after `lane_state`, stepped with increment `lane_inc` (both
+ * 128-bit, low word first). */
 typedef struct {
     bitgen_t *bitgen;
     int64_t source;
@@ -277,6 +300,9 @@ typedef struct {
     double *uniforms;
     double *uniforms2;
     int64_t cursor, size;
+    int64_t deferred;
+    uint64_t lane_state[2];
+    uint64_t lane_inc[2];
 } tape_t;
 
 #ifdef __SIZEOF_INT128__
@@ -294,7 +320,21 @@ typedef struct {
 } pcg64_state;
 #define PCG_MULTIPLIER_128 \
     (((pcg128_t)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+/* PCG64's XSL-RR output of a state. */
+static inline ALWAYS_INLINE uint64_t pcg_output(pcg128_t state)
+{
+    uint64_t xored = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rotation = (unsigned)(state >> 122);
+    return (xored >> rotation) | (xored << ((-rotation) & 63));
+}
 #endif
+
+/* numpy's next_double of a 64-bit draw: its top 53 bits, scaled to [0, 1). */
+static inline ALWAYS_INLINE double uint64_to_double(uint64_t draw)
+{
+    return (double)(draw >> 11) * (1.0 / 9007199254740992.0);
+}
 
 /* A fill's view of its draw source.  For PCG64 the generator state is
  * copied in at the start of a fill and written back once at its end, so
@@ -345,9 +385,7 @@ static inline ALWAYS_INLINE uint64_t next_uint64(int source, source_t *s)
 #ifdef __SIZEOF_INT128__
     if (source == PCG64) {
         s->state = s->state * PCG_MULTIPLIER_128 + s->inc;
-        uint64_t xored = (uint64_t)(s->state >> 64) ^ (uint64_t)s->state;
-        unsigned rotation = (unsigned)(s->state >> 122);
-        return (xored >> rotation) | (xored << ((-rotation) & 63));
+        return pcg_output(s->state);
     }
 #endif
     (void)source;
@@ -375,7 +413,7 @@ static inline ALWAYS_INLINE uint32_t next_uint32(int source, source_t *s)
 static inline ALWAYS_INLINE double next_double(int source, source_t *s)
 {
     if (source == PCG64)
-        return (double)(next_uint64(source, s) >> 11) * (1.0 / 9007199254740992.0);
+        return uint64_to_double(next_uint64(source, s));
     return s->bitgen->next_double(s->bitgen->state);
 }
 
@@ -439,6 +477,7 @@ static inline ALWAYS_INLINE void fill_blocks(int source, tape_t *tape, int64_t b
             fill_uniform(source, &s, block, tape->uniforms2 + at);
     }
     store_source(source, &s);
+    tape->deferred = 0;
     tape->cursor = 0;
     tape->size = blocks * block;
 }
@@ -459,26 +498,195 @@ int64_t fill_tape(tape_t *tape, int64_t blocks)
     return tape->size;
 }
 
+#ifdef __SIZEOF_INT128__
+/* Jumps of the PCG64 LCG.  k steps of state -> m state + inc are one
+ * affine map, state -> m^k state + inc (1 + m + ... + m^(k-1)), so the
+ * state k steps on costs O(log k) multiply-adds (F. Brown, "Random
+ * number generation with arbitrary strides", 1994). */
+typedef struct {
+    pcg128_t mult, plus;
+} jump_t;
+
+/* Gaps up to SHORT_GAPS take one multiply-add from a table. */
+#define SHORT_GAP_BITS 4
+#define SHORT_GAPS (1 << SHORT_GAP_BITS)
+
+/* The jumps of one increment: every gap of 0..SHORT_GAPS steps, and
+ * 2^k steps for 2^k <= the longest jump asked for when it was built. */
+typedef struct {
+    int ready;
+    pcg128_t inc;
+    jump_t short_gap[SHORT_GAPS + 1];
+    jump_t pow2[63];
+} jumps_t;
+
+/* Make `jumps` the table of increment `inc`, for jumps of up to
+ * `longest` steps, unless it already is. */
+static void ensure_jumps(jumps_t *jumps, pcg128_t inc, int64_t longest)
+{
+    if (jumps->ready && jumps->inc == inc)
+        return;
+    jumps->ready = 1;
+    jumps->inc = inc;
+    jumps->short_gap[0] = (jump_t){1, 0};
+    for (int gap = 1; gap <= SHORT_GAPS; gap++) {
+        const jump_t *last = &jumps->short_gap[gap - 1];
+        jumps->short_gap[gap] = (jump_t){last->mult * PCG_MULTIPLIER_128,
+                                         last->plus * PCG_MULTIPLIER_128 + inc};
+    }
+    jumps->pow2[0] = jumps->short_gap[1];
+    for (int k = 1; k < 63 && ((int64_t)1 << k) <= longest; k++) {
+        const jump_t *half = &jumps->pow2[k - 1];
+        jumps->pow2[k] = (jump_t){half->mult * half->mult, half->mult * half->plus + half->plus};
+    }
+}
+
+/* The state `gap` steps after `state`, for gaps longer than SHORT_GAPS:
+ * the low bits from the short table, then one jump per higher set bit. */
+static pcg128_t jump_far(const jumps_t *jumps, pcg128_t state, int64_t gap)
+{
+    const jump_t *low = &jumps->short_gap[gap & (SHORT_GAPS - 1)];
+    state = low->mult * state + low->plus;
+    for (int k = SHORT_GAP_BITS; (gap >> k) != 0; k++) {
+        if ((gap >> k) & 1)
+            state = jumps->pow2[k].mult * state + jumps->pow2[k].plus;
+    }
+    return state;
+}
+
+/* The state `gap` >= 0 steps after `state`. */
+static inline ALWAYS_INLINE pcg128_t jump(const jumps_t *jumps, pcg128_t state, int64_t gap)
+{
+    if (gap <= SHORT_GAPS)
+        return jumps->short_gap[gap].mult * state + jumps->short_gap[gap].plus;
+    return jump_far(jumps, state, gap);
+}
+
+static inline pcg128_t load128(const uint64_t words[2])
+{
+    return (pcg128_t)words[1] << 64 | words[0];
+}
+
+static inline void store128(uint64_t words[2], pcg128_t value)
+{
+    words[0] = (uint64_t)value;
+    words[1] = (uint64_t)(value >> 64);
+}
+
+/* One block onto a PCG64 tape with its uniform lane deferred: the index
+ * and direction lanes as fill_blocks draws them, the lane's start state
+ * saved in the tape, the generator jumped `block` steps past the lane,
+ * and with lanes == 2 the lane-2 uniforms drawn after it.  The
+ * generator ends where fill_tape(tape, 1) leaves it. */
+static void defer_block(tape_t *tape, jumps_t *jumps)
+{
+    source_t s = load_source(PCG64, tape->bitgen);
+    const int64_t block = tape->block;
+    fill_bounded(PCG64, &s, (uint32_t)(tape->n - 1), block, tape->indices);
+    fill_bounded(PCG64, &s, 5, block, tape->directions);
+    store128(tape->lane_state, s.state);
+    store128(tape->lane_inc, s.inc);
+    ensure_jumps(jumps, s.inc, block);
+    s.state = jump(jumps, s.state, block);
+    if (tape->lanes == 2)
+        fill_uniform(PCG64, &s, block, tape->uniforms2);
+    store_source(PCG64, &s);
+    tape->deferred = 1;
+    tape->cursor = 0;
+    tape->size = block;
+}
+
+/* A run_mode call's private copy of a deferred lane: `state` is the
+ * state after the uniform at span position `position`.  It starts as the
+ * saved `lane_state`, one position before the block's first uniform,
+ * which is span position -1 - (the span's start in the block). */
+struct lane {
+    pcg128_t state;
+    int64_t position;
+    const jumps_t *jumps;
+};
+
+/* The uniform at span position `cursor` > lane->position. */
+static inline ALWAYS_INLINE double lane_uniform(lane_t *lane, int64_t cursor)
+{
+    lane->state = jump(lane->jumps, lane->state, cursor - lane->position);
+    lane->position = cursor;
+    return uint64_to_double(pcg_output(lane->state));
+}
+#endif
+
+/* Write a deferred uniform lane into the tape and clear `deferred`; the
+ * generator is not touched.  Python calls it before it reads the lane
+ * (BatchedMoveDraws.uniforms).  Returns the tape's size. */
+int64_t draw_deferred(tape_t *tape)
+{
+#ifdef __SIZEOF_INT128__
+    if (tape->deferred) {
+        source_t s = {.state = load128(tape->lane_state), .inc = load128(tape->lane_inc)};
+        fill_uniform(PCG64, &s, tape->size, tape->uniforms);
+        tape->deferred = 0;
+    }
+#endif
+    return tape->size;
+}
+
+/* The uniform at span position `cursor`: read off the tape, or, in a
+ * `deferred` span, drawn from the lane. */
+static inline ALWAYS_INLINE double read_uniform(
+    int deferred, const double *uniforms, lane_t *lane, int64_t cursor)
+{
+#ifdef __SIZEOF_INT128__
+    if (deferred)
+        return lane_uniform(lane, cursor);
+#endif
+    (void)deferred;
+    (void)lane;
+    return uniforms[cursor];
+}
+
 /* `count` proposals in kernel mode `mode` off the tape, from its cursor
  * on: one run_mode call per tape span, and a one-block refill whenever
- * the cursor reaches the end of the tape. */
+ * the cursor reaches the end of the tape.  A PCG64 tape defers the
+ * uniform lane of the blocks it refills here (defer_block). */
 static inline ALWAYS_INLINE int64_t run_tape(
     int mode, tape_t *tape, int64_t count, const grid_t *g, uint8_t *plane,
     const double *rows, const double *swap_acceptance, double swap_probability,
     int64_t *counters)
 {
     int64_t done = 0;
+#ifdef __SIZEOF_INT128__
+    jumps_t jumps;
+    jumps.ready = 0;
+#endif
     while (done < count && !counters[GUARD_HIT]) {
-        if (tape->cursor >= tape->size)
-            fill_tape(tape, 1);
+        if (tape->cursor >= tape->size) {
+#ifdef __SIZEOF_INT128__
+            if (tape->source == PCG64)
+                defer_block(tape, &jumps);
+            else
+#endif
+                fill_tape(tape, 1);
+        }
         const int64_t at = tape->cursor;
         int64_t span = tape->size - at;
         if (span > count - done)
             span = count - done;
-        const int64_t consumed = run_mode(
-            mode, span, tape->indices + at, tape->directions + at, tape->uniforms + at,
-            mode == EDGE_COLOR ? tape->uniforms2 + at : NULL, g, plane, rows,
-            swap_acceptance, swap_probability, counters);
+        const double *uniforms2 = mode == EDGE_COLOR ? tape->uniforms2 + at : NULL;
+        int64_t consumed;
+#ifdef __SIZEOF_INT128__
+        if (tape->deferred) {
+            const pcg128_t inc = load128(tape->lane_inc);
+            ensure_jumps(&jumps, inc, tape->block);
+            lane_t lane = {load128(tape->lane_state), -1 - at, &jumps};
+            consumed = run_mode(
+                mode, 1, span, tape->indices + at, tape->directions + at, NULL, &lane,
+                uniforms2, g, plane, rows, swap_acceptance, swap_probability, counters);
+        } else
+#endif
+            consumed = run_mode(
+                mode, 0, span, tape->indices + at, tape->directions + at,
+                tape->uniforms + at, NULL, uniforms2, g, plane, rows, swap_acceptance,
+                swap_probability, counters);
         tape->cursor = at + consumed;
         done += consumed;
     }

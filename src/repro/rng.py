@@ -31,6 +31,10 @@ its ``bitgen_t`` function pointers (numpy's documented C interface for
 extending :mod:`numpy.random`).  A tape keeps its lanes and position in
 a :class:`repro.core._native.Tape` struct, so the fast engine's compiled
 loop reads and refills the tape itself (:meth:`BatchedMoveDraws.run_compiled`).
+On a PCG64 tape that loop defers the uniform lane of the blocks it
+refills, and draws each uniform only when a proposal reads it; reading
+:attr:`BatchedMoveDraws.uniforms` draws the rest of the lane, so what
+Python sees is the tape numpy would have drawn.
 Without the library (no C compiler), and for more than ``2**32``
 particles, numpy draws the tape.
 
@@ -102,6 +106,19 @@ class BatchedMoveDraws:
     (:meth:`run_compiled`), which refills it one block at a time as it
     reads, so the generator never runs ahead of the positions consumed.
 
+    The uniform lane is deferred inside that loop on a PCG64 tape: the
+    loop's refills draw the index and direction lanes, save the
+    generator state the uniform lane starts from, and jump the generator
+    past the lane (a PCG64 state can be moved ``k`` steps on in
+    ``O(log k)`` operations); the loop draws a uniform on first read,
+    which Algorithm M does only for the proposals that reach the
+    Metropolis filter.  The first read of :attr:`uniforms` (and so of
+    :meth:`lists`, :meth:`draw` and :meth:`draw2`) draws the whole lane
+    from the saved state and leaves the generator where it is, so the
+    lane and the generator state are always the ones the numpy calls
+    give.  :meth:`refill` and every other draw source fill the lane
+    eagerly.
+
     The uniform of a triple is consumed even when the proposal is rejected
     before the Metropolis filter (e.g. an occupied target); this keeps the
     tape position a pure function of the iteration count, so engines with
@@ -121,7 +138,8 @@ class BatchedMoveDraws:
         The currently materialized draws as numpy arrays (``int64``,
         ``int64``, ``float64``).  Exposed (together with
         ``cursor``/``size``) so engine inner loops can read them without
-        per-draw method-call overhead.
+        per-draw method-call overhead.  ``uniforms`` is a property that
+        draws a deferred lane first.
     cursor:
         Position of the next unconsumed triple within the current tape.
     size:
@@ -167,7 +185,7 @@ class BatchedMoveDraws:
         "lanes",
         "indices",
         "directions",
-        "uniforms",
+        "_uniforms",
         "uniforms2",
         "cursor",
         "size",
@@ -207,12 +225,12 @@ class BatchedMoveDraws:
         fill their addresses."""
         self.indices = np.empty(size, dtype=np.int64)
         self.directions = np.empty(size, dtype=np.int64)
-        self.uniforms = np.empty(size, dtype=np.float64)
+        self._uniforms = np.empty(size, dtype=np.float64)
         if self.lanes == 2:
             self.uniforms2 = np.empty(size, dtype=np.float64)
         if self._fill is not None:
             self._fill.point(
-                self.indices, self.directions, self.uniforms,
+                self.indices, self.directions, self._uniforms,
                 self.uniforms2 if self.lanes == 2 else None,
             )
 
@@ -237,13 +255,20 @@ class BatchedMoveDraws:
                 stop = start + block
                 self.indices[start:stop] = rng.integers(0, self._n, size=block)
                 self.directions[start:stop] = rng.integers(0, 6, size=block)
-                rng.random(out=self.uniforms[start:stop])
+                rng.random(out=self._uniforms[start:stop])
                 if self.lanes == 2:
                     rng.random(out=self.uniforms2[start:stop])
         self.cursor = 0
         self.size = size
         self._lists = None
         self._lists2 = None
+
+    @property
+    def uniforms(self) -> np.ndarray:
+        """The uniform lane, drawn first if the compiled loop deferred it."""
+        if self._fill is not None:
+            self._fill.draw_lane()
+        return self._uniforms
 
     @property
     def compiled(self) -> bool:
@@ -257,11 +282,12 @@ class BatchedMoveDraws:
         ``loop(tape, *arguments)`` gets the address of the tape's
         :class:`~repro.core._native.Tape` struct, reads positions from
         the cursor on and, when the cursor reaches the end, refills one
-        block through ``fill_tape``; it returns the number of positions it
-        consumed.  The call holds the bit generator's lock.  The cursor
-        and size are copied back afterwards, and the list views dropped if
-        the loop refilled, which it did exactly when it consumed more than
-        was left.  Requires :attr:`compiled`.
+        block, deferring its uniform lane on a PCG64 tape; it returns the
+        number of positions it consumed.  The call holds the bit
+        generator's lock.  The cursor and size are copied back afterwards,
+        and the list views dropped if the loop refilled, which it did
+        exactly when it consumed more than was left.  Requires
+        :attr:`compiled`.
         """
         fill = self._fill
         tape = fill.tape
@@ -415,12 +441,14 @@ class BatchedActivationDraws:
 
 
 class _CompiledFill(NamedTuple):
-    """A tape's handle on ``fill_tape``: the tape struct (and its address),
-    the library's ``fill_tape`` and the bit generator's lock."""
+    """A tape's handle on the compiled fill: the tape struct (and its
+    address), the library's ``fill_tape`` and ``draw_deferred``, and the
+    bit generator's lock."""
 
     tape: Any  # repro.core._native.Tape
     address: int
     fill_tape: Callable[[int, int], int]
+    draw_deferred: Callable[[int], int]
     lock: Any
 
     def point(self, *lanes: Optional[np.ndarray]) -> None:
@@ -435,6 +463,13 @@ class _CompiledFill(NamedTuple):
         lock as numpy does (ctypes releases the GIL for the call)."""
         with self.lock:
             self.fill_tape(self.address, blocks)
+
+    def draw_lane(self) -> None:
+        """Write a deferred uniform lane into the tape.  It is drawn from
+        the state saved in the struct, so the generator is not touched
+        and its lock is not needed."""
+        if self.tape.deferred:
+            self.draw_deferred(self.address)
 
 
 def _compiled_fill(
@@ -462,7 +497,9 @@ def _compiled_fill(
         block=block,
         lanes=lanes,
     )
-    return _CompiledFill(tape, ctypes.addressof(tape), library.fill_tape, bit_generator.lock)
+    return _CompiledFill(
+        tape, ctypes.addressof(tape), library.fill_tape, library.draw_deferred, bit_generator.lock
+    )
 
 
 def make_rng(seed: RandomState = None) -> np.random.Generator:

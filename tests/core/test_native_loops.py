@@ -7,8 +7,9 @@
 port.  For every kernel mode this file runs the two builds side by side
 under mixed ``run()`` chunkings and asserts they end in the same state —
 occupied set, edge count, acceptance and rejection counters, the
-kernel's site count or color map, the tape position and the perimeter —
-from three kinds of start:
+kernel's site count or color map, the tape position, the generator
+state, the unread uniforms and the perimeter — from three kinds of
+start:
 
 * random connected starts with holes;
 * starts placed one cell outside the grid's guard band, so the first
@@ -43,7 +44,8 @@ from repro.lattice.shapes import random_connected, spiral
 from repro.lattice.triangular import DIRECTIONS
 
 #: ``run()`` chunk sizes, applied in order: single steps, sizes that end
-#: mid-block, and spans longer than one prefetch (16 blocks of 1024).
+#: mid-block, and spans of many 1024-position blocks, which the compiled
+#: loop refills one at a time inside one call.
 CHUNKINGS = (1, 7, 1000, 33333, 5, 2048)
 
 
@@ -95,10 +97,15 @@ def assert_same_state(python, compiled, context):
         assert compiled.site_count == python.site_count, context
     elif mode == "edge_color":
         assert compiled.color_map() == python.color_map(), context
-    # Prefetching changes how many blocks the tape holds, never where in
-    # the stream it stands.
-    block = python._draws.block
-    assert compiled._draws.cursor % block == python._draws.cursor % block, context
+    # Every build refills one block when its cursor reaches the end, so
+    # the tapes and the generators stand at the same place.
+    expected, drawn = python._draws, compiled._draws
+    assert drawn.cursor == expected.cursor, context
+    assert drawn.size == expected.size, context
+    assert compiled._rng.bit_generator.state == python._rng.bit_generator.state, context
+    # Reading the unread uniforms draws a deferred lane of the compiled tape.
+    unread = slice(expected.cursor, expected.size)
+    np.testing.assert_array_equal(drawn.uniforms[unread], expected.uniforms[unread], err_msg=context)
     assert compiled.perimeter() == python.perimeter(), context
 
 
