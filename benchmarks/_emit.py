@@ -10,10 +10,12 @@ numbers, giving the project a tracked perf trajectory instead of folklore.
 
 The format is deliberately trivial — one JSON object, one entry per
 benchmark, plus a ``_meta`` block — so any later tooling (plots,
-regression gates) can consume it without a schema migration.  ``_meta``
-records where the last write came from (:func:`provenance`): the git
-commit and whether the tree was dirty, the core count, the load average
-and the python, numpy and platform versions.
+regression gates) can consume it without a schema migration.  Each entry
+written carries its own ``_meta`` (:func:`provenance`): the git commit
+and whether the tree was dirty, the core count, the load average and the
+python, numpy and platform versions of the run that measured it.  The
+file-level ``_meta`` is the stamp of the last write; entries recorded
+before per-entry stamps existed have none and are left as they are.
 
 The ledger also defends itself: overwriting an entry with a throughput
 number (any ``*_per_second`` or ``*it_per_s*`` field, or a ``speedup``
@@ -117,7 +119,7 @@ def _git(*args: str) -> Optional[str]:
 
 
 def provenance() -> Dict[str, Any]:
-    """The ``_meta`` block: what machine and code a ledger write measured."""
+    """A ``_meta`` block: what machine and code a ledger write measured."""
     status = _git("status", "--porcelain", "--untracked-files=no")
     return {
         "git_sha": _git("rev-parse", "HEAD"),
@@ -139,6 +141,9 @@ def record(
     **fields: Any,
 ) -> Dict[str, Any]:
     """Merge one benchmark result into a ledger file and return the entry.
+
+    The entry is ``fields`` plus a ``_meta`` stamp of this write, which
+    also becomes the file-level ``_meta``; other entries are not touched.
 
     Parameters
     ----------
@@ -191,8 +196,9 @@ def record(
                 f">{REGRESSION_TOLERANCE:.0%} throughput regression ({detail}); pass "
                 f"force=True (or --force) if the regression is intentional"
             )
-    data["_meta"] = provenance()
-    data[name] = dict(fields)
+    stamp = provenance()
+    data["_meta"] = stamp
+    data[name] = {**fields, "_meta": stamp}
     with target.open("w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")

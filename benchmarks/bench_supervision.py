@@ -18,21 +18,42 @@ Measurement style follows ``bench_trace_store.py``: paired
 machine noise can only inflate a measured overhead, so the minimum over
 a few rounds is the robust estimate of the supervisor's actual cost.
 The jobs are sized so per-job supervisor bookkeeping (queue hops, a
-``started`` ack, one dispatch per completion) is amortized over real
-engine work, matching how supervision is meant to be used: week-long
+``started`` ack, a dispatch per completion that refills the worker's
+queued slot while it runs the job it already holds) is amortized over
+real engine work, matching how supervision is meant to be used: week-long
 ensembles, not microsecond jobs.
+
+``test_pool_idle_gap_36jobs`` (slow lane, no gate) records the ledger row
+``pool_idle_gap_36jobs``: on ``perfbench``'s ``kernel_pool`` job mix (2
+workers, checkpointed), the median time a worker sits idle between two
+consecutive jobs and the idle time summed over both workers, from
+``perf_counter`` stamps taken around ``execute_job`` in the workers;
+best of five rounds.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import statistics
+import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import _emit
-from repro.runtime import RetryPolicy, execute_job, replica_jobs, run_ensemble
+from repro.rng import spawn_seeds
+from repro.runtime import (
+    RetryPolicy,
+    bridging_gamma_sweep_jobs,
+    execute_job,
+    replica_jobs,
+    run_ensemble,
+    separation_replica_jobs,
+    supervision,
+)
 
 ENSEMBLE_LEDGER = Path(__file__).parent / "BENCH_ensemble.json"
 
@@ -43,6 +64,8 @@ WORKERS = 4
 N = 60
 ITERATIONS = 50_000
 OVERHEAD_GATE = 0.05
+#: Rounds of the idle-gap measurement; the ledger keeps the least idle one.
+IDLE_GAP_ROUNDS = 5
 
 
 def _ensemble_seconds(jobs, supervised):
@@ -105,4 +128,97 @@ def test_supervision_overhead_64jobs():
         f"supervised execution costs {overhead:.1%} of bare-pool wall-clock "
         f"on a healthy {JOBS}-job ensemble ({supervised_seconds:.2f}s vs "
         f"{plain_seconds:.2f}s); the acceptance bound is {OVERHEAD_GATE:.0%}"
+    )
+
+
+def kernel_pool_jobs(seed=0):
+    """The job mix of ``perfbench``'s ``kernel_pool`` workload: 18 separation
+    and 18 bridging jobs of 300k iterations."""
+    seeds = spawn_seeds(seed, 4)
+    jobs = []
+    for gamma, job_seed in zip((0.5, 2.0, 4.0), seeds):
+        jobs += separation_replica_jobs(
+            n=300, lam=4.0, gamma=gamma, iterations=300_000, replicas=6,
+            seed=job_seed, engine="fast",
+        )
+    jobs += bridging_gamma_sweep_jobs(
+        n=240, lam=4.0, gammas=(1.5, 2.0, 3.0), iterations=300_000, arm_length=60,
+        seed=seeds[-1], engine="fast", replicas=6,
+    )
+    return jobs
+
+
+@contextmanager
+def job_clock(spool):
+    """Stamp ``perf_counter`` around every ``execute_job`` a pool worker runs.
+
+    Forked workers inherit the wrapper; each appends ``start end`` lines to
+    ``<spool>/<pid>.txt``, after its end stamp, so the write counts as idle.
+    """
+    original = supervision.execute_job
+
+    def stamped(job, _original=original):
+        started = time.perf_counter()
+        try:
+            return _original(job)
+        finally:
+            ended = time.perf_counter()
+            with open(spool / f"{os.getpid()}.txt", "a") as handle:
+                handle.write(f"{started!r} {ended!r}\n")
+
+    supervision.execute_job = stamped
+    try:
+        yield
+    finally:
+        supervision.execute_job = original
+
+
+def idle_gaps(spool):
+    """Seconds each worker sat idle between consecutive jobs, all workers."""
+    gaps = []
+    for path in spool.glob("*.txt"):
+        spans = sorted(
+            tuple(map(float, line.split())) for line in path.read_text().splitlines()
+        )
+        gaps += [start - end for (_, end), (start, _) in zip(spans, spans[1:])]
+    return gaps
+
+
+@pytest.mark.slow
+def test_pool_idle_gap_36jobs():
+    """Ledger row (no gate): how long the 2 pool workers of the
+    ``kernel_pool`` job mix sit idle between consecutive jobs."""
+    jobs = kernel_pool_jobs()
+    rounds = []
+    for _ in range(IDLE_GAP_ROUNDS):
+        with tempfile.TemporaryDirectory() as scratch:
+            spool = Path(scratch) / "spool"
+            spool.mkdir()
+            with job_clock(spool):
+                started = time.perf_counter()
+                result = run_ensemble(
+                    jobs,
+                    workers=2,
+                    start_method="fork",
+                    checkpoint=Path(scratch) / "checkpoint",
+                    failure_policy="quarantine",
+                )
+                wall = time.perf_counter() - started
+            assert not result.failures and len(result.results) == len(jobs)
+            gaps = idle_gaps(spool)
+        assert len(gaps) == len(jobs) - 2
+        rounds.append((sum(gaps), statistics.median(gaps), wall))
+    idle, median_gap, wall = min(rounds)
+    _emit.record(
+        "pool_idle_gap_36jobs",
+        path=ENSEMBLE_LEDGER,
+        jobs=len(jobs),
+        workers=2,
+        engine="fast",
+        job_mix="perfbench kernel_pool: 18 separation + 18 bridging, 300k iterations",
+        checkpoint=True,
+        median_gap_ms=round(median_gap * 1e3, 3),
+        summed_idle_ms=round(idle * 1e3, 1),
+        wall_seconds=round(wall, 3),
+        rounds=len(rounds),
     )

@@ -7,7 +7,8 @@ tooling without importing this package.
 :func:`save_json`/:func:`load_json` are the shared file-level primitives:
 every document the library writes (experiment records, ensemble checkpoint
 entries from :mod:`repro.runtime.checkpoint`, trace archives) goes through
-them so I/O failures surface uniformly as :class:`SerializationError`.
+them, or through the compact writer behind :func:`save_json`, so I/O
+failures surface uniformly as :class:`SerializationError`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.analysis.experiments import ExperimentRecord
 from repro.core.compression import CompressionTrace, TracePoint
@@ -38,9 +39,19 @@ def save_json(payload: Dict[str, Any], path: PathLike) -> Path:
     a document that cannot round-trip must fail at write time, not on a
     later resume.
     """
+    return _write_json(payload, path, indent=2)
+
+
+def _write_json(payload: Dict[str, Any], path: PathLike, indent: Optional[int]) -> Path:
+    """:func:`save_json` with a choice of layout: ``indent=None`` writes
+    compact JSON, without spaces, as :mod:`repro.runtime.checkpoint` does
+    for its documents; :func:`load_json` reads either layout.
+    """
     output = Path(path)
     try:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(
+            payload, indent=indent, separators=None if indent else (",", ":")
+        )
         temporary = output.with_name(output.name + ".tmp")
         temporary.write_text(text, encoding="utf-8")
         temporary.replace(output)

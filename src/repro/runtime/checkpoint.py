@@ -1,8 +1,11 @@
 """Checkpoint/resume for long ensemble runs.
 
 An :class:`EnsembleCheckpoint` is a directory with one JSON document per
-completed job, named ``<job_id>.json`` and written atomically through
-:func:`repro.io.serialization.save_json` the moment the job finishes.
+completed job, named ``<job_id>.json`` and written atomically, as compact
+JSON, by the writer behind :func:`repro.io.serialization.save_json` the
+moment the job finishes (the runner writes it on the path that hands the
+pool its next job, so the encoding is kept cheap; documents written
+indented by earlier versions still load).
 Killing an ensemble mid-run therefore loses at most the jobs currently in
 flight; re-running the same ensemble against the same directory loads the
 finished results and executes only the remainder.
@@ -30,8 +33,8 @@ import numpy as np
 from repro.errors import ConfigurationError, SerializationError
 from repro.io.serialization import (
     FORMAT_VERSION,
+    _write_json,
     load_json,
-    save_json,
     trace_from_json,
     trace_to_json,
 )
@@ -142,7 +145,7 @@ def _plain(value: Any) -> Any:
 
     Kernel metrics in ``ChainResult.extra`` are produced by engine
     internals; a counter that leaks through as ``numpy.int64`` must not
-    abort the atomic checkpoint write (``save_json`` refuses anything
+    abort the atomic checkpoint write (which refuses anything
     ``json.dumps`` cannot encode), so the document layer normalizes
     scalars instead of losing the job's result at persist time.
     """
@@ -365,11 +368,15 @@ class EnsembleCheckpoint:
 
     def store(self, result: ChainResult) -> Path:
         """Atomically persist one completed job (overwriting any failure doc)."""
-        return save_json(chain_result_to_json(result), self.path_for(result.job.job_id))
+        return _write_json(
+            chain_result_to_json(result), self.path_for(result.job.job_id), indent=None
+        )
 
     def store_failure(self, failure) -> Path:
         """Atomically persist one quarantined job's failure record."""
-        return save_json(job_failure_to_json(failure), self.path_for(failure.job.job_id))
+        return _write_json(
+            job_failure_to_json(failure), self.path_for(failure.job.job_id), indent=None
+        )
 
     def load(self, job: ChainJob) -> Optional[ChainResult]:
         """Load the stored result for ``job``, or ``None`` if not yet completed.

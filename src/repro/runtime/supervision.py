@@ -10,10 +10,12 @@ contract:
   enforced *by the supervisor* (a stalled worker is killed, not waited
   on).  The default is one attempt and no timeout.
 * :class:`SupervisedPool` — worker processes watched over a result queue
-  and ``is_alive()`` polling: dead workers are detected and replaced, jobs
-  in flight on them are retried or quarantined, and in-flight work is
-  bounded at one job per worker (no poisoned ``imap`` iterator, no
-  unbounded task backlog).
+  and ``is_alive()`` polling: dead workers are detected and replaced, the
+  job running on one is retried or quarantined, and in-flight work is
+  bounded at one running job plus one queued job per worker (no poisoned
+  ``imap`` iterator, no unbounded task backlog).  A crash or timeout is
+  charged to the running job only; the queued job goes back to the front
+  of the queue with its attempt unspent.
 * :func:`run_supervised_serial` — the same attempt loop in-process, for
   ``workers=1`` runs without a timeout.
 * :class:`JobFailure` — the structured record a job leaves behind when
@@ -65,6 +67,11 @@ FAULT_ACTIONS = ("raise", "stall", "exit")
 #: Supervisor poll granularity (seconds): the longest the parent waits on
 #: the result queue before re-checking deadlines and worker liveness.
 SUPERVISOR_TICK = 0.05
+
+#: Jobs a pool worker holds at once: the one it runs and one queued behind
+#: it, so it starts its next job the moment it finishes the current one,
+#: while the parent reads the result and the runner checkpoints it.
+_WORKER_DEPTH = 2
 
 
 class InjectedFault(JobError):
@@ -229,8 +236,11 @@ class FaultSpec:
       modelling a wedged job (set ``seconds`` past the policy timeout to
       exercise the supervisor's kill path);
     * ``"exit"`` — ``os._exit(exit_code)``: a hard worker death that
-      skips ``finally`` blocks and queue flushes, the closest a test gets
-      to SIGKILL/OOM.
+      skips ``finally`` blocks, the closest a test gets to SIGKILL/OOM.
+      On a pool worker it comes mid-job, as a real death does: the
+      worker first delivers the messages it has sent (the outcome of the
+      job before and this attempt's ``started`` ack) and waits two
+      supervisor ticks, so the supervisor sees which attempt died.
     """
 
     job_id: str
@@ -315,6 +325,15 @@ def _worker_main(worker_id: int, tasks, results) -> None:
         job, attempt, fault = task
         results.put(("started", worker_id, job.job_id, attempt))
         started = time.perf_counter()
+        if fault is not None and fault.action == "exit":
+            # A real death comes mid-job, long after the worker's earlier
+            # messages left it; an injected one comes at the job's first
+            # line.  Deliver them (the outcome of the job before, this
+            # ack), then give the supervisor a tick to read them, so the
+            # death lands on this attempt and not on the one before it.
+            results.close()
+            results.join_thread()
+            time.sleep(2 * SUPERVISOR_TICK)
         try:
             if fault is not None:
                 fault.trigger()
@@ -341,32 +360,62 @@ def _worker_main(worker_id: int, tasks, results) -> None:
 # Supervisor side
 # ---------------------------------------------------------------------- #
 class _Flight:
-    """One attempt currently executing on one worker."""
+    """One attempt assigned to one worker: running (the head) or queued."""
 
-    __slots__ = ("job", "attempt", "dispatched_at", "started_at")
+    __slots__ = ("job", "attempt", "head_at", "started_at")
 
-    def __init__(self, job: Job, attempt: int, dispatched_at: float) -> None:
+    def __init__(self, job: Job, attempt: int) -> None:
         self.job = job
         self.attempt = attempt
-        self.dispatched_at = dispatched_at
+        #: When the flight became its worker's head (dispatch to an idle
+        #: worker, or promotion when the job ahead of it finished).
+        self.head_at: Optional[float] = None
         self.started_at: Optional[float] = None
+
+    def clock_start(self) -> float:
+        """Where the attempt's timeout clock starts: its ``started`` ack,
+        or when it became the head if that ack has not been read yet."""
+        return self.started_at or self.head_at
 
     def deadline(self, timeout: Optional[float]) -> Optional[float]:
         if timeout is None:
             return None
-        return (self.started_at or self.dispatched_at) + timeout
+        return self.clock_start() + timeout
 
 
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
-    __slots__ = ("worker_id", "process", "tasks", "flight")
+    __slots__ = ("worker_id", "process", "tasks", "flights")
 
     def __init__(self, worker_id: int, process, tasks) -> None:
         self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
-        self.flight: Optional[_Flight] = None
+        #: At most :data:`_WORKER_DEPTH` flights in assignment order: the
+        #: head is running, the one behind it is queued.
+        self.flights: List[_Flight] = []
+
+    def can_queue(self) -> bool:
+        """Whether the worker takes a job behind its head: only once the
+        head has acked its start, so no worker's first job waits."""
+        return (
+            len(self.flights) < _WORKER_DEPTH
+            and self.flights[0].started_at is not None
+        )
+
+    def assign(self, job: Job, attempt: int, fault: Optional[FaultSpec]) -> None:
+        flight = _Flight(job, attempt)
+        if not self.flights:
+            flight.head_at = time.monotonic()
+        self.flights.append(flight)
+        self.tasks.put((job, attempt, fault))
+
+    def pop_head(self) -> None:
+        """Remove the finished head; the queued flight becomes the head."""
+        self.flights.pop(0)
+        if self.flights:
+            self.flights[0].head_at = time.monotonic()
 
     def discard(self) -> None:
         """Tear the worker down without waiting for it (replacement path)."""
@@ -441,15 +490,23 @@ class SupervisedPool:
     with ``k > 1`` (and ``workers=1`` runs with a timeout).  Differences
     from a bare process pool:
 
-    * each worker owns a one-slot task queue, so in-flight work is
-      bounded at one job per worker and the supervisor always knows
-      exactly which job died with which worker;
+    * each worker holds at most two jobs: the one it runs (the head) and
+      one queued behind it, handed over once the head has acked its start.
+      The worker goes straight from one job to the next while the parent
+      reads the last result, and the supervisor always knows which attempt
+      was running on which worker;
     * a shared result queue plus ``is_alive()`` polling detect dead
-      workers within a supervisor tick; the worker is replaced and the orphaned attempt becomes a
-      :class:`~repro.errors.WorkerCrashed` attempt error;
-    * attempts exceeding ``retry.timeout_seconds`` get their worker
+      workers within a supervisor tick; the worker is replaced, its
+      running attempt becomes a :class:`~repro.errors.WorkerCrashed`
+      attempt error, and its queued job goes back to the front of the
+      queue with the same attempt number (it never ran, so it uses up no
+      attempt and records no error);
+    * an attempt exceeding ``retry.timeout_seconds`` gets its worker
       killed from outside (:class:`~repro.errors.JobTimeout`), so a
-      wedged job cannot stall the ensemble;
+      wedged job cannot stall the ensemble.  An attempt's clock starts at
+      its ``started`` ack, or when it became the head if that ack is not
+      read yet, never while it waits queued; the killed worker's queued
+      job goes back as after a crash;
     * failed attempts are retried up to ``retry.max_attempts`` with
       deterministic backoff; jobs that exhaust their attempts are
       yielded as :class:`JobFailure` records instead of poisoning the
@@ -480,10 +537,10 @@ class SupervisedPool:
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self, results) -> _Worker:
+    def _spawn_worker(self, workers: Dict[int, _Worker], results) -> _Worker:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        tasks = self._context.Queue(1)
+        tasks = self._context.Queue(_WORKER_DEPTH)
         process = self._context.Process(
             target=_worker_main,
             args=(worker_id, tasks, results),
@@ -491,7 +548,22 @@ class SupervisedPool:
             name=f"repro-supervised-{worker_id}",
         )
         process.start()
-        return _Worker(worker_id, process, tasks)
+        worker = workers[worker_id] = _Worker(worker_id, process, tasks)
+        return worker
+
+    def _replace(self, workers: Dict[int, _Worker], worker: _Worker, results) -> _Worker:
+        worker.discard()
+        del workers[worker.worker_id]
+        return self._spawn_worker(workers, results)
+
+    def _assign_next(self, worker: _Worker, pending: List[Tuple[Job, int]]) -> None:
+        job, attempt = pending.pop()
+        fault = (
+            self.fault_plan.lookup(job.job_id, attempt)
+            if self.fault_plan is not None
+            else None
+        )
+        worker.assign(job, attempt, fault)
 
     def run(self, jobs: Sequence[Job]) -> Iterator[Union[ChainResult, JobFailure]]:
         """Execute ``jobs``, yielding an outcome per job in completion order."""
@@ -508,8 +580,9 @@ class SupervisedPool:
         workers: Dict[int, _Worker] = {}
         try:
             for _ in range(min(self.workers, len(jobs))):
-                worker = self._spawn_worker(results)
-                workers[worker.worker_id] = worker
+                # A worker's first job goes out before the next worker is
+                # forked, so it does not wait for the other forks.
+                self._assign_next(self._spawn_worker(workers, results), pending)
 
             while remaining > 0:
                 now = time.monotonic()
@@ -520,26 +593,17 @@ class SupervisedPool:
                     for _, job, attempt in sorted(ready, key=lambda entry: entry[0]):
                         pending.append((job, attempt))
 
-                # Dispatch to idle workers, replacing any that died idle.
-                for worker_id in list(workers):
+                # Dispatch: idle workers first (replacing any that died
+                # idle), then one job queued behind each started head.
+                for worker in sorted(workers.values(), key=lambda w: len(w.flights)):
                     if not pending:
                         break
-                    worker = workers[worker_id]
-                    if worker.flight is not None:
+                    if not worker.flights:
+                        if not worker.process.is_alive():
+                            worker = self._replace(workers, worker, results)
+                    elif not worker.can_queue():
                         continue
-                    if not worker.process.is_alive():
-                        worker.discard()
-                        del workers[worker_id]
-                        worker = self._spawn_worker(results)
-                        workers[worker.worker_id] = worker
-                    job, attempt = pending.pop()
-                    fault = (
-                        self.fault_plan.lookup(job.job_id, attempt)
-                        if self.fault_plan is not None
-                        else None
-                    )
-                    worker.flight = _Flight(job, attempt, time.monotonic())
-                    worker.tasks.put((job, attempt, fault))
+                    self._assign_next(worker, pending)
 
                 # Drain the result queue (one blocking wait, then whatever
                 # else is ready) so completions are never starved by the
@@ -559,19 +623,17 @@ class SupervisedPool:
 
                 # Deadlines and dead workers.
                 now = time.monotonic()
-                for worker_id in list(workers):
-                    worker = workers[worker_id]
-                    flight = worker.flight
-                    if flight is None:
+                for worker in list(workers.values()):
+                    if not worker.flights:
                         continue
                     crashed = not worker.process.is_alive()
-                    deadline = flight.deadline(self.retry.timeout_seconds)
+                    deadline = worker.flights[0].deadline(self.retry.timeout_seconds)
                     timed_out = deadline is not None and now > deadline
                     if not crashed and not timed_out:
                         continue
                     if crashed:
-                        # The worker may have delivered its result in the
-                        # instant before dying; honor it over a crash record.
+                        # The worker may have delivered results in the
+                        # instant before dying; honor them over a crash record.
                         leftovers = []
                         try:
                             while True:
@@ -585,29 +647,27 @@ class SupervisedPool:
                             if outcome is not None:
                                 remaining -= 1
                                 yield outcome
-                        if worker.flight is None:
-                            # Its final message resolved the flight after all.
-                            worker.discard()
-                            del workers[worker_id]
-                            replacement = self._spawn_worker(results)
-                            workers[replacement.worker_id] = replacement
+                        if not worker.flights:
+                            # Its final messages resolved every flight after all.
+                            self._replace(workers, worker, results)
                             continue
                         error: JobError = WorkerCrashed(
-                            flight.job.job_id, worker.process.exitcode
+                            worker.flights[0].job.job_id, worker.process.exitcode
                         )
                     else:
                         error = JobTimeout(
-                            flight.job.job_id, self.retry.timeout_seconds
+                            worker.flights[0].job.job_id, self.retry.timeout_seconds
                         )
-                    wall = now - (flight.started_at or flight.dispatched_at)
+                    head, *queued = worker.flights
+                    wall = time.monotonic() - head.clock_start()
                     dead_pid = worker.process.pid
-                    worker.discard()
-                    del workers[worker_id]
-                    replacement = self._spawn_worker(results)
-                    workers[replacement.worker_id] = replacement
+                    self._replace(workers, worker, results)
+                    # Queued jobs never ran: back to the front, same attempt.
+                    for flight in reversed(queued):
+                        pending.append((flight.job, flight.attempt))
                     outcome = self._attempt_failed(
-                        states[flight.job.job_id],
-                        flight.attempt,
+                        states[head.job.job_id],
+                        head.attempt,
                         type(error).__name__,
                         str(error),
                         "".join(
@@ -622,10 +682,10 @@ class SupervisedPool:
                         yield outcome
         finally:
             for worker in workers.values():
-                if worker.flight is None and worker.process.is_alive():
+                if not worker.flights and worker.process.is_alive():
                     try:
                         worker.tasks.put_nowait(None)
-                    except queue_module.Full:  # pragma: no cover - 1-slot race
+                    except queue_module.Full:  # pragma: no cover - full-queue race
                         pass
             deadline = time.monotonic() + 1.0
             for worker in workers.values():
@@ -643,45 +703,30 @@ class SupervisedPool:
         message: Tuple,
         delayed: List[Tuple[float, Job, int]],
     ) -> Optional[Union[ChainResult, JobFailure]]:
-        kind, worker_id = message[0], message[1]
+        kind, worker_id, job_id, attempt = message[:4]
         worker = workers.get(worker_id)
-        flight = worker.flight if worker is not None else None
+        if worker is None:
+            return None  # stale: from a worker already replaced
         if kind == "started":
-            _, _, job_id, attempt = message
-            if (
-                flight is not None
-                and flight.job.job_id == job_id
-                and flight.attempt == attempt
-            ):
-                flight.started_at = time.monotonic()
+            for flight in worker.flights:
+                if flight.job.job_id == job_id and flight.attempt == attempt:
+                    flight.started_at = time.monotonic()
             return None
+        head = worker.flights[0] if worker.flights else None
+        if head is None or head.job.job_id != job_id or head.attempt != attempt:
+            return None  # stale: the attempt was already failed (e.g. timeout)
+        worker.pop_head()
+        state = states[job_id]
         if kind == "ok":
-            _, _, job_id, attempt, result = message
-            if (
-                flight is None
-                or flight.job.job_id != job_id
-                or flight.attempt != attempt
-            ):
-                return None  # stale: the attempt was already failed (e.g. timeout)
-            worker.flight = None
-            state = states[job_id]
+            result = message[4]
             state.attempts = attempt
             state.wall_seconds += result.wall_seconds
             return result
-        if kind == "error":
-            _, _, job_id, attempt, error_type, text, traceback_text, wall = message
-            if (
-                flight is None
-                or flight.job.job_id != job_id
-                or flight.attempt != attempt
-            ):
-                return None
-            worker.flight = None
-            return self._attempt_failed(
-                states[job_id], attempt, error_type, text, traceback_text, wall,
-                delayed, worker_pid=worker.process.pid,
-            )
-        return None  # pragma: no cover - unknown message kinds are ignored
+        _, _, _, _, error_type, text, traceback_text, wall = message
+        return self._attempt_failed(
+            state, attempt, error_type, text, traceback_text, wall,
+            delayed, worker_pid=worker.process.pid,
+        )
 
     def _attempt_failed(
         self,

@@ -172,6 +172,30 @@ class TestCheckpointResume:
         assert payload["job"]["job_id"] == jobs[0].job_id
         assert payload["trace"]["kind"] == "compression_trace"
 
+    def test_documents_are_compact_and_indented_ones_still_resume(self, tmp_path):
+        """Documents are written compact (the runner writes them on the
+        pool's dispatch path); a directory of the indented documents older
+        versions wrote resumes the same, bit for bit."""
+        jobs = sweep_jobs()
+        baseline = run_ensemble(jobs, checkpoint=tmp_path)
+        checkpoint = EnsembleCheckpoint(tmp_path)
+        failure = TestFailureDocuments().failure(jobs[-1])
+        checkpoint.store_failure(failure)
+        for job in jobs:
+            path = checkpoint.path_for(job.job_id)
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
+            assert text == json.dumps(payload, separators=(",", ":"))
+            path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        assert checkpoint.quarantined_ids() == [jobs[-1].job_id]
+        assert checkpoint.load_failure(jobs[-1]).attempt_errors == failure.attempt_errors
+        resumed = run_ensemble(jobs, checkpoint=tmp_path)
+        assert resumed.loaded_from_checkpoint == len(jobs) - 1
+        assert resumed.executed == 1
+        for base, res in zip(baseline.results, resumed.results):
+            assert base.trace.points == res.trace.points
+            assert base.rejection_counts == res.rejection_counts
+
     def test_result_documents_carry_status_and_attempts(self, tmp_path):
         """New documents state status/attempts; old documents (which
         predate the fields) read back as a single-attempt success."""

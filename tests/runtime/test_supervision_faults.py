@@ -7,7 +7,9 @@ serial run, failures carry structured records, and a checkpointed run
 resumes by retrying exactly the quarantined jobs.
 
 The full harness (worker kills under every start method) runs in the
-nightly slow lane; the quick fork-based subset stays in tier 1.
+nightly slow lane; the quick fork-based subset stays in tier 1.  A pool
+worker holds one running job and one queued behind it; the queued-slot
+tests pin that a crash or timeout is charged to the running job alone.
 """
 
 import multiprocessing
@@ -198,3 +200,91 @@ class TestFullHarness:
         assert EnsembleCheckpoint(tmp_path).quarantined_ids() == []
         clean = run_ensemble(jobs)
         assert_bit_identical(clean.results, resumed.results)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestQueuedSlot:
+    """One worker (``workers=1`` with a timeout runs on one pool worker), so
+    the second job is queued behind the first."""
+
+    def test_worker_exit_spares_the_queued_job(self, start_method):
+        """The running job's worker exits: the queued job completes on a
+        replacement, on its first attempt, with no error entry."""
+        jobs = harness_jobs(2)
+        clean = run_ensemble(jobs)
+        result = run_ensemble(
+            jobs,
+            workers=1,
+            start_method=start_method,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=60.0),
+            fault_plan=RunnerFaultPlan.build(FaultSpec(jobs[0].job_id, 1, "exit")),
+            failure_policy="quarantine",
+        )
+        assert result.failed_ids == [jobs[0].job_id]
+        crashed = result.failure_for(jobs[0].job_id)
+        assert [e["error_type"] for e in crashed.attempt_errors] == ["WorkerCrashed"]
+        assert [r.job.job_id for r in result.results] == [jobs[1].job_id]
+        assert result.results[0].attempts == 1
+        assert_bit_identical(clean.results[1:], result.results)
+
+    def test_exit_after_a_finished_job_is_charged_to_the_exiting_job(
+        self, start_method
+    ):
+        """The middle job exits as it starts, right after the job before it
+        finished on the same worker: the finished job keeps its result."""
+        jobs = harness_jobs(3)
+        result = run_ensemble(
+            jobs,
+            workers=1,
+            start_method=start_method,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=60.0),
+            fault_plan=RunnerFaultPlan.build(FaultSpec(jobs[1].job_id, 1, "exit")),
+            failure_policy="quarantine",
+        )
+        assert result.failed_ids == [jobs[1].job_id]
+        assert [r.job.job_id for r in result.results] == [jobs[0].job_id, jobs[2].job_id]
+        assert [r.attempts for r in result.results] == [1, 1]
+
+    def test_timeout_charges_only_the_stalled_job(self, start_method):
+        jobs = harness_jobs(2)
+        result = run_ensemble(
+            jobs,
+            workers=1,
+            start_method=start_method,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=1.5),
+            fault_plan=RunnerFaultPlan.build(
+                FaultSpec(jobs[0].job_id, 1, "stall", seconds=60.0)
+            ),
+            failure_policy="quarantine",
+        )
+        assert result.failed_ids == [jobs[0].job_id]
+        timed_out = result.failure_for(jobs[0].job_id)
+        assert [e["error_type"] for e in timed_out.attempt_errors] == ["JobTimeout"]
+        assert [r.job.job_id for r in result.results] == [jobs[1].job_id]
+        assert result.results[0].attempts == 1
+
+    def test_queued_job_clock_starts_when_it_runs(self, start_method):
+        """Each job stalls 1 s under a 1.6 s timeout.  The second waits
+        ~1 s queued, so a clock started at dispatch would kill it."""
+        jobs = harness_jobs(2)
+        plan = RunnerFaultPlan.build(
+            *(FaultSpec(job.job_id, 1, "stall", seconds=1.0) for job in jobs)
+        )
+        result = run_ensemble(
+            jobs,
+            workers=1,
+            start_method=start_method,
+            retry=RetryPolicy(max_attempts=1, timeout_seconds=1.6),
+            fault_plan=plan,
+            failure_policy="quarantine",
+        )
+        assert not result.failures
+        assert [r.attempts for r in result.results] == [1, 1]
+
+    def test_two_workers_match_the_serial_run(self, start_method):
+        jobs = harness_jobs(10)
+        clean = run_ensemble(jobs)
+        pooled = run_ensemble(jobs, workers=2, start_method=start_method)
+        assert [r.attempts for r in pooled.results] == [1] * len(jobs)
+        assert_bit_identical(clean.results, pooled.results)

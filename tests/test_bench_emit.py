@@ -36,18 +36,39 @@ def test_record_creates_and_merges_entries(emit, tmp_path):
     emit.record("alpha", path=ledger, n=10, iterations_per_second=100.0)
     emit.record("beta", path=ledger, n=20, speedup=3.0)
     data = read_ledger(ledger)
-    assert data["alpha"] == {"n": 10, "iterations_per_second": 100.0}
-    assert data["beta"] == {"n": 20, "speedup": 3.0}
+    assert data["alpha"] == {
+        "n": 10, "iterations_per_second": 100.0, "_meta": data["alpha"]["_meta"]
+    }
+    assert data["beta"] == {"n": 20, "speedup": 3.0, "_meta": data["beta"]["_meta"]}
     assert "_meta" in data
 
 
+def test_each_row_keeps_the_provenance_of_its_own_write(emit, tmp_path, monkeypatch):
+    """A row carries the stamp of the write that measured it; the file-level
+    ``_meta`` is the last write's; rows without a stamp stay untouched."""
+    ledger = tmp_path / "BENCH_test.json"
+    ledger.write_text(json.dumps({"legacy": {"n": 1, "speedup": 2.0}}))
+    stamps = iter([{"git_sha": "a" * 40}, {"git_sha": "b" * 40}])
+    monkeypatch.setattr(emit, "provenance", lambda: next(stamps))
+    entry = emit.record("alpha", path=ledger, n=10)
+    emit.record("beta", path=ledger, n=20)
+    data = read_ledger(ledger)
+    assert entry == {"n": 10, "_meta": {"git_sha": "a" * 40}}
+    assert data["alpha"]["_meta"] == {"git_sha": "a" * 40}
+    assert data["beta"]["_meta"] == {"git_sha": "b" * 40}
+    assert data["_meta"] == {"git_sha": "b" * 40}
+    assert data["legacy"] == {"n": 1, "speedup": 2.0}
+
+
 def test_meta_records_provenance(emit, tmp_path):
-    """Every write stamps the ledger with the commit and its dirty flag,
-    the machine's core count and load, and the python, numpy and platform
-    versions."""
+    """Every write stamps the ledger and its row with the commit and its
+    dirty flag, the machine's core count and load, and the python, numpy
+    and platform versions."""
     ledger = tmp_path / "BENCH_test.json"
     emit.record("alpha", path=ledger, n=10)
-    meta = read_ledger(ledger)["_meta"]
+    data = read_ledger(ledger)
+    meta = data["_meta"]
+    assert data["alpha"]["_meta"] == meta
     assert set(meta) == {
         "git_sha", "git_dirty", "cpu_count", "loadavg", "numpy", "python", "platform",
     }
