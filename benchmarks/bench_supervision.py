@@ -2,9 +2,9 @@
 
 Every ``run_ensemble(..., workers=k)`` runs on the supervised pool, which
 buys fault tolerance — dead-worker detection and replacement,
-per-attempt timeouts, retry bookkeeping — with extra queue traffic (an assignment
-ack per job) and a polling supervisor loop.  That is only acceptable if a
-healthy ensemble pays (nearly) nothing for it: the acceptance gate
+per-attempt timeouts, retry bookkeeping — with extra IPC traffic (an
+assignment ack per job on each worker's result pipe) and a polling
+supervisor loop.  That is only acceptable if a healthy ensemble pays (nearly) nothing for it: the acceptance gate
 (``test_supervision_overhead_64jobs``, slow lane) demands that a
 fault-free 64-job fast-engine ensemble on supervised workers stays within
 5% of the wall-clock of a bare ``multiprocessing.Pool`` running the same
@@ -17,7 +17,7 @@ Measurement style follows ``bench_trace_store.py``: paired
 (bare, supervised) rounds interleaved, gated on the *best* round —
 machine noise can only inflate a measured overhead, so the minimum over
 a few rounds is the robust estimate of the supervisor's actual cost.
-The jobs are sized so per-job supervisor bookkeeping (queue hops, a
+The jobs are sized so per-job supervisor bookkeeping (a task-queue hop, a
 ``started`` ack, a dispatch per completion that refills the worker's
 queued slot while it runs the job it already holds) is amortized over
 real engine work, matching how supervision is meant to be used: week-long

@@ -9,8 +9,9 @@ contract:
   deterministic seeded jitter, and an optional per-job wall-clock timeout
   enforced *by the supervisor* (a stalled worker is killed, not waited
   on).  The default is one attempt and no timeout.
-* :class:`SupervisedPool` — worker processes watched over a result queue
-  and ``is_alive()`` polling: dead workers are detected and replaced, the
+* :class:`SupervisedPool` — worker processes watched over per-worker
+  result pipes and ``is_alive()`` polling: dead workers are detected and
+  replaced, the
   job running on one is retried or quarantined, and in-flight work is
   bounded at one running job plus one queued job per worker (no poisoned
   ``imap`` iterator, no unbounded task backlog).  A crash or timeout is
@@ -48,6 +49,7 @@ import socket
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_for_pipes
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
@@ -65,7 +67,7 @@ FAILURE_POLICIES = ("raise", "quarantine")
 FAULT_ACTIONS = ("raise", "stall", "exit")
 
 #: Supervisor poll granularity (seconds): the longest the parent waits on
-#: the result queue before re-checking deadlines and worker liveness.
+#: the result pipes before re-checking deadlines and worker liveness.
 SUPERVISOR_TICK = 0.05
 
 #: Jobs a pool worker holds at once: the one it runs and one queued behind
@@ -236,11 +238,8 @@ class FaultSpec:
       modelling a wedged job (set ``seconds`` past the policy timeout to
       exercise the supervisor's kill path);
     * ``"exit"`` — ``os._exit(exit_code)``: a hard worker death that
-      skips ``finally`` blocks, the closest a test gets to SIGKILL/OOM.
-      On a pool worker it comes mid-job, as a real death does: the
-      worker first delivers the messages it has sent (the outcome of the
-      job before and this attempt's ``started`` ack) and waits two
-      supervisor ticks, so the supervisor sees which attempt died.
+      skips ``finally`` blocks and anything still buffered, the closest a
+      test gets to SIGKILL/OOM.
     """
 
     job_id: str
@@ -308,7 +307,11 @@ class RunnerFaultPlan:
 def _worker_main(worker_id: int, tasks, results) -> None:
     """Worker process body: execute tasks one at a time, forever.
 
-    Protocol on the shared result queue (all payloads plain picklables):
+    ``results`` is the write end of the worker's own result pipe.  Each
+    ``send`` is synchronous: it returns once the whole message is in the
+    pipe, and there is no feeder thread, so a message the worker has sent
+    outlives the worker, and its next task starts only after the last
+    outcome has left it.  Protocol (all payloads plain picklables):
 
     * ``("started", worker_id, job_id, attempt)`` — assignment ack; the
       supervisor starts the attempt's timeout clock here.
@@ -316,30 +319,21 @@ def _worker_main(worker_id: int, tasks, results) -> None:
     * ``("error", worker_id, job_id, attempt, error_type, message,
       traceback_text, wall_seconds)`` — the job raised; the exception is
       flattened to strings so unpicklable exception objects can never
-      poison the queue.
+      poison the pipe.
     """
     while True:
         task = tasks.get()
         if task is None:
             return
         job, attempt, fault = task
-        results.put(("started", worker_id, job.job_id, attempt))
+        results.send(("started", worker_id, job.job_id, attempt))
         started = time.perf_counter()
-        if fault is not None and fault.action == "exit":
-            # A real death comes mid-job, long after the worker's earlier
-            # messages left it; an injected one comes at the job's first
-            # line.  Deliver them (the outcome of the job before, this
-            # ack), then give the supervisor a tick to read them, so the
-            # death lands on this attempt and not on the one before it.
-            results.close()
-            results.join_thread()
-            time.sleep(2 * SUPERVISOR_TICK)
         try:
             if fault is not None:
                 fault.trigger()
             result = execute_job(job)
         except Exception as exc:
-            results.put(
+            results.send(
                 (
                     "error",
                     worker_id,
@@ -353,7 +347,7 @@ def _worker_main(worker_id: int, tasks, results) -> None:
             )
         else:
             result.attempts = attempt
-            results.put(("ok", worker_id, job.job_id, attempt, result))
+            results.send(("ok", worker_id, job.job_id, attempt, result))
 
 
 # ---------------------------------------------------------------------- #
@@ -386,15 +380,40 @@ class _Flight:
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
-    __slots__ = ("worker_id", "process", "tasks", "flights")
+    __slots__ = ("worker_id", "process", "tasks", "results", "hung_up", "flights")
 
-    def __init__(self, worker_id: int, process, tasks) -> None:
+    def __init__(self, worker_id: int, process, tasks, results) -> None:
         self.worker_id = worker_id
         self.process = process
         self.tasks = tasks
+        #: Read end of the worker's own result pipe.
+        self.results = results
+        #: The pipe reached end of file: the worker is gone.
+        self.hung_up = False
         #: At most :data:`_WORKER_DEPTH` flights in assignment order: the
         #: head is running, the one behind it is queued.
         self.flights: List[_Flight] = []
+
+    def receive(self) -> List[Tuple]:
+        """Every whole message waiting on the worker's pipe.
+
+        A message cut short by the worker's death, or the end of the pipe,
+        marks the worker hung up; it touches no other worker's pipe.
+        """
+        messages = []
+        try:
+            while self.results.poll():
+                messages.append(self.results.recv())
+        except (EOFError, OSError):
+            self.hung_up = True
+        return messages
+
+    def is_dead(self) -> bool:
+        if self.hung_up:
+            # The pipe closes as the process exits; wait for the exit
+            # code rather than reading a death as a live worker.
+            self.process.join(SUPERVISOR_TICK)
+        return self.hung_up or not self.process.is_alive()
 
     def can_queue(self) -> bool:
         """Whether the worker takes a job behind its head: only once the
@@ -427,6 +446,7 @@ class _Worker:
                 self.process.join(1.0)
         self.tasks.close()
         self.tasks.cancel_join_thread()
+        self.results.close()
 
 
 class _JobState:
@@ -495,7 +515,11 @@ class SupervisedPool:
       The worker goes straight from one job to the next while the parent
       reads the last result, and the supervisor always knows which attempt
       was running on which worker;
-    * a shared result queue plus ``is_alive()`` polling detect dead
+    * each worker reports on its own result pipe, written synchronously,
+      so a finished job's outcome has left the worker before the queued
+      job starts, and a worker that dies mid-write cuts short only its
+      own pipe;
+    * pipe end-of-file plus ``is_alive()`` polling detect dead
       workers within a supervisor tick; the worker is replaced, its
       running attempt becomes a :class:`~repro.errors.WorkerCrashed`
       attempt error, and its queued job goes back to the front of the
@@ -537,24 +561,27 @@ class SupervisedPool:
         self._next_worker_id = 0
 
     # ------------------------------------------------------------------ #
-    def _spawn_worker(self, workers: Dict[int, _Worker], results) -> _Worker:
+    def _spawn_worker(self, workers: Dict[int, _Worker]) -> _Worker:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         tasks = self._context.Queue(_WORKER_DEPTH)
+        results, sender = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(worker_id, tasks, results),
+            args=(worker_id, tasks, sender),
             daemon=True,
             name=f"repro-supervised-{worker_id}",
         )
         process.start()
-        worker = workers[worker_id] = _Worker(worker_id, process, tasks)
+        # The worker holds the only write end, so its death ends the pipe.
+        sender.close()
+        worker = workers[worker_id] = _Worker(worker_id, process, tasks, results)
         return worker
 
-    def _replace(self, workers: Dict[int, _Worker], worker: _Worker, results) -> _Worker:
+    def _replace(self, workers: Dict[int, _Worker], worker: _Worker) -> _Worker:
         worker.discard()
         del workers[worker.worker_id]
-        return self._spawn_worker(workers, results)
+        return self._spawn_worker(workers)
 
     def _assign_next(self, worker: _Worker, pending: List[Tuple[Job, int]]) -> None:
         job, attempt = pending.pop()
@@ -576,13 +603,12 @@ class SupervisedPool:
         delayed: List[Tuple[float, Job, int]] = []
         remaining = len(jobs)
 
-        results = self._context.Queue()
         workers: Dict[int, _Worker] = {}
         try:
             for _ in range(min(self.workers, len(jobs))):
                 # A worker's first job goes out before the next worker is
                 # forked, so it does not wait for the other forks.
-                self._assign_next(self._spawn_worker(workers, results), pending)
+                self._assign_next(self._spawn_worker(workers), pending)
 
             while remaining > 0:
                 now = time.monotonic()
@@ -599,34 +625,30 @@ class SupervisedPool:
                     if not pending:
                         break
                     if not worker.flights:
-                        if not worker.process.is_alive():
-                            worker = self._replace(workers, worker, results)
+                        if worker.is_dead():
+                            worker = self._replace(workers, worker)
                     elif not worker.can_queue():
                         continue
                     self._assign_next(worker, pending)
 
-                # Drain the result queue (one blocking wait, then whatever
-                # else is ready) so completions are never starved by the
-                # liveness checks below.
-                messages = []
-                try:
-                    messages.append(results.get(timeout=SUPERVISOR_TICK))
-                    while True:
-                        messages.append(results.get_nowait())
-                except queue_module.Empty:
-                    pass
-                for message in messages:
-                    outcome = self._handle_message(workers, states, message, delayed)
-                    if outcome is not None:
-                        remaining -= 1
-                        yield outcome
+                # Drain the result pipes (one blocking wait, then whatever
+                # each ready pipe holds) so completions are never starved
+                # by the liveness checks below.
+                readers = {w.results: w for w in workers.values() if not w.hung_up}
+                for reader in wait_for_pipes(list(readers), SUPERVISOR_TICK):
+                    worker = readers[reader]
+                    for message in worker.receive():
+                        outcome = self._handle_message(worker, states, message, delayed)
+                        if outcome is not None:
+                            remaining -= 1
+                            yield outcome
 
                 # Deadlines and dead workers.
                 now = time.monotonic()
                 for worker in list(workers.values()):
                     if not worker.flights:
                         continue
-                    crashed = not worker.process.is_alive()
+                    crashed = worker.is_dead()
                     deadline = worker.flights[0].deadline(self.retry.timeout_seconds)
                     timed_out = deadline is not None and now > deadline
                     if not crashed and not timed_out:
@@ -634,22 +656,16 @@ class SupervisedPool:
                     if crashed:
                         # The worker may have delivered results in the
                         # instant before dying; honor them over a crash record.
-                        leftovers = []
-                        try:
-                            while True:
-                                leftovers.append(results.get_nowait())
-                        except queue_module.Empty:
-                            pass
-                        for message in leftovers:
+                        for message in worker.receive():
                             outcome = self._handle_message(
-                                workers, states, message, delayed
+                                worker, states, message, delayed
                             )
                             if outcome is not None:
                                 remaining -= 1
                                 yield outcome
                         if not worker.flights:
                             # Its final messages resolved every flight after all.
-                            self._replace(workers, worker, results)
+                            self._replace(workers, worker)
                             continue
                         error: JobError = WorkerCrashed(
                             worker.flights[0].job.job_id, worker.process.exitcode
@@ -661,7 +677,7 @@ class SupervisedPool:
                     head, *queued = worker.flights
                     wall = time.monotonic() - head.clock_start()
                     dead_pid = worker.process.pid
-                    self._replace(workers, worker, results)
+                    self._replace(workers, worker)
                     # Queued jobs never ran: back to the front, same attempt.
                     for flight in reversed(queued):
                         pending.append((flight.job, flight.attempt))
@@ -692,21 +708,16 @@ class SupervisedPool:
                 worker.process.join(max(0.0, deadline - time.monotonic()))
             for worker in workers.values():
                 worker.discard()
-            results.close()
-            results.cancel_join_thread()
 
     # ------------------------------------------------------------------ #
     def _handle_message(
         self,
-        workers: Dict[int, _Worker],
+        worker: _Worker,
         states: Dict[str, _JobState],
         message: Tuple,
         delayed: List[Tuple[float, Job, int]],
     ) -> Optional[Union[ChainResult, JobFailure]]:
-        kind, worker_id, job_id, attempt = message[:4]
-        worker = workers.get(worker_id)
-        if worker is None:
-            return None  # stale: from a worker already replaced
+        kind, _, job_id, attempt = message[:4]
         if kind == "started":
             for flight in worker.flights:
                 if flight.job.job_id == job_id and flight.attempt == attempt:

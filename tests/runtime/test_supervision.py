@@ -7,6 +7,9 @@ supervisor timeouts under every start method) lives in
 """
 
 import multiprocessing
+import os
+import pickle
+import struct
 
 import pytest
 
@@ -22,7 +25,7 @@ from repro.runtime import (
     replica_jobs,
     run_ensemble,
 )
-from repro.runtime.supervision import _worker_main, validate_failure_policy
+from repro.runtime.supervision import _Worker, _worker_main, validate_failure_policy
 
 
 def small_jobs(replicas=3):
@@ -305,14 +308,18 @@ class TestSupervisedPool:
         """A worker busy past a stall still speaks the protocol: ``started``
         on assignment, then ``ok`` for the first attempt."""
         ctx = multiprocessing.get_context("fork")
-        tasks, results = ctx.Queue(1), ctx.Queue()
-        process = ctx.Process(target=_worker_main, args=(0, tasks, results), daemon=True)
+        tasks = ctx.Queue(1)
+        results, sender = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=_worker_main, args=(0, tasks, sender), daemon=True)
         process.start()
+        sender.close()
         try:
             job = small_jobs(1)[0]
             tasks.put((job, 1, FaultSpec(job.job_id, 1, "stall", seconds=0.3)))
-            assert results.get(timeout=10.0)[0] == "started"
-            kind, _, job_id, attempt, result = results.get(timeout=10.0)
+            assert results.poll(10.0)
+            assert results.recv()[0] == "started"
+            assert results.poll(10.0)
+            kind, _, job_id, attempt, result = results.recv()
             assert (kind, job_id, attempt) == ("ok", job.job_id, 1)
             assert result.attempts == 1
             tasks.put(None)
@@ -322,3 +329,18 @@ class TestSupervisedPool:
             if process.is_alive():
                 process.terminate()
                 process.join(1.0)
+
+    def test_messages_sent_before_a_death_are_read_and_a_cut_one_is_dropped(self):
+        """A worker's pipe keeps what was sent whole after the worker is
+        gone; a message cut short by the death ends the read instead of
+        blocking it."""
+        results, sender = multiprocessing.Pipe(duplex=False)
+        sent = ("ok", 0, "job-a", 1, {"payload": list(range(100))})
+        sender.send(sent)
+        header = struct.pack("!i", 4096)
+        os.write(sender.fileno(), header + pickle.dumps(sent)[:64])
+        sender.close()
+        worker = _Worker(0, None, None, results)
+        assert worker.receive() == [sent]
+        assert worker.hung_up
+        results.close()

@@ -231,20 +231,28 @@ class TestQueuedSlot:
     def test_exit_after_a_finished_job_is_charged_to_the_exiting_job(
         self, start_method
     ):
-        """The middle job exits as it starts, right after the job before it
-        finished on the same worker: the finished job keeps its result."""
-        jobs = harness_jobs(3)
+        """Every other job exits as it starts, right after the job before it
+        finished on the same worker: each finished job keeps its result.
+        The outcome must have left the worker before the next job starts;
+        four exits give a lost outcome four chances to show."""
+        jobs = harness_jobs(8)
+        doomed, kept = jobs[1::2], jobs[0::2]
         result = run_ensemble(
             jobs,
             workers=1,
             start_method=start_method,
             retry=RetryPolicy(max_attempts=1, timeout_seconds=60.0),
-            fault_plan=RunnerFaultPlan.build(FaultSpec(jobs[1].job_id, 1, "exit")),
+            fault_plan=RunnerFaultPlan.build(
+                *(FaultSpec(job.job_id, 1, "exit") for job in doomed)
+            ),
             failure_policy="quarantine",
         )
-        assert result.failed_ids == [jobs[1].job_id]
-        assert [r.job.job_id for r in result.results] == [jobs[0].job_id, jobs[2].job_id]
-        assert [r.attempts for r in result.results] == [1, 1]
+        assert result.failed_ids == [job.job_id for job in doomed]
+        for job in doomed:
+            errors = result.failure_for(job.job_id).attempt_errors
+            assert [e["error_type"] for e in errors] == ["WorkerCrashed"]
+        assert [r.job.job_id for r in result.results] == [job.job_id for job in kept]
+        assert [r.attempts for r in result.results] == [1] * len(kept)
 
     def test_timeout_charges_only_the_stalled_job(self, start_method):
         jobs = harness_jobs(2)
