@@ -11,12 +11,11 @@ contract:
   on).  The default is one attempt and no timeout.
 * :class:`SupervisedPool` — worker processes watched over per-worker
   result pipes and ``is_alive()`` polling: dead workers are detected and
-  replaced, the
-  job running on one is retried or quarantined, and in-flight work is
-  bounded at one running job plus one queued job per worker (no poisoned
-  ``imap`` iterator, no unbounded task backlog).  A crash or timeout is
-  charged to the running job only; the queued job goes back to the front
-  of the queue with its attempt unspent.
+  replaced, the job running on one is retried or quarantined, and
+  in-flight work is bounded at one running job plus one queued job per
+  worker (no poisoned ``imap`` iterator, no unbounded task backlog).  A
+  crash or timeout is charged to the running job only; the queued job
+  goes back to the front of the queue with its attempt unspent.
 * :func:`run_supervised_serial` — the same attempt loop in-process, for
   ``workers=1`` runs without a timeout.
 * :class:`JobFailure` — the structured record a job leaves behind when
