@@ -38,9 +38,11 @@ state and the chain engines' 256-entry move tables:
   :meth:`perimeter` is O(1) via ``p = 3n - 3 - e`` once hole-free
   (exact cached recomputation while holes remain, as in the fast chain).
 
-Use the object simulator to audit individual activations or subclass
-particle behaviour; use this engine for fault/Byzantine experiments at
-the chain engines' n=10k-100k scales.
+:meth:`~FastAmoebotSystem.step` delivers one activation through the same
+loop as :meth:`~FastAmoebotSystem.run`, so Algorithm A has one copy in
+this module.  Use the object simulator to audit individual activations
+or subclass particle behaviour; use this engine for fault/Byzantine
+experiments at the chain engines' n=10k-100k scales.
 """
 
 from __future__ import annotations
@@ -226,106 +228,23 @@ class FastAmoebotSystem:
     def step(self) -> Action:
         """Deliver one activation and apply its action (lockstep-test path).
 
-        Semantically identical to :meth:`run` for one activation, but
-        materializes the chosen :class:`Action` like the reference
-        simulator does.  Throughput-sensitive callers use :meth:`run`.
+        One pass of :meth:`run`'s own loop, :meth:`_run_core`, so
+        Algorithm A has one copy here: the action is read off the
+        counter that pass moved, an expansion's target off the grid after
+        any reallocation it triggered.  Throughput-sensitive callers use
+        :meth:`run`.
         """
-        activation = self.scheduler.next()
-        direction, uniform = self._draws.draw()
-        i = activation.particle_id
-        self.stats.activations += 1
-        code = self._state[i]
-        if code == -2:
-            self._flag[i] = False
-            self.stats.idle_activations += 1
-            return Idle()
-        grid = self.grid
-        occ = grid.cells
-        eff = self._eff
-        expn = self._expn
-        doff = grid.direction_offsets
-        if code == -1:
-            t = self._tail[i]
-            target = t + doff[direction]
-            if occ[target]:
-                self.stats.idle_activations += 1
-                return Idle()
-            if (
-                expn[t + doff[0]]
-                or expn[t + doff[1]]
-                or expn[t + doff[2]]
-                or expn[t + doff[3]]
-                or expn[t + doff[4]]
-                or expn[t + doff[5]]
-            ):
-                self.stats.idle_activations += 1
-                return Idle()
-            self._head[i] = target
-            self._state[i] = direction
-            occ[target] = 1
-            expn[t] = 1
-            expn[target] = 1
-            ring = grid.ring_offsets[direction]
-            self._flag[i] = not (
-                expn[t + ring[0]]
-                or expn[t + ring[1]]
-                or expn[t + ring[2]]
-                or expn[t + ring[3]]
-                or expn[t + ring[4]]
-                or expn[t + ring[5]]
-                or expn[t + ring[6]]
-                or expn[t + ring[7]]
-            )
-            self.stats.expansions += 1
-            self._occupied_cache = None
-            action: Action = Expand(target=grid.node_at(target))
-            if grid.in_guard_band(target):
-                self._reallocate()
-            return action
-        t = self._tail[i]
-        h = self._head[i]
-        ring = grid.ring_offsets[code]
-        mask = (
-            eff[t + ring[0]]
-            | eff[t + ring[1]] << 1
-            | eff[t + ring[2]] << 2
-            | eff[t + ring[3]] << 3
-            | eff[t + ring[4]] << 4
-            | eff[t + ring[5]] << 5
-            | eff[t + ring[6]] << 6
-            | eff[t + ring[7]] << 7
-        )
-        neighbors_at_tail = self._nb_before[mask]
-        if (
-            neighbors_at_tail != FORBIDDEN_NEIGHBOR_COUNT
-            and self._flag[i]
-            and self._property_ok[mask]
-        ):
-            delta = self._nb_after[mask] - neighbors_at_tail
-            if uniform < self._acceptance[delta + 5]:
-                occ[t] = 0
-                eff[t] = 0
-                expn[t] = 0
-                expn[h] = 0
-                eff[h] = 1
-                self._tail[i] = h
-                self._head[i] = -1
-                self._state[i] = -1
-                self._flag[i] = False
-                self._edge_count += delta
-                self.stats.completed_moves += 1
-                self._occupied_cache = None
-                self._configuration_cache = None
-                return ContractForward()
-        occ[h] = 0
-        expn[h] = 0
-        expn[t] = 0
-        self._head[i] = -1
-        self._state[i] = -1
-        self._flag[i] = False
-        self.stats.aborted_moves += 1
-        self._occupied_cache = None
-        return ContractBack()
+        stats = self.stats
+        before = (stats.expansions, stats.completed_moves, stats.aborted_moves)
+        self._run_core(budget=1, stop_round=None)
+        if stats.expansions != before[0]:
+            i = self.scheduler._winners[self.scheduler._cursor - 1]
+            return Expand(target=self.grid.node_at(self._head[i]))
+        if stats.completed_moves != before[1]:
+            return ContractForward()
+        if stats.aborted_moves != before[2]:
+            return ContractBack()
+        return Idle()
 
     def run(self, activations: int) -> None:
         """Deliver a fixed number of activations (the engine's hot path)."""
@@ -377,11 +296,13 @@ class FastAmoebotSystem:
     def _run_core(self, budget: Optional[int], stop_round: Optional[int]) -> None:
         """Deliver activations until the budget or the round target is reached.
 
-        One Python loop over the prefetched scheduler and pair blocks with
+        The one Python copy of Algorithm A: :meth:`run`,
+        :meth:`run_rounds` and :meth:`step` (``budget=1``) all go through
+        it.  One loop over the prefetched scheduler and pair blocks with
         all state bound to locals; counters are flushed back to the
         instance and the scheduler at block boundaries, so interleaving
-        :meth:`run`, :meth:`run_rounds` and :meth:`step` consumes the
-        shared tapes exactly like the reference simulator does.  Round
+        the three consumes the shared tapes exactly like the reference
+        simulator does.  Round
         bookkeeping runs after the activation's action is applied — state
         evolution is unaffected by the ordering, and it lets the loop stop
         exactly on the activation that completes the target round, like

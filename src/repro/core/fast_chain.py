@@ -81,8 +81,10 @@ same results, several times slower), for more than ``2**32`` particles,
 and as the oracle of the differential fuzz in
 ``tests/core/test_native_loops.py``, which builds an engine with
 :func:`repro.core._native.load_library` patched to return ``None``.
-:meth:`step` and ``run(callback=...)`` resolve one proposal at a time in
-Python on either build.
+:meth:`step` (and so ``run(callback=...)``) is one pass of the same
+loop, whichever the build runs, with its
+:class:`~repro.core.markov_chain.StepResult` read off what the pass
+changed; the move rule has no per-proposal copy.
 
 How construction works
 ----------------------
@@ -148,6 +150,13 @@ COUNTERS = MOVEMENT_REJECTION_REASONS + SWAP_REJECTION_REASONS + (
     "guard_hit",
 )
 _GUARD_HIT = COUNTERS.index("guard_hit")
+_EDGE_DELTA = COUNTERS.index("edge_delta")
+#: The outcome slots: every proposal adds 1 to exactly one of them, and a
+#: slot's name is the :class:`~repro.core.markov_chain.StepResult` reason.
+_OUTCOMES = COUNTERS.index("swapped") + 1
+#: The rejections that read the ring around the move edge, and so report
+#: the move's edge delta.
+_RING_REJECTIONS = ("five_neighbors", "property_failed", "metropolis_rejected")
 
 
 class OccupancyGrid:
@@ -657,142 +666,42 @@ class FastCompressionChain:
     def step(self) -> StepResult:
         """Perform one iteration of the chain and report what happened.
 
-        Semantically identical to the reference engine's ``step`` for the
-        same kernel; used by the lockstep differential tests.
-        Throughput-sensitive callers should prefer :meth:`run`, which
-        skips the per-proposal
+        One pass of :meth:`run`'s own loop, so the move rule has one copy
+        per build: the result is read off what that pass changed.  The
+        proposal is the tape position it consumed, the reason the one
+        counter it moved, and a moved particle's cells are read off the
+        grid after any reallocation the move triggered.  Semantically
+        identical to the reference engine's ``step`` for the same kernel;
+        used by the lockstep differential tests.  Throughput-sensitive
+        callers should prefer :meth:`run`, which skips the per-proposal
         :class:`~repro.core.markov_chain.StepResult` construction.
         """
+        counts = self._advance(1)
         self._iterations += 1
-        if self._kernel.lanes == 2:
-            index, direction_index, q, q2 = self._draws.draw2()
-            if q2 < self._swap_probability:
-                return self._swap_step(index, direction_index, q)
-        else:
-            index, direction_index, q = self._draws.draw()
-        return self._movement_step(index, direction_index, q)
-
-    def _movement_step(self, index: int, direction_index: int, q: float) -> StepResult:
+        self._flush(counts)
+        draws = self._draws
+        index = int(draws.indices[draws.cursor - 1])
+        direction = int(draws.directions[draws.cursor - 1])
+        reason = COUNTERS[counts.index(1, 0, _OUTCOMES)]
         grid = self._grid
-        cells = grid.cells
-        source = self._pos[index]
-        target = source + grid.direction_offsets[direction_index]
-        move = Move(source=grid.node_at(source), target=grid.node_at(target))
-
-        if cells[target]:
-            self._rejections["target_occupied"] += 1
-            return StepResult(False, move, None, "target_occupied")
-
-        ring = grid.ring_offsets[direction_index]
-        mask = (
-            cells[source + ring[0]]
-            | cells[source + ring[1]] << 1
-            | cells[source + ring[2]] << 2
-            | cells[source + ring[3]] << 3
-            | cells[source + ring[4]] << 4
-            | cells[source + ring[5]] << 5
-            | cells[source + ring[6]] << 6
-            | cells[source + ring[7]] << 7
-        )
-        neighbors_before = self._nb_before[mask]
-        edge_delta = self._nb_after[mask] - neighbors_before
-        if neighbors_before == FORBIDDEN_NEIGHBOR_COUNT:
-            self._rejections["five_neighbors"] += 1
-            return StepResult(False, move, edge_delta, "five_neighbors")
-        if not self._property_ok[mask]:
-            self._rejections["property_failed"] += 1
-            return StepResult(False, move, edge_delta, "property_failed")
-        if q >= self._movement_acceptance(source, target, edge_delta):
-            self._rejections["metropolis_rejected"] += 1
-            return StepResult(False, move, edge_delta, "metropolis_rejected")
-
-        cells[source] = 0
-        cells[target] = 1
-        self._pos[index] = target
-        self._edge_count += edge_delta
-        self._accepted += 1
-        mode = self._mode
-        if mode == "edge_site":
-            self._site_count += self._site_plane[target] - self._site_plane[source]
-        elif mode == "edge_color":
-            plane = self._color_plane
-            plane[target] = plane[source]
-            plane[source] = 0
-        self._configuration_cache = None
-        if grid.in_guard_band(target):
-            self._reallocate()
-        return StepResult(True, move, edge_delta, "moved")
-
-    def _movement_acceptance(self, source: int, target: int, edge_delta: int) -> float:
-        """The kernel's acceptance probability for a structurally legal move.
-
-        ``source``/``target`` are flat grid indices; auxiliary deltas are
-        read straight off the kernel's byte plane.
-        """
-        mode = self._mode
-        if mode == "edge":
-            row = 0
-        elif mode == "edge_site":
-            site = self._site_plane
-            row = site[target] - site[source] + 1
+        offset = grid.direction_offsets[direction]
+        edge_delta = None
+        if reason == "moved":
+            target = self._pos[index]
+            source = target - offset
+            edge_delta = counts[_EDGE_DELTA]
         else:
-            plane = self._color_plane
-            color = plane[source]
-            a_before = 0
-            a_after = -1  # the mover itself is always adjacent to the target
-            for offset in self._grid.direction_offsets:
-                if plane[source + offset] == color:
-                    a_before += 1
-                if plane[target + offset] == color:
-                    a_after += 1
-            row = a_after - a_before + 5
-        return self._rows[row][edge_delta + 6]
-
-    def _swap_step(self, index: int, direction_index: int, q: float) -> StepResult:
-        """A color-swap attempt (``edge_color`` kernels only)."""
-        grid = self._grid
-        plane = self._color_plane
-        source = self._pos[index]
-        target = source + grid.direction_offsets[direction_index]
+            source = self._pos[index]
+            target = source + offset
+            if reason in _RING_REJECTIONS:
+                # The rejection left the ring as the loop read it.
+                cells = grid.cells
+                mask = 0
+                for bit, ring_offset in enumerate(grid.ring_offsets[direction]):
+                    mask |= cells[source + ring_offset] << bit
+                edge_delta = self._nb_after[mask] - self._nb_before[mask]
         move = Move(source=grid.node_at(source), target=grid.node_at(target))
-        target_color = plane[target]
-        if not target_color:
-            self._rejections["swap_target_empty"] += 1
-            return StepResult(False, move, None, "swap_target_empty")
-        source_color = plane[source]
-        if source_color == target_color:
-            self._rejections["swap_same_color"] += 1
-            return StepResult(False, move, None, "swap_same_color")
-        delta = self._swap_delta(source, target, source_color, target_color)
-        if q >= self._swap_acceptance[delta + 10]:
-            self._rejections["swap_rejected"] += 1
-            return StepResult(False, move, None, "swap_rejected")
-        plane[source], plane[target] = target_color, source_color
-        self._accepted_swaps += 1
-        return StepResult(False, move, None, "swapped")
-
-    def _swap_delta(self, source: int, target: int, source_color: int, target_color: int) -> int:
-        """Same-color-edge delta of swapping two distinct colors.
-
-        Plane reads only: the ``before`` counts need no exclusions (the
-        partner holds the *other* color, so it never matches), while each
-        ``after`` count over-counts the partner cell by exactly one.
-        """
-        plane = self._color_plane
-        before = 0
-        after = -2
-        for offset in self._grid.direction_offsets:
-            around_source = plane[source + offset]
-            around_target = plane[target + offset]
-            if around_source == source_color:
-                before += 1
-            elif around_source == target_color:
-                after += 1
-            if around_target == target_color:
-                before += 1
-            elif around_target == source_color:
-                after += 1
-        return after - before
+        return StepResult(reason == "moved", move, edge_delta, reason)
 
     def run(
         self, iterations: int, callback: Optional[Callable[[int, StepResult], None]] = None
@@ -813,22 +722,26 @@ class FastCompressionChain:
                 result = self.step()
                 callback(self._iterations, result)
             return
-        if self._library is None:
-            counts = self._run_python(iterations)
-        else:
-            run_compiled = self._draws.run_compiled
-            counters = self._counters
-            counters.fill(0)
-            remaining = iterations
-            while remaining > 0:
-                run_chain, mode, loop_args = self._call
-                remaining -= run_compiled(run_chain, mode, remaining, *loop_args)
-                if counters[_GUARD_HIT]:
-                    counters[_GUARD_HIT] = 0
-                    self._reallocate()
-            counts = counters.tolist()
+        counts = self._advance(iterations)
         self._iterations += iterations
         self._flush(counts)
+
+    def _advance(self, iterations: int) -> List[int]:
+        """Run the loop ``iterations`` times, re-centering the grid after
+        each guard-band hit; returns the counts in :data:`COUNTERS` order."""
+        if self._library is None:
+            return self._run_python(iterations)
+        run_compiled = self._draws.run_compiled
+        counters = self._counters
+        counters.fill(0)
+        remaining = iterations
+        while remaining > 0:
+            run_chain, mode, loop_args = self._call
+            remaining -= run_compiled(run_chain, mode, remaining, *loop_args)
+            if counters[_GUARD_HIT]:
+                counters[_GUARD_HIT] = 0
+                self._reallocate()
+        return counters.tolist()
 
     def _run_python(self, iterations: int) -> List[int]:
         """The Python run loop of every kernel mode; returns its counts in
@@ -1029,8 +942,8 @@ class FastCompressionChain:
         )
 
     def _flush(self, counts) -> None:
-        """Add one ``run()``'s counts, in :data:`COUNTERS` order, to the
-        engine's counters."""
+        """Add one :meth:`_advance`'s counts, in :data:`COUNTERS` order, to
+        the engine's counters."""
         (
             occupied, five, failed, metropolis, swap_empty, swap_same, swap_rejected,
             moved, swapped, edge_delta, site_delta, _,

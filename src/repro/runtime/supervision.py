@@ -74,6 +74,14 @@ SUPERVISOR_TICK = 0.05
 #: while the parent reads the result and the runner checkpoints it.
 _WORKER_DEPTH = 2
 
+#: How long (seconds) a running job's worker may take to ack its start
+#: before the attempt is charged a timeout.  An attempt's own timeout
+#: clock starts at that ack, so a replacement worker that boots slowly
+#: (``spawn`` and ``forkserver`` import the package afresh) does not
+#: spend its first job's budget; this bound only catches a worker that
+#: never boots, and so sits far above any boot time.
+_BOOT_SECONDS = 60.0
+
 
 class InjectedFault(JobError):
     """The deliberate failure raised by a ``FaultSpec(action="raise")``."""
@@ -366,14 +374,19 @@ class _Flight:
         self.started_at: Optional[float] = None
 
     def clock_start(self) -> float:
-        """Where the attempt's timeout clock starts: its ``started`` ack,
-        or when it became the head if that ack has not been read yet."""
+        """Where the attempt's wall clock starts: its ``started`` ack, or
+        when it became the head if that ack has not been read yet."""
         return self.started_at or self.head_at
 
     def deadline(self, timeout: Optional[float]) -> Optional[float]:
+        """When the attempt is charged a timeout: ``timeout`` after its
+        ``started`` ack, or :data:`_BOOT_SECONDS` after it became the head
+        while that ack is unread."""
         if timeout is None:
             return None
-        return self.clock_start() + timeout
+        if self.started_at is None:
+            return self.head_at + _BOOT_SECONDS
+        return self.started_at + timeout
 
 
 class _Worker:
@@ -527,9 +540,10 @@ class SupervisedPool:
     * an attempt exceeding ``retry.timeout_seconds`` gets its worker
       killed from outside (:class:`~repro.errors.JobTimeout`), so a
       wedged job cannot stall the ensemble.  An attempt's clock starts at
-      its ``started`` ack, or when it became the head if that ack is not
-      read yet, never while it waits queued; the killed worker's queued
-      job goes back as after a crash;
+      its ``started`` ack, never while it waits queued or its worker
+      boots; a running job whose ack does not arrive within
+      :data:`_BOOT_SECONDS` is charged a timeout all the same.  The
+      killed worker's queued job goes back as after a crash;
     * failed attempts are retried up to ``retry.max_attempts`` with
       deterministic backoff; jobs that exhaust their attempts are
       yielded as :class:`JobFailure` records instead of poisoning the

@@ -10,6 +10,10 @@ agreement of the two builds at every chunk boundary; randomized
 invariants (connectivity; the incrementally maintained gap occupancy
 ``g(sigma)`` against the from-scratch terrain recomputation); and a
 committed golden trace pinned on all three.
+
+``pytest --native-library PATH`` runs it against another build of
+``chain_loops.c`` (a sanitizer build, say): ``step()`` enters and leaves
+the compiled loop once per proposal.
 """
 
 import json
@@ -25,6 +29,8 @@ from repro.algorithms.shortcut_bridging import (
 )
 from repro.errors import ConfigurationError
 from repro.lattice.shapes import line, random_connected
+
+pytestmark = pytest.mark.usefixtures("native_build")
 
 FIXTURE_PATH = Path(__file__).parent / "golden" / "bridging_arm5_n25_lam4_gam2_seed0.json"
 

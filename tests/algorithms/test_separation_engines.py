@@ -21,6 +21,10 @@ same contract as the compression engines:
 * **Golden trace:** a committed fixture pins the exact trajectory of a
   standard start, so silent protocol changes fail loudly — on both
   engines and on the fast engine's Python loops.
+
+``pytest --native-library PATH`` runs it against another build of
+``chain_loops.c`` (a sanitizer build, say): ``step()`` enters and leaves
+the compiled loop once per proposal.
 """
 
 import json
@@ -31,6 +35,8 @@ import pytest
 from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
 from repro.errors import ConfigurationError
 from repro.lattice.shapes import line, random_connected, spiral
+
+pytestmark = pytest.mark.usefixtures("native_build")
 
 FIXTURE_PATH = Path(__file__).parent / "golden" / "separation_spiral24_lam2_gam1.5_seed0.json"
 

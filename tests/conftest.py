@@ -134,8 +134,9 @@ def pytest_addoption(parser):
         default=None,
         help=(
             "path to a build of repro/core/_native/chain_loops.c (for example "
-            "a sanitizer build) that tests/core/test_native_loops.py, "
-            "tests/lattice/test_plane_invariants.py and tests/test_native_tape.py "
-            "run against instead of the cached build"
+            "a sanitizer build) that the suites using the native_build fixture "
+            "run against instead of the cached build: the native differential "
+            "fuzz, the plane-invariant, tape, generator-position and "
+            "deferred-lane suites, and the chain lockstep suites"
         ),
     )

@@ -7,15 +7,20 @@ loops and on its Python loops alike — and the hash-map
 :class:`~repro.core.markov_chain.CompressionMarkovChain` must produce
 bit-identical trajectories — the same proposal every iteration, resolved
 the same way (identical move, rejection reason and edge delta), with
-identical running edge counts, perimeters and rejection tallies.  The
-batched ``run()`` path (the compiled C loop) is additionally tested
-against the Python loops' ``run()`` across every case, since ``step()``
-resolves proposals in Python either way.
+identical running edge counts, perimeters and rejection tallies.
+``step()`` is one pass of the build's own loop (``run_chain`` or
+``_run_python``), so the lockstep cases test each loop proposal by
+proposal; the batched ``run()`` path is additionally tested against the
+Python loops' ``run()`` across every case.
 
 Lockstep runs cover the paper's standard line start, maximally compressed
 spirals, and random connected starts (with and without holes), across
 compressing (``lambda > 3.42``), neutral (``lambda = 1``) and expanding
 (``lambda < 2.17``) regimes.
+
+``pytest --native-library PATH`` runs it against another build of
+``chain_loops.c`` (a sanitizer build, say): ``step()`` enters and leaves
+the compiled loop once per proposal.
 """
 
 import pytest
@@ -29,6 +34,8 @@ from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.shapes import line, random_connected, ring, spiral
 from repro.lattice.triangular import DIRECTIONS, neighbors
+
+pytestmark = pytest.mark.usefixtures("native_build")
 
 #: name -> (start configuration, lambda, lockstep iterations)
 LOCKSTEP_CASES = {

@@ -13,6 +13,10 @@ tables — fails here rather than skewing experiment results unnoticed.
 If a change *intentionally* alters the protocol (and the ROADMAP agrees),
 regenerate the fixture with both engines in agreement and say so loudly
 in the commit message.
+
+``pytest --native-library PATH`` runs it against another build of
+``chain_loops.c`` (a sanitizer build, say): ``step()`` enters and leaves
+the compiled loop once per proposal.
 """
 
 import json
@@ -23,6 +27,8 @@ import pytest
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.markov_chain import CompressionMarkovChain
 from repro.lattice.shapes import line
+
+pytestmark = pytest.mark.usefixtures("native_build")
 
 FIXTURE_PATH = Path(__file__).parent / "golden" / "line20_lam4_seed0.json"
 

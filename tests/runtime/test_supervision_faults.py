@@ -24,6 +24,7 @@ from repro.runtime import (
     replica_jobs,
     run_ensemble,
 )
+from repro.runtime.supervision import SupervisedPool
 
 START_METHODS = [
     method
@@ -271,6 +272,38 @@ class TestQueuedSlot:
         assert [e["error_type"] for e in timed_out.attempt_errors] == ["JobTimeout"]
         assert [r.job.job_id for r in result.results] == [jobs[1].job_id]
         assert result.results[0].attempts == 1
+
+    def test_replacement_boot_is_not_charged_to_the_retry(self, start_method, monkeypatch):
+        """Attempt 1 stalls past a 0.5 s timeout.  Attempt 2 runs on a
+        replacement worker, which under spawn or forkserver takes about
+        as long as the timeout to boot; its clock starts at its
+        ``started`` ack, so it completes, charged nothing."""
+        charged = []
+        attempt_failed = SupervisedPool._attempt_failed
+
+        def spy(pool, state, attempt, error_type, *args, **kwargs):
+            charged.append((attempt, error_type))
+            return attempt_failed(pool, state, attempt, error_type, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "_attempt_failed", spy)
+        jobs = harness_jobs(1)
+        clean = run_ensemble(jobs)
+        result = run_ensemble(
+            jobs,
+            workers=1,
+            start_method=start_method,
+            retry=RetryPolicy(
+                max_attempts=3, backoff_seconds=0.01, jitter=0.0, timeout_seconds=0.5
+            ),
+            fault_plan=RunnerFaultPlan.build(
+                FaultSpec(jobs[0].job_id, 1, "stall", seconds=60.0)
+            ),
+            failure_policy="quarantine",
+        )
+        assert not result.failures
+        assert [r.attempts for r in result.results] == [2]
+        assert charged == [(1, "JobTimeout")]
+        assert_bit_identical(clean.results, result.results)
 
     def test_queued_job_clock_starts_when_it_runs(self, start_method):
         """Each job stalls 1 s under a 1.6 s timeout.  The second waits

@@ -5,9 +5,9 @@ draws the index and direction lanes, saves the generator state the
 uniform lane starts from, jumps the generator past the lane and draws a
 uniform only when a proposal reads it, from a private copy of the lane
 state jumped on from the last uniform read.  Reading
-:attr:`repro.rng.BatchedMoveDraws.uniforms` (and so ``lists()``,
-``draw()`` and the engine's ``step()``) draws the whole lane from the
-saved state.  Here, after ``run(k)``, the lane, its list view and the
+:attr:`repro.rng.BatchedMoveDraws.uniforms` (and so ``lists()`` and
+``draw()``) draws the whole lane from the saved state; the engine's
+``step()`` is one pass of ``run_chain`` and reads no lane from Python.  Here, after ``run(k)``, the lane, its list view and the
 next step must equal what a twin generator's ``random(block)`` calls
 give, the generator must stand where the twin stands, and the
 trajectory must be the reference engine's:
@@ -81,13 +81,16 @@ def assert_lane_replays(reference, compiled, expected, twin, first_read, context
     draws = compiled._draws
     assert draws._fill.tape.deferred, context
     assert compiled._rng.bit_generator.state == twin.bit_generator.state, context
-    if first_read == "uniforms":
-        np.testing.assert_array_equal(draws.uniforms, expected[2], err_msg=context)
-    elif first_read == "lists":
-        assert draws.lists()[2] == expected[2].tolist(), context
-    else:
+    if first_read == "step":
         assert compiled.step() == reference.step(), context
-    assert not draws._fill.tape.deferred, context
+        # step() is one pass of run_chain: Python reads no lane.
+        assert draws._fill.tape.deferred, context
+    else:
+        if first_read == "uniforms":
+            np.testing.assert_array_equal(draws.uniforms, expected[2], err_msg=context)
+        else:
+            assert draws.lists()[2] == expected[2].tolist(), context
+        assert not draws._fill.tape.deferred, context
     np.testing.assert_array_equal(draws.uniforms, expected[2], err_msg=context)
     assert draws.lists()[2] == expected[2].tolist(), context
     np.testing.assert_array_equal(draws.indices, expected[0], err_msg=context)
@@ -201,7 +204,7 @@ def test_the_lane_replays_numpy_after_runs_of_every_length(block, first_read):
         expected, twin = numpy_tape(11, 20, block, 1, blocks_drawn(consumed, block))
         assert compiled._rng.bit_generator.state == twin.bit_generator.state, context
         if consumed % block == 0:
-            continue  # no unread position: the next step refills in Python, eagerly
+            continue  # no unread position: the next step draws a new block
         assert_lane_replays(reference, compiled, expected, twin, first_read, context)
 
 
