@@ -17,16 +17,25 @@ the two draw the same stream).  ``test_run_call_n100`` records what one
 short ``run()`` costs, the call a ``lambda_sweep`` job makes a hundred
 times per replica, and ``test_run_chain_disc_n200467`` what one long
 ``run()`` costs per iteration on the paper-scale disc, draws included.
+``test_disc_setup_n200467`` times that disc's configuration and engine
+construction as separate phases.  Both take their rounds in several
+fresh processes.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _emit
+import repro
 from _starts import compact_disc
 from repro.amoebot.system import AmoebotSystem
 from repro.core import _native
@@ -194,33 +203,151 @@ def test_run_call_n100(python_loops):
     )
 
 
+#: Fresh interpreters per multi-process row.  On a 2-vCPU VM the disc
+#: loop ran at one of two speeds per process, so a process is one sample.
+PROCESSES = 3
+
+_RUN_CHAIN_CHILD = """
+import json, sys, time
+from _starts import compact_disc
+from repro.core.fast_chain import FastCompressionChain
+n, iterations, rounds = map(int, sys.argv[1:])
+chain = FastCompressionChain(compact_disc(n), lam=4.0, seed=0)
+if chain._library is None:
+    print(json.dumps(None))
+    raise SystemExit
+times = []
+for _ in range(rounds):
+    started = time.perf_counter()
+    chain.run(iterations)
+    times.append(time.perf_counter() - started)
+print(json.dumps(times))
+"""
+
+_DISC_SETUP_CHILD = """
+import json, sys, time
+from repro.core.fast_chain import FastCompressionChain
+from repro.lattice.configuration import ParticleConfiguration
+radius, rounds = map(int, sys.argv[1:])
+# The node list of perfbench's large_n_disc: fresh tuples, x-major.
+nodes = [
+    (x, y)
+    for x in range(-radius, radius + 1)
+    for y in range(max(-radius, -x - radius), min(radius, radius - x) + 1)
+]
+# One small engine first: the move tables and the library load once a
+# process and are not part of either phase.
+FastCompressionChain(ParticleConfiguration(nodes[:7]), lam=4.0, seed=0)
+phases = {"construct": [], "engine_init": []}
+for _ in range(rounds):
+    started = time.perf_counter()
+    configuration = ParticleConfiguration(nodes)
+    built = time.perf_counter()
+    chain = FastCompressionChain(configuration, lam=4.0, seed=0)
+    done = time.perf_counter()
+    phases["construct"].append(built - started)
+    phases["engine_init"].append(done - built)
+    del configuration, chain
+print(json.dumps(phases))
+"""
+
+
+def _in_fresh_processes(script: str, *args: int):
+    """What ``script`` printed as JSON in each of :data:`PROCESSES` new interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [
+            str(Path(__file__).parent),
+            str(Path(repro.__file__).resolve().parents[1]),
+            env.get("PYTHONPATH", ""),
+        ]
+    )
+    outputs = []
+    for _ in range(PROCESSES):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            capture_output=True, text=True, env=env, timeout=600, check=True,
+        )
+        outputs.append(json.loads(proc.stdout))
+    return outputs
+
+
+def _spread(per_process: list, scale: float) -> dict:
+    """Best, median and quartiles over every round, and each process's median."""
+    rounds = scale * np.concatenate(per_process)
+    low, high = np.percentile(rounds, [25, 75])
+    return {
+        "best": float(rounds.min()),
+        "median": float(np.median(rounds)),
+        "q1": float(low),
+        "q3": float(high),
+        "process_medians": [float(scale * np.median(times)) for times in per_process],
+    }
+
+
 def test_run_chain_disc_n200467():
     """Nanoseconds per iteration of ``run(2_000_000)`` on the n = 200,467 disc.
 
     The chain of ``perfbench``'s ``large_n_disc`` workload: a compressed
     disc at lambda = 4, where about 0.25% of proposals reach the
     Metropolis filter and read their uniform, so the loop's cost is
-    mostly the move checks and the index and direction draws.  One
-    engine runs the rounds back to back; the best round is the row, with
-    the median beside it.  No gate: the row tracks the compiled loop
-    with the draws it makes."""
+    mostly the move checks and the index and direction draws.  Each of
+    :data:`PROCESSES` fresh interpreters builds one engine and runs the
+    rounds back to back; the row holds the best and the median round
+    over all of them, the quartiles, and each process's median.  No
+    gate: the row tracks the compiled loop with the draws it makes."""
     n, iterations, rounds = 200_467, 2_000_000, 7
-    chain = FastCompressionChain(compact_disc(n), lam=4.0, seed=0)
-    if chain._library is None:
+    per_process = _in_fresh_processes(_RUN_CHAIN_CHILD, n, iterations, rounds)
+    if None in per_process:
         pytest.skip("chain_loops.c did not build: no compiled run() to time")
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        chain.run(iterations)
-        times.append(time.perf_counter() - started)
+    spread = _spread(per_process, 1e9 / iterations)
     _emit.record(
         "run_chain_disc_n200467",
         n=n,
         lam=4.0,
         iterations=iterations,
+        processes=PROCESSES,
         rounds=rounds,
-        best_ns_per_it=1e9 * min(times) / iterations,
-        median_ns_per_it=1e9 * float(np.median(times)) / iterations,
+        best_ns_per_it=spread["best"],
+        median_ns_per_it=spread["median"],
+        q1_ns_per_it=spread["q1"],
+        q3_ns_per_it=spread["q3"],
+        process_median_ns_per_it=spread["process_medians"],
+    )
+
+
+def test_disc_setup_n200467():
+    """Seconds to build ``large_n_disc``'s start, by phase.
+
+    ``construct`` is ``ParticleConfiguration(nodes)`` on perfbench's node
+    list (n = 200,467, fresh tuples in x-major order); ``engine_init`` is
+    ``FastCompressionChain`` on that configuration: the grid scatter, the
+    start invariants and the tape.  Each of :data:`PROCESSES` fresh
+    interpreters times the rounds back to back after one small engine
+    has built the move tables.  No gate: the row tracks the setup that
+    ``perfbench`` reports as ``setup_s``."""
+    radius, rounds = 258, 7
+    per_process = _in_fresh_processes(_DISC_SETUP_CHILD, radius, rounds)
+    phases = []
+    for phase in ("construct", "engine_init"):
+        spread = _spread([times[phase] for times in per_process], 1.0)
+        phases.append(
+            {
+                "phase": phase,
+                "best_s": spread["best"],
+                "median_s": spread["median"],
+                "q1_s": spread["q1"],
+                "q3_s": spread["q3"],
+                "process_median_s": spread["process_medians"],
+            }
+        )
+    _emit.record(
+        "disc_setup_n200467",
+        n=1 + 3 * radius * (radius + 1),
+        lam=4.0,
+        processes=PROCESSES,
+        rounds=rounds,
+        phases=phases,
     )
 
 

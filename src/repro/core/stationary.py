@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import AnalysisError
@@ -174,17 +173,33 @@ def verify_detailed_balance(
     return True
 
 
+def _reachable(adjacency: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The states reachable from the ``start`` mask along ``adjacency``.
+
+    A breadth-first search over the boolean matrix ``adjacency``
+    (``adjacency[i, j]`` is an edge ``i -> j``), one frontier per level;
+    the result includes ``start``.  Pass ``adjacency.T`` for the states
+    that can reach ``start``.
+    """
+    seen = start.copy()
+    frontier = start
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
+
+
 def verify_irreducibility(space: StateSpace, matrix: np.ndarray) -> bool:
-    """Check that the chain restricted to ``Omega*`` is irreducible (Lemma 3.10)."""
+    """Check that the chain restricted to ``Omega*`` is irreducible (Lemma 3.10).
+
+    It is when one hole-free state reaches every other one inside
+    ``Omega*`` and every other one reaches it.
+    """
     indices = space.hole_free_indices
-    graph = nx.DiGraph()
-    graph.add_nodes_from(int(i) for i in indices)
-    index_set = set(int(i) for i in indices)
-    for i in index_set:
-        for j in index_set:
-            if i != j and matrix[i, j] > 0:
-                graph.add_edge(i, j)
-    return nx.is_strongly_connected(graph)
+    adjacency = matrix[np.ix_(indices, indices)] > 0
+    start = np.zeros(len(indices), dtype=bool)
+    start[0] = True
+    return bool(_reachable(adjacency, start).all() and _reachable(adjacency.T, start).all())
 
 
 def verify_aperiodicity(space: StateSpace, matrix: np.ndarray) -> bool:
@@ -205,24 +220,11 @@ def verify_transience_of_holes(space: StateSpace, matrix: np.ndarray) -> bool:
     This is the structural content of Lemmas 3.2 and 3.8: states with holes
     are transient; hole-free states are absorbing as a set.
     """
-    graph = nx.DiGraph()
-    size = space.size
-    graph.add_nodes_from(range(size))
-    rows, cols = np.nonzero(matrix > 0)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i != j:
-            graph.add_edge(i, j)
-    hole_free = set(int(i) for i in space.hole_free_indices)
+    adjacency = matrix > 0
+    hole_free = space.hole_free
     # No escape from Omega*.
-    for i in hole_free:
-        for j in graph.successors(i):
-            if j not in hole_free:
-                return False
-    # Every holey state reaches Omega*.
-    for i in range(size):
-        if i in hole_free:
-            continue
-        reachable = nx.descendants(graph, i)
-        if not (reachable & hole_free):
-            return False
-    return True
+    if adjacency[np.ix_(hole_free, ~hole_free)].any():
+        return False
+    # Every holey state reaches Omega*: the states that can reach it,
+    # searched backwards from all of Omega* at once, are all the states.
+    return bool(_reachable(adjacency.T, hole_free).all())

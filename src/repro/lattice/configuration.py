@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import chain
 from typing import AbstractSet, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, DisconnectedConfigurationError, InvalidMoveError
@@ -33,27 +34,50 @@ class ParticleConfiguration:
     Parameters
     ----------
     nodes:
-        The occupied lattice nodes.  Must be non-empty and free of
-        duplicates (duplicates are silently collapsed by the set
-        construction, so passing an iterable with repeats raises).
+        The occupied lattice nodes, as any iterable of ``(x, y)`` pairs
+        (read once, so a generator will do).  Must be non-empty and free
+        of duplicates; nodes that coincide once converted to ``int``
+        count as duplicates, and any repeat raises.
 
     Notes
     -----
     Instances are hashable and compare equal when they occupy exactly the
     same nodes (i.e. equality is on *arrangements*).  Use
     :meth:`canonical` before comparing configurations up to translation.
+
+    Besides the frozenset :attr:`nodes`, an instance keeps the nodes as a
+    tuple in the order they were given, which is what
+    :func:`repro.core.fast_chain.occupy` reads coordinates off.  When
+    every given node is already an exact ``tuple`` holding two exact
+    ``int`` values, that tuple holds the caller's own node objects; the
+    check is three ``set(map(...))`` passes that run at C speed.  Any
+    other input (lists, numpy integers, ``bool``, floats, tuple
+    subclasses) is normalized node by node with ``(int(x), int(y))``,
+    which is the specification.
     """
 
-    __slots__ = ("_nodes", "__dict__")
+    __slots__ = ("_nodes", "_ordered", "__dict__")
 
     def __init__(self, nodes: Iterable[Node]):
-        node_list = [(int(x), int(y)) for x, y in nodes]
-        node_set = frozenset(node_list)
+        ordered = tuple(nodes)
+        if not (
+            set(map(type, ordered)) == {tuple}
+            and set(map(len, ordered)) == {2}
+            and set(map(type, chain.from_iterable(ordered))) == {int}
+        ):
+            ordered = tuple([(int(x), int(y)) for x, y in ordered])
+        node_set = frozenset(ordered)
         if not node_set:
             raise ConfigurationError("a particle configuration must contain at least one particle")
-        if len(node_set) != len(node_list):
+        if len(node_set) != len(ordered):
             raise ConfigurationError("duplicate particle positions supplied")
         self._nodes: FrozenSet[Node] = node_set
+        self._ordered: Tuple[Node, ...] = ordered
+
+    def __reduce__(self):
+        # The nodes travel once, in the given order; cached properties are
+        # recomputed on demand after unpickling.
+        return (type(self), (self._ordered,))
 
     # ------------------------------------------------------------------ #
     # Basic container protocol
