@@ -121,12 +121,12 @@ def test_fast_engine_speedup_at_n1000():
 def test_tape_refill_speedup_n200467():
     """Gate: the compiled tape fill is >= 2x numpy's calls at n=200,467.
 
-    One refill draws 16 blocks of 1024 positions (through the inlined
-    PCG64 of ``chain_loops.c``, numpy's default bit generator); numpy
-    draws the same stream with three calls per block on an equally
-    seeded generator.  Rounds interleave the two; each side's
-    best round is its ns per tape position."""
-    n, block, blocks, refills = 200_467, 1024, 16, 20
+    A round is 320 refills of one 1024-position block each (through the
+    inlined PCG64 of ``chain_loops.c``, numpy's default bit generator);
+    numpy draws the same stream with three calls per block on an equally
+    seeded generator.  Rounds interleave the two; each side's best round
+    is its ns per tape position."""
+    n, block, refills = 200_467, 1024, 320
     if _native.load_library() is None:
         pytest.skip("chain_loops.c did not build: no compiled tape to time")
     tape = BatchedMoveDraws(np.random.default_rng(0), n=n, block=block)
@@ -135,15 +135,15 @@ def test_tape_refill_speedup_n200467():
 
     def compiled():
         for _ in range(refills):
-            tape.refill(blocks=blocks)
+            tape.refill()
 
     def numpy_calls():
-        for _ in range(refills * blocks):
+        for _ in range(refills):
             twin.integers(0, n, size=block)
             twin.integers(0, 6, size=block)
             twin.random(block)
 
-    positions = refills * blocks * block
+    positions = refills * block
     rounds = {compiled: [], numpy_calls: []}
     for _ in range(7):
         for fill, times in rounds.items():
@@ -156,7 +156,7 @@ def test_tape_refill_speedup_n200467():
         "tape_refill_n200467",
         n=n,
         block=block,
-        blocks=blocks,
+        refills=refills,
         rounds=len(rounds[compiled]),
         compiled_ns_per_it=compiled_ns,
         numpy_ns_per_it=numpy_ns,
@@ -351,22 +351,23 @@ def test_disc_setup_n200467():
     )
 
 
-def test_occupancy_grid_recenter_reuse_n100000(benchmark):
+def test_occupancy_grid_reuse_n100000(benchmark):
     """The dims-unchanged re-center fast path at n=100k.
 
     Steady-state re-centers (the bounding box drifts but keeps its size)
-    repaint the existing planes in place instead of reallocating; at
-    n=10^5-10^6 that turns the most common re-center from a
-    window-sized allocation + Python-loop copy into two vectorized
-    scatters, which is what keeps long large-n runs from stalling on
-    drift."""
-    grid = OccupancyGrid(sorted(compact_disc(100_000).nodes))
-    array_before = grid.array
-    benchmark(grid.recenter)
-    assert grid.array is array_before, "the reuse fast path did not fire"
-    benchmark.extra_info["experiment"] = "grid recenter with buffer reuse (n=100000)"
+    repaint the existing planes in place instead of reallocating: the
+    engines' reallocation calls ``from_coordinates(xs, ys, reuse=grid)``,
+    which at n=10^5-10^6 turns the most common re-center from a
+    window-sized allocation into two vectorized scatters, which is what
+    keeps long large-n runs from stalling on drift."""
+    coordinates = np.array(sorted(compact_disc(100_000).nodes), dtype=np.int64)
+    xs, ys = coordinates[:, 0], coordinates[:, 1]
+    grid = OccupancyGrid.from_coordinates(xs, ys)
+    reused = benchmark(OccupancyGrid.from_coordinates, xs, ys, reuse=grid)
+    assert reused is grid, "the reuse fast path did not fire"
+    benchmark.extra_info["experiment"] = "grid rebuild with buffer reuse (n=100000)"
     _emit.record(
-        "occupancy_recenter_reuse_n100000",
+        "occupancy_reuse_n100000",
         n=100_000,
         recenters_per_second=1.0 / benchmark.stats.stats.mean,
     )

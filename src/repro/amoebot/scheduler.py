@@ -144,10 +144,6 @@ class PoissonScheduler:
         """Number of fully completed asynchronous rounds."""
         return self._round_index
 
-    def rate_of(self, particle_id: int) -> float:
-        """The Poisson rate of one particle."""
-        return self._rates[self._slot(particle_id)]
-
     # ------------------------------------------------------------------ #
     # Control
     # ------------------------------------------------------------------ #

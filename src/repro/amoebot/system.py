@@ -18,10 +18,8 @@ comparable to the chain's).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.amoebot.local_algorithm import (
     Action,
@@ -34,7 +32,6 @@ from repro.amoebot.local_algorithm import (
 )
 from repro.amoebot.particle import Particle
 from repro.amoebot.scheduler import PoissonScheduler
-from repro.core.fast_chain import OccupancyGrid
 from repro.errors import ConfigurationError, SchedulerError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.geometry import max_perimeter, min_perimeter
@@ -91,21 +88,17 @@ class AmoebotSystem:
         if not initial.is_connected:
             raise ConfigurationError("the initial configuration must be connected")
         self.lam = float(lam)
+        if self.lam <= 0:
+            raise ConfigurationError(f"lambda must be positive, got {lam}")
         self._rng = make_rng(seed)
         self.algorithm = CompressionAlgorithm(lam)
         self.particles: Dict[int, Particle] = {}
+        # Every occupied node (head or tail) and the particle and role there.
         self._occupancy: Dict[Node, Tuple[int, str]] = {}
-        ordered = sorted(initial.nodes)
-        for identifier, node in enumerate(ordered):
+        for identifier, node in enumerate(sorted(initial.nodes)):
             particle = Particle(identifier=identifier, tail=node)
             self.particles[identifier] = particle
             self._occupancy[node] = (identifier, "tail")
-        # Dense occupancy mirror shared with the fast chain engine: the
-        # authority for "is this node occupied?" (expansion conflicts) and
-        # a numpy int8 view of the whole system state (``self.grid.array``).
-        # The role map ``_occupancy`` stays authoritative for head/tail info;
-        # ``_apply`` updates both in lockstep.
-        self.grid = OccupancyGrid(ordered)
         self.scheduler = PoissonScheduler(
             sorted(self.particles), rates=rates, seed=self._rng, draw_block=draw_block
         )
@@ -287,7 +280,7 @@ class AmoebotSystem:
                 self.stats.idle_activations += 1
             return
         if isinstance(action, Expand):
-            if self.grid.is_occupied(action.target):
+            if action.target in self._occupancy:
                 # Another particle occupies the target (conflict resolution:
                 # the expansion simply does not happen).
                 self.stats.idle_activations += 1
@@ -295,7 +288,6 @@ class AmoebotSystem:
             particle.expand(action.target)
             self._occupancy[action.target] = (particle.identifier, "head")
             self._occupancy[particle.tail] = (particle.identifier, "tail")
-            self.grid.add(action.target)
             self._occupied_cache = None  # tails unchanged: keep configuration cache
             particle.flag = self.algorithm.flag_after_expansion(self._view(particle))
             self.stats.expansions += 1
@@ -307,7 +299,6 @@ class AmoebotSystem:
             del self._occupancy[vacated]
             particle.contract_forward()
             self._occupancy[particle.tail] = (particle.identifier, "tail")
-            self.grid.remove(vacated)
             particle.flag = False
             self.stats.completed_moves += 1
             self._occupied_cache = None
@@ -321,7 +312,6 @@ class AmoebotSystem:
             del self._occupancy[vacated]
             particle.contract_back()
             self._occupancy[particle.tail] = (particle.identifier, "tail")
-            self.grid.remove(vacated)
             particle.flag = False
             self.stats.aborted_moves += 1
             self._occupied_cache = None  # tails unchanged: keep configuration cache

@@ -161,28 +161,54 @@ def ensemble_summary(
     for group_key, group in groups.items():
         raw = group.column(value)
         values = [float(v) for v in raw if v is not None]
-        missing = len(raw) - len(values)
-        summary: Dict[str, Any] = {
-            "group": group_key,
-            "count": len(values),
-            "missing": missing,
-            "mean": None,
-            "std_error": None,
-            "ci_low": None,
-            "ci_high": None,
-        }
-        if values:
-            data = np.asarray(values, dtype=float)
-            summary["mean"] = float(data.mean())
-            if data.size >= 2:
-                summary["std_error"] = float(data.std(ddof=1) / np.sqrt(data.size))
-                low, high = bootstrap_confidence_interval(
-                    data, level=level, resamples=resamples, seed=seed
-                )
-                summary["ci_low"] = low
-                summary["ci_high"] = high
-        summaries.append(summary)
+        summaries.append(
+            _bootstrap_row(group_key, values, len(raw) - len(values), level, resamples, seed)
+        )
     return summaries
+
+
+def _summary_row(
+    group: Any,
+    count: int,
+    missing: int,
+    mean: Optional[float] = None,
+    std_error: Optional[float] = None,
+    ci: Tuple[Optional[float], Optional[float]] = (None, None),
+) -> Dict[str, Any]:
+    """One summary row, shaped alike by every summary of this module."""
+    return {
+        "group": group,
+        "count": count,
+        "missing": missing,
+        "mean": mean,
+        "std_error": std_error,
+        "ci_low": ci[0],
+        "ci_high": ci[1],
+    }
+
+
+def _bootstrap_row(
+    group: Any,
+    values: Sequence[float],
+    missing: int,
+    level: float,
+    resamples: int,
+    seed: RandomState,
+) -> Dict[str, Any]:
+    """The summary row of a materialized sample: its mean, and from two
+    values on its standard error and percentile-bootstrap interval."""
+    data = np.asarray(values, dtype=float)
+    mean = float(data.mean()) if data.size else None
+    if data.size < 2:
+        return _summary_row(group, data.size, missing, mean)
+    return _summary_row(
+        group,
+        data.size,
+        missing,
+        mean,
+        float(data.std(ddof=1) / np.sqrt(data.size)),
+        bootstrap_confidence_interval(data, level=level, resamples=resamples, seed=seed),
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -316,23 +342,14 @@ def streaming_ensemble_summary(
     z = _normal_quantile((1.0 + level) / 2.0)
     summaries: List[Dict[str, Any]] = []
     for group, accumulator in moments.items():
-        summary: Dict[str, Any] = {
-            "group": group,
-            "count": accumulator.count,
-            "missing": missing[group],
-            "mean": None,
-            "std_error": None,
-            "ci_low": None,
-            "ci_high": None,
-        }
-        if accumulator.count:
-            summary["mean"] = accumulator.mean
-            if accumulator.count >= 2:
-                se = accumulator.std_error
-                summary["std_error"] = se
-                summary["ci_low"] = accumulator.mean - z * se
-                summary["ci_high"] = accumulator.mean + z * se
-        summaries.append(summary)
+        count, mean = accumulator.count, accumulator.mean
+        if count < 2:
+            summaries.append(_summary_row(group, count, missing[group], mean if count else None))
+            continue
+        se = accumulator.std_error
+        summaries.append(
+            _summary_row(group, count, missing[group], mean, se, (mean - z * se, mean + z * se))
+        )
     return summaries
 
 
@@ -499,26 +516,7 @@ def resampled_ci_from_stores(
             if chunk.size:
                 moments.extend(chunk)
         store_means[group].append(moments.mean)
-    summaries: List[Dict[str, Any]] = []
-    for group, means in store_means.items():
-        summary: Dict[str, Any] = {
-            "group": group,
-            "count": len(means),
-            "missing": missing[group],
-            "mean": None,
-            "std_error": None,
-            "ci_low": None,
-            "ci_high": None,
-        }
-        if means:
-            data = np.asarray(means, dtype=float)
-            summary["mean"] = float(data.mean())
-            if data.size >= 2:
-                summary["std_error"] = float(data.std(ddof=1) / np.sqrt(data.size))
-                low, high = bootstrap_confidence_interval(
-                    data, level=level, resamples=resamples, seed=seed
-                )
-                summary["ci_low"] = low
-                summary["ci_high"] = high
-        summaries.append(summary)
-    return summaries
+    return [
+        _bootstrap_row(group, means, missing[group], level, resamples, seed)
+        for group, means in store_means.items()
+    ]

@@ -3,8 +3,9 @@
 The library exports four functions, the keys of :data:`SIGNATURES`:
 ``run_chain``, the run loop of every kernel mode; ``flood``, the
 breadth-first search behind the engine's start invariants;
-``fill_tape``, which draws the blocks of a :class:`repro.rng.BatchedMoveDraws`
-or :class:`repro.rng.BatchedActivationDraws` tape with numpy's own
+``fill_tape``, which draws the next block of a
+:class:`repro.rng.BatchedMoveDraws` or
+:class:`repro.rng.BatchedActivationDraws` tape with numpy's own
 algorithms, so the tape is the one numpy would have drawn; and
 ``draw_deferred``, which writes a deferred uniform lane (below).
 ``run_chain``, ``fill_tape`` and ``draw_deferred`` take the tape as a
@@ -162,7 +163,7 @@ _I = ctypes.c_int64
 SIGNATURES = {
     "run_chain": (_P, _I, _I, _P, _P, _P, _P, ctypes.c_double, _P),
     "flood": (_P, _I, _I, _I, _I, _P, _P),
-    "fill_tape": (_P, _I),
+    "fill_tape": (_P,),
     "draw_deferred": (_P,),
 }
 

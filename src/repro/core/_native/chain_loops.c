@@ -12,7 +12,7 @@
  * repro.core.fast_chain.start_invariants: connectivity and holes of a
  * start configuration, read off its occupancy plane.
  *
- * A third, `fill_tape`, draws the blocks of a repro.rng.BatchedMoveDraws
+ * A third, `fill_tape`, draws one block of a repro.rng.BatchedMoveDraws
  * (or BatchedActivationDraws) tape, passed as its `tape_t` struct.  It
  * makes numpy's own draws in numpy's own order, with numpy's
  * bounded-integer algorithm, so the tape and the generator state after
@@ -284,7 +284,7 @@ typedef struct {
 enum { BITGEN, PCG64 };
 
 /* Mirror of repro.core._native.Tape: a BatchedMoveDraws (or
- * BatchedActivationDraws) tape.  The lanes hold at least one block;
+ * BatchedActivationDraws) tape.  The lanes hold one block;
  * `indices` is NULL on the activation tape, `uniforms2` unless
  * lanes == 2.  Positions [cursor, size) are drawn and unread.  While
  * `deferred` is set, the uniform lane of the one block on the tape is
@@ -459,42 +459,40 @@ static inline ALWAYS_INLINE void fill_uniform(int source, source_t *s, int64_t c
         out[i] = next_double(source, s);
 }
 
-/* Draw `blocks` blocks from the draw source `source`, a compile-time
- * constant at each call site, into the tape's lanes from position 0.
- * Per block, in the order of BatchedMoveDraws.refill: `block` particle
- * indices on [0, n) (not on the activation tape), `block` directions on
- * [0, 6), `block` uniforms, and with lanes == 2 `block` lane-2 uniforms. */
-static inline ALWAYS_INLINE void fill_blocks(int source, tape_t *tape, int64_t blocks)
+/* Draw one block from the draw source `source`, a compile-time constant
+ * at each call site, into the tape's lanes, in the order of
+ * BatchedMoveDraws.refill: `block` particle indices on [0, n) (not on the
+ * activation tape), `block` directions on [0, 6), `block` uniforms, and
+ * with lanes == 2 `block` lane-2 uniforms. */
+static inline ALWAYS_INLINE void fill_block(int source, tape_t *tape)
 {
     source_t s = load_source(source, tape->bitgen);
     const int64_t block = tape->block;
-    for (int64_t at = 0; at < blocks * block; at += block) {
-        if (tape->indices)
-            fill_bounded(source, &s, (uint32_t)(tape->n - 1), block, tape->indices + at);
-        fill_bounded(source, &s, 5, block, tape->directions + at);
-        fill_uniform(source, &s, block, tape->uniforms + at);
-        if (tape->lanes == 2)
-            fill_uniform(source, &s, block, tape->uniforms2 + at);
-    }
+    if (tape->indices)
+        fill_bounded(source, &s, (uint32_t)(tape->n - 1), block, tape->indices);
+    fill_bounded(source, &s, 5, block, tape->directions);
+    fill_uniform(source, &s, block, tape->uniforms);
+    if (tape->lanes == 2)
+        fill_uniform(source, &s, block, tape->uniforms2);
     store_source(source, &s);
     tape->deferred = 0;
     tape->cursor = 0;
-    tape->size = blocks * block;
+    tape->size = block;
 }
 
-/* Refill the tape with `blocks` blocks (its lanes must hold them) and
- * return its new size.  The tape and the generator state after it are
- * the ones numpy's `integers` and `random` calls would have given.  The
- * caller keeps 1 <= n <= 2^32 and holds the generator's lock. */
-int64_t fill_tape(tape_t *tape, int64_t blocks)
+/* Refill the tape with one block and return its size.  The tape and the
+ * generator state after it are the ones numpy's `integers` and `random`
+ * calls would have given.  The caller keeps 1 <= n <= 2^32 and holds the
+ * generator's lock. */
+int64_t fill_tape(tape_t *tape)
 {
 #ifdef __SIZEOF_INT128__
     if (tape->source == PCG64) {
-        fill_blocks(PCG64, tape, blocks);
+        fill_block(PCG64, tape);
         return tape->size;
     }
 #endif
-    fill_blocks(BITGEN, tape, blocks);
+    fill_block(BITGEN, tape);
     return tape->size;
 }
 
@@ -574,10 +572,10 @@ static inline void store128(uint64_t words[2], pcg128_t value)
 }
 
 /* One block onto a PCG64 tape with its uniform lane deferred: the index
- * and direction lanes as fill_blocks draws them, the lane's start state
+ * and direction lanes as fill_block draws them, the lane's start state
  * saved in the tape, the generator jumped `block` steps past the lane,
  * and with lanes == 2 the lane-2 uniforms drawn after it.  The
- * generator ends where fill_tape(tape, 1) leaves it. */
+ * generator ends where fill_tape leaves it. */
 static void defer_block(tape_t *tape, jumps_t *jumps)
 {
     source_t s = load_source(PCG64, tape->bitgen);
@@ -665,7 +663,7 @@ static inline ALWAYS_INLINE int64_t run_tape(
                 defer_block(tape, &jumps);
             else
 #endif
-                fill_tape(tape, 1);
+                fill_tape(tape);
         }
         const int64_t at = tape->cursor;
         int64_t span = tape->size - at;

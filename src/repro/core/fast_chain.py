@@ -7,8 +7,8 @@ engine) but is built for long runs at large ``n``:
 * **Dense occupancy grid.**  Particle positions live in a flat row-major
   occupancy grid (:class:`OccupancyGrid`) instead of a hash map, so
   occupancy tests and neighbor reads are integer offset arithmetic.  The
-  grid re-centers itself with a fresh margin whenever the configuration
-  drifts toward the edge of the allocated window.
+  engine re-centers the grid with a fresh margin whenever the
+  configuration drifts toward the edge of the allocated window.
 * **Precomputed move tables.**  Properties 1 and 2, the five-neighbor rule
   and the edge delta ``e' - e`` of a proposed move depend only on the
   occupancy pattern of the eight-node ring around the move edge
@@ -111,7 +111,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 from array import array
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -174,13 +174,15 @@ class OccupancyGrid:
     ``direction_offsets[d]``, and reading the eight-node ring around a
     move edge is eight reads at ``ring_offsets[d]`` from the source cell.
 
-    The outermost :data:`GUARD_BAND` cells form a guard band; membership
-    is pure ``divmod`` arithmetic on the flat index
-    (:meth:`in_guard_band`), so the band costs no memory and no rebuild
-    work on :meth:`recenter`.  Writers must reallocate (see
-    :meth:`recenter`/:meth:`add`) when an occupied cell enters the band;
-    in exchange, every offset read from a cell outside the band is
-    guaranteed in bounds without per-read checks.
+    A grid is a window, not a set: it is built by :meth:`from_coordinates`
+    (or :func:`occupy`), and its owner writes :attr:`cells` directly.  The
+    outermost :data:`GUARD_BAND` cells form a guard band; membership is
+    pure ``divmod`` arithmetic on the flat index (:meth:`in_guard_band`),
+    so the band costs no memory.  An owner whose occupied cell enters the
+    band builds a new window around its particles with
+    :meth:`from_coordinates` (passing the old grid as ``reuse``); in
+    exchange, every offset read from a cell outside the band is guaranteed
+    in bounds without per-read checks.
     """
 
     __slots__ = (
@@ -193,10 +195,6 @@ class OccupancyGrid:
         "direction_offsets",
         "ring_offsets",
     )
-
-    def __init__(self, nodes: Iterable[Node], margin: int = DEFAULT_GRID_MARGIN) -> None:
-        coordinates = np.array(list(nodes), dtype=np.int64).reshape(-1, 2)
-        self._adopt(self.from_coordinates(coordinates[:, 0], coordinates[:, 1], margin))
 
     @classmethod
     def from_coordinates(
@@ -214,8 +212,7 @@ class OccupancyGrid:
         window's dimensions, its buffers are zeroed and repainted in
         place and ``reuse`` itself is returned with only its origin
         moved.  This is the one bounding-box-and-scatter step behind
-        construction, :meth:`recenter` and the chain engine's
-        reallocation.
+        construction and the engines' reallocations.
         """
         if xs.size == 0:
             raise ConfigurationError("an occupancy grid needs at least one occupied node")
@@ -244,14 +241,6 @@ class OccupancyGrid:
         grid.array.reshape(-1)[grid.flat_indices(xs, ys)] = 1
         return grid
 
-    def _adopt(self, other: "OccupancyGrid") -> None:
-        """Take over another grid's window and buffers."""
-        for name in self.__slots__:
-            setattr(self, name, getattr(other, name))
-
-    # ------------------------------------------------------------------ #
-    # Coordinate mapping
-    # ------------------------------------------------------------------ #
     def flat_index(self, node: Node) -> int:
         """Return the flat cell index of axial node ``(x, y)``."""
         return (node[1] - self.origin_y) * self.width + (node[0] - self.origin_x)
@@ -286,7 +275,7 @@ class OccupancyGrid:
         """Whether a flat cell index lies in the :data:`GUARD_BAND`-wide border.
 
         Pure ``divmod`` arithmetic — no second width x height table to
-        allocate or rebuild on :meth:`recenter`.
+        allocate or rebuild when the window moves.
         """
         y, x = divmod(flat, self.width)
         return (
@@ -295,69 +284,6 @@ class OccupancyGrid:
             or y < GUARD_BAND
             or y >= self.height - GUARD_BAND
         )
-
-    # ------------------------------------------------------------------ #
-    # Occupancy
-    # ------------------------------------------------------------------ #
-    def is_occupied(self, node: Node) -> bool:
-        """Whether ``node`` is occupied (nodes outside the window are empty)."""
-        x = node[0] - self.origin_x
-        y = node[1] - self.origin_y
-        if 0 <= x < self.width and 0 <= y < self.height:
-            return bool(self.cells[y * self.width + x])
-        return False
-
-    def occupied_nodes(self) -> List[Node]:
-        """Decode and return all occupied nodes (vectorized scan)."""
-        xs, ys = self.coordinates(np.flatnonzero(self.array.reshape(-1)))
-        return list(zip(xs.tolist(), ys.tolist()))
-
-    def occupied_count(self) -> int:
-        """Number of occupied cells."""
-        return int(np.count_nonzero(self.array))
-
-    def add(self, node: Node) -> None:
-        """Mark ``node`` occupied, re-centering first if it touches the guard band.
-
-        This is the convenience entry point for incremental consumers like
-        the amoebot simulator; the chain engine drives reallocation itself
-        to keep its hot loop free of per-move checks.
-        """
-        if not self.contains(node) or self.in_guard_band(self.flat_index(node)):
-            self.recenter(extra=[node])
-        self.cells[self.flat_index(node)] = 1
-
-    def remove(self, node: Node) -> None:
-        """Mark ``node`` unoccupied (a no-op for nodes outside the window)."""
-        if self.contains(node):
-            self.cells[self.flat_index(node)] = 0
-
-    def recenter(self, extra: Sequence[Node] = (), margin: int = DEFAULT_GRID_MARGIN) -> None:
-        """Re-center the window around the current occupancy plus ``extra`` nodes.
-
-        The ``extra`` nodes widen the window but are left as they were:
-        unoccupied ones stay unoccupied.  When the new window's dimensions
-        equal the old ones — the common case in steady state, where the
-        bounding box drifts but barely changes size — the existing
-        buffers are reused: the cell plane is zeroed and repainted in
-        place and only the origin moves, so :attr:`cells`, :attr:`array`
-        and the offset tuples all remain valid objects (re-centering is a
-        pure occupancy rewrite).  When the dimensions change, everything
-        is reallocated and holders of raw references to :attr:`cells` et
-        al. must re-read them afterwards; callers that cannot tolerate
-        the distinction should re-read unconditionally.
-        """
-        xs, ys = self.coordinates(np.flatnonzero(self.array.reshape(-1)))
-        vacant = [node for node in extra if not self.is_occupied(node)]
-        if vacant:
-            extra_xs, extra_ys = np.array(vacant, dtype=np.int64).T
-            xs = np.concatenate((xs, extra_xs))
-            ys = np.concatenate((ys, extra_ys))
-        fresh = OccupancyGrid.from_coordinates(xs, ys, margin, reuse=self)
-        if fresh is not self:
-            self._adopt(fresh)
-        for node in vacant:
-            self.cells[self.flat_index(node)] = 0
 
 
 def occupy(initial: ParticleConfiguration) -> Tuple[OccupancyGrid, np.ndarray]:
@@ -972,10 +898,10 @@ class FastCompressionChain:
         """Re-center the grid, remap the positions in place and rebuild the
         kernel's auxiliary planes (all vectorized).
 
-        Mirrors :meth:`OccupancyGrid.recenter`'s buffer reuse: when the
-        re-centered window keeps its dimensions — the steady-state norm —
-        the occupancy and color planes are rewritten in place and only the
-        origin moves.
+        Uses :meth:`OccupancyGrid.from_coordinates`'s buffer reuse: when
+        the re-centered window keeps its dimensions — the steady-state
+        norm — the occupancy and color planes are rewritten in place and
+        only the origin moves.
         """
         grid = self._grid
         pos = np.frombuffer(self._pos, dtype=np.int64)

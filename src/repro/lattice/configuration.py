@@ -193,12 +193,6 @@ class ParticleConfiguration:
         """The traced external boundary walk."""
         return boundary_module.external_boundary_walk(self._nodes)
 
-    def boundary_walks(self) -> List[boundary_module.BoundaryWalk]:
-        """Return all boundary walks: the external boundary plus one per hole."""
-        walks = [self.external_boundary]
-        walks.extend(boundary_module.hole_boundary_walks(self._nodes))
-        return walks
-
     @cached_property
     def bounding_box(self) -> Tuple[int, int, int, int]:
         """``(min_x, min_y, max_x, max_y)`` of the occupied nodes."""

@@ -237,8 +237,3 @@ def canonical_translation(nodes: Iterable[Node]) -> frozenset[Node]:
     node_list = list(nodes)
     min_x, min_y, _, _ = nodes_bounding_box(node_list)
     return frozenset((x - min_x, y - min_y) for x, y in node_list)
-
-
-def lexicographic_order(nodes: Iterable[Node]) -> list[Node]:
-    """Return ``nodes`` sorted by ``(y, x)``, bottom row first."""
-    return sorted(nodes, key=lambda node: (node[1], node[0]))

@@ -92,9 +92,9 @@ class BatchedMoveDraws:
     compression engines' committed golden traces pin this bit-for-bit.
     The draws are kept as numpy arrays — the fast engine's compiled
     loops read them in place — with a memoized plain-list view
-    (:meth:`lists`) for the per-element Python loops.  A refill
-    overwrites the arrays in place and allocates new ones only when the
-    number of materialized positions changes.
+    (:meth:`lists`) for the per-element Python loops.  The arrays hold
+    one block; they are allocated once and every refill overwrites them
+    in place.
 
     The compiled ``fill_tape`` of :mod:`repro.core._native` draws the
     refill when the library loads (resolved once, at construction) and
@@ -126,12 +126,6 @@ class BatchedMoveDraws:
     applies to the second lane: one lane-2 uniform per iteration,
     unconditionally.
 
-    A refill may generate several blocks at once (``refill(blocks=k)``):
-    the generator is still invoked once per ``block`` in the canonical
-    ``(indices, directions, uniforms)`` order, so the underlying random
-    stream — and therefore every trajectory — is unchanged; only the
-    amount of tape materialized ahead of the cursor grows.
-
     Attributes
     ----------
     indices, directions, uniforms:
@@ -159,13 +153,6 @@ class BatchedMoveDraws:
     True
     >>> twin = BatchedMoveDraws(np.random.default_rng(0), n=10, block=4)
     >>> twin.draw() == (index, direction, uniform)
-    True
-
-    Materializing several blocks per refill leaves the stream unchanged:
-
-    >>> wide = BatchedMoveDraws(np.random.default_rng(0), n=10, block=4)
-    >>> wide.refill(blocks=3)
-    >>> wide.draw() == (index, direction, uniform)
     True
 
     The second lane is drawn after the triple blocks, so a two-lane tape's
@@ -211,55 +198,36 @@ class BatchedMoveDraws:
         self._n = n
         self.block = block
         self.lanes = lanes
-        self.uniforms2: np.ndarray = np.empty(0, dtype=np.float64)
+        self.indices = np.empty(block, dtype=np.int64)
+        self.directions = np.empty(block, dtype=np.int64)
+        self._uniforms = np.empty(block, dtype=np.float64)
+        self.uniforms2: np.ndarray = np.empty(block if lanes == 2 else 0, dtype=np.float64)
         self.cursor = 0
         self.size = 0
         self._lists: Optional[Tuple[List[int], List[int], List[float]]] = None
         self._lists2: Optional[List[float]] = None
         self._fill = _compiled_fill(rng, n, block, lanes)
-        # One block of lanes from the start: the compiled loop refills into them.
-        self._allocate(block)
-
-    def _allocate(self, size: int) -> None:
-        """Give the lanes room for ``size`` positions, and the compiled
-        fill their addresses."""
-        self.indices = np.empty(size, dtype=np.int64)
-        self.directions = np.empty(size, dtype=np.int64)
-        self._uniforms = np.empty(size, dtype=np.float64)
-        if self.lanes == 2:
-            self.uniforms2 = np.empty(size, dtype=np.float64)
         if self._fill is not None:
+            # The compiled fill (and loop) draw into these lanes for good.
             self._fill.point(
                 self.indices, self.directions, self._uniforms,
-                self.uniforms2 if self.lanes == 2 else None,
+                self.uniforms2 if lanes == 2 else None,
             )
 
-    def refill(self, blocks: int = 1) -> None:
-        """Materialize the next ``blocks`` blocks, discarding any unread remainder.
-
-        The generator is invoked exactly as ``blocks`` successive
-        single-block refills would invoke it, so tapes that refill in
-        different granularities still replay the same stream.
-        """
-        if blocks < 1:
-            raise ValueError(f"blocks must be at least 1, got {blocks}")
-        block = self.block
-        size = blocks * block
-        if self.indices.size != size:
-            self._allocate(size)
+    def refill(self) -> None:
+        """Materialize the next block, discarding any unread remainder."""
         if self._fill is not None:
-            self._fill.refill(blocks)
+            self._fill.refill()
         else:
             rng = self._rng
-            for start in range(0, size, block):
-                stop = start + block
-                self.indices[start:stop] = rng.integers(0, self._n, size=block)
-                self.directions[start:stop] = rng.integers(0, 6, size=block)
-                rng.random(out=self._uniforms[start:stop])
-                if self.lanes == 2:
-                    rng.random(out=self.uniforms2[start:stop])
+            block = self.block
+            self.indices[:] = rng.integers(0, self._n, size=block)
+            self.directions[:] = rng.integers(0, 6, size=block)
+            rng.random(out=self._uniforms)
+            if self.lanes == 2:
+                rng.random(out=self.uniforms2)
         self.cursor = 0
-        self.size = size
+        self.size = self.block
         self._lists = None
         self._lists2 = None
 
@@ -416,7 +384,7 @@ class BatchedActivationDraws:
     def refill(self) -> None:
         """Materialize the next block, discarding any unread remainder."""
         if self._fill is not None:
-            self._fill.refill(1)
+            self._fill.refill()
         else:
             self.directions[:] = self._rng.integers(0, 6, size=self.block)
             self._rng.random(out=self.uniforms)
@@ -447,7 +415,7 @@ class _CompiledFill(NamedTuple):
 
     tape: Any  # repro.core._native.Tape
     address: int
-    fill_tape: Callable[[int, int], int]
+    fill_tape: Callable[[int], int]
     draw_deferred: Callable[[int], int]
     lock: Any
 
@@ -458,11 +426,11 @@ class _CompiledFill(NamedTuple):
             None if lane is None else lane.ctypes.data for lane in lanes
         )
 
-    def refill(self, blocks: int) -> None:
-        """Draw ``blocks`` blocks into the lanes, holding the generator's
-        lock as numpy does (ctypes releases the GIL for the call)."""
+    def refill(self) -> None:
+        """Draw one block into the lanes, holding the generator's lock as
+        numpy does (ctypes releases the GIL for the call)."""
         with self.lock:
-            self.fill_tape(self.address, blocks)
+            self.fill_tape(self.address)
 
     def draw_lane(self) -> None:
         """Write a deferred uniform lane into the tape.  It is drawn from

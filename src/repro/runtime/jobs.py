@@ -86,6 +86,8 @@ def _validate_job(
         raise ConfigurationError(
             f"unknown {name} kind {job.kind!r}; expected one of {tuple(kinds)}"
         )
+    if not job.lam > 0:
+        raise ConfigurationError(f"lambda must be positive, got {job.lam}")
     if start is not None and (job.n is None) == (getattr(job, start) is None):
         raise ConfigurationError(f"exactly one of n / {start} must be given")
     if job.seed is not None and not isinstance(job.seed, int):
@@ -507,6 +509,8 @@ class SeparationJob:
 
     def __post_init__(self) -> None:
         _validate_job(self, ENGINES, (SEPARATION_JOB_KIND,), start="colored_nodes")
+        if not self.gamma > 0:
+            raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
         if self.coloring not in ("random", "halves"):
             raise ConfigurationError(
                 f"coloring must be 'random' or 'halves', got {self.coloring!r}"
@@ -600,6 +604,8 @@ class BridgingJob:
 
     def __post_init__(self) -> None:
         _validate_job(self, ENGINES, (BRIDGING_JOB_KIND,))
+        if not self.gamma > 0:
+            raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
         if self.n < 1:
             raise ConfigurationError(f"need at least one particle, got n={self.n}")
         if self.arm_length < 2:

@@ -256,17 +256,22 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             create_system(line(5), lam=4.0, engine="warp")
 
-    def test_fast_engine_validates_like_reference(self):
+    @pytest.mark.parametrize("engine", sorted(AMOEBOT_ENGINES))
+    def test_engines_validate_alike(self, engine):
+        """Both engines refuse the same inputs with the same error type, so
+        a job's ``error_type`` does not depend on its engine."""
         from repro.lattice.configuration import ParticleConfiguration
 
+        system = AMOEBOT_ENGINES[engine]
         with pytest.raises(ConfigurationError):
-            FastAmoebotSystem(ParticleConfiguration([(0, 0), (5, 5)]), lam=4.0)
+            system(ParticleConfiguration([(0, 0), (5, 5)]), lam=4.0)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="lambda must be positive"):
+                system(line(5), lam=lam)
         with pytest.raises(ConfigurationError):
-            FastAmoebotSystem(line(5), lam=0.0)
+            system(line(5), lam=4.0).run(-1)
         with pytest.raises(ConfigurationError):
-            FastAmoebotSystem(line(5), lam=4.0).run(-1)
-        with pytest.raises(ConfigurationError):
-            FastAmoebotSystem(line(5), lam=4.0).run_rounds(-1)
+            system(line(5), lam=4.0).run_rounds(-1)
 
 
 class TestGoldenTrace:

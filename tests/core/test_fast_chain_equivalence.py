@@ -23,6 +23,7 @@ compressing (``lambda > 3.42``), neutral (``lambda = 1``) and expanding
 the compiled loop once per proposal.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
@@ -202,81 +203,66 @@ class TestMoveTables:
             )
 
 
+def grid_of(nodes, reuse=None):
+    """An :class:`OccupancyGrid` occupied at ``nodes``, built as the engines build it."""
+    xs, ys = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    return OccupancyGrid.from_coordinates(xs, ys, reuse=reuse)
+
+
+def occupied_nodes(grid):
+    """The occupied nodes of a grid, decoded off its plane, sorted."""
+    xs, ys = grid.coordinates(np.flatnonzero(grid.array.reshape(-1)))
+    return sorted(zip(xs.tolist(), ys.tolist()))
+
+
 class TestOccupancyGrid:
     def test_roundtrip_and_membership(self):
         nodes = sorted(spiral(19).nodes)
-        grid = OccupancyGrid(nodes)
+        grid = grid_of(nodes)
         for node in nodes:
+            assert grid.contains(node)
             assert grid.node_at(grid.flat_index(node)) == node
-            assert grid.is_occupied(node)
-        assert not grid.is_occupied((100, 100))  # outside the window
-        assert sorted(grid.occupied_nodes()) == nodes
-        assert grid.occupied_count() == 19
+            assert grid.cells[grid.flat_index(node)] == 1
+        assert not grid.contains((100, 100))  # outside the window
+        assert occupied_nodes(grid) == nodes
 
     def test_array_view_shares_memory(self):
-        grid = OccupancyGrid([(0, 0)])
-        assert grid.array.sum() == 1
-        grid.add((1, 0))
+        grid = grid_of([(0, 0), (1, 0)])
         assert grid.array.sum() == 2
-        grid.remove((0, 0))
+        grid.cells[grid.flat_index((0, 0))] = 0
         assert grid.array.sum() == 1
+        grid.array.reshape(-1)[grid.flat_index((2, 0))] = 1
+        assert grid.cells[grid.flat_index((2, 0))] == 1
 
-    def test_add_far_outside_window_recenters(self):
-        grid = OccupancyGrid([(0, 0)])
-        grid.add((500, -300))
-        assert grid.is_occupied((0, 0))
-        assert grid.is_occupied((500, -300))
-        assert grid.occupied_count() == 2
-
-    def test_recenter_preserves_occupancy(self):
-        nodes = sorted(random_connected(25, seed=2).nodes)
-        grid = OccupancyGrid(nodes)
-        grid.recenter()
-        assert sorted(grid.occupied_nodes()) == nodes
-
-    def test_recenter_reuses_buffers_when_dims_unchanged(self):
+    def test_reuse_repaints_in_place_when_dims_unchanged(self):
         """A pure drift (same bounding box size) must not reallocate: the
-        fast path repaints the existing planes in place."""
+        reused grid's planes are repainted in place and its origin moves."""
         nodes = sorted(line(20).nodes)
-        grid = OccupancyGrid(nodes)
+        grid = grid_of(nodes)
         cells_before, array_before = grid.cells, grid.array
-        # Translate the window by recentering around shifted extra nodes:
-        # same bbox dims, different origin.
+        origin_before = grid.origin_x, grid.origin_y
         shifted = [(x + 7, y - 3) for x, y in nodes]
-        for node in nodes:
-            grid.remove(node)
-        for node in shifted:
-            grid.add(node)
-        grid.recenter()
+        assert grid_of(shifted, reuse=grid) is grid
         assert grid.cells is cells_before
         assert grid.array is array_before
-        assert sorted(grid.occupied_nodes()) == sorted(shifted)
+        assert (grid.origin_x, grid.origin_y) == (origin_before[0] + 7, origin_before[1] - 3)
+        assert occupied_nodes(grid) == sorted(shifted)
 
-    def test_recenter_reallocates_when_dims_change(self):
+    def test_reuse_builds_a_fresh_grid_when_dims_change(self):
         nodes = sorted(line(10).nodes)
-        grid = OccupancyGrid(nodes)
-        array_before = grid.array
-        grid.add((0, 30))  # grows the bounding box: fast path must not fire
-        grid.recenter()
-        assert grid.array is not array_before
-        assert sorted(grid.occupied_nodes()) == sorted(nodes + [(0, 30)])
-
-    def test_recenter_includes_extra_nodes_in_bbox(self):
-        """extra nodes widen the recenter bbox even when unoccupied."""
-        grid = OccupancyGrid([(0, 0), (4, 0)])
-        grid.recenter(extra=[(2, 10)])
-        assert grid.is_occupied((0, 0)) and grid.is_occupied((4, 0))
-        assert not grid.is_occupied((2, 10))
-        # The extra node must now sit inside the window (no recenter needed
-        # to add it).
-        flat = grid.flat_index((2, 10))
-        assert 0 <= flat < grid.width * grid.height
+        grid = grid_of(nodes)
+        cells_before = bytes(grid.cells)
+        fresh = grid_of(nodes + [(0, 30)], reuse=grid)  # grows the bounding box
+        assert fresh is not grid
+        assert fresh.array is not grid.array
+        assert occupied_nodes(fresh) == sorted(nodes + [(0, 30)])
+        assert bytes(grid.cells) == cells_before  # the old grid is left as it was
 
     def test_guard_band_membership_is_the_border(self):
         """in_guard_band (divmod arithmetic) marks exactly the border cells."""
         from repro.core.fast_chain import GUARD_BAND
 
-        grid = OccupancyGrid([(0, 0), (3, 2)])
+        grid = grid_of([(0, 0), (3, 2)])
         for y in range(grid.height):
             for x in range(grid.width):
                 expected = (

@@ -9,7 +9,9 @@ when a compiler is on ``PATH``, so a broken build cannot leave CI
 silently testing only the fallback.
 """
 
+import ctypes
 import logging
+import re
 from importlib import resources
 
 import pytest
@@ -35,12 +37,32 @@ def records_of(caplog, level):
     ]
 
 
+def c_prototypes(text):
+    """The exported functions of a C source: name -> parameter declarations."""
+    return {
+        name: [parameter.strip() for parameter in parameters.split(",")]
+        for name, parameters in re.findall(r"^int64_t (\w+)\(([^)]*)\)", text, re.MULTILINE)
+    }
+
+
+def ctypes_of(parameter):
+    """The ctypes type a C parameter declaration is passed as."""
+    if "*" in parameter:
+        return ctypes.c_void_p
+    return {"int64_t": ctypes.c_int64, "double": ctypes.c_double}[parameter.split()[0]]
+
+
 def test_c_source_is_package_data():
     source = resources.files("repro.core._native").joinpath(_native.SOURCE_NAME)
     assert source.is_file()
-    text = _native.source_bytes().decode()
-    for name in _native.SIGNATURES:
-        assert f"int64_t {name}(" in text
+    prototypes = c_prototypes(_native.source_bytes().decode())
+    assert sorted(prototypes) == sorted(_native.SIGNATURES)
+    for name, argtypes in _native.SIGNATURES.items():
+        # On x86-64 an extra ctypes argument is silently ignored, so a
+        # stale signature would still call the function: compare each
+        # parameter with the C prototype.
+        declared = tuple(map(ctypes_of, prototypes[name]))
+        assert argtypes == declared, f"{name}: ctypes {argtypes}, C {prototypes[name]}"
 
 
 def test_compiler_on_path_builds_and_loads(fresh_loader):

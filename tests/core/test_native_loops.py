@@ -38,10 +38,8 @@ from repro.core import ENGINES
 from repro.core.fast_chain import DEFAULT_GRID_MARGIN, GUARD_BAND, FastCompressionChain, OccupancyGrid
 from repro.core.kernels import BridgingKernel, CompressionKernel, SeparationKernel
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.moves import RING_OFFSETS
 from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import random_connected, spiral
-from repro.lattice.triangular import DIRECTIONS
 
 #: ``run()`` chunk sizes, applied in order: single steps, sizes that end
 #: mid-block, and spans of many 1024-position blocks, which the compiled
@@ -132,25 +130,18 @@ def test_holey_random_starts_match_fast(mode, n, seed, python_loops):
 # --------------------------------------------------------------------- #
 def windowed_grid(nodes, left, right, below, above):
     """An occupancy grid with exactly the given free cells beside the
-    bounding box of ``nodes`` (the constructor always leaves a uniform
-    margin)."""
-    grid = OccupancyGrid(nodes)
-    xs = [x for x, _ in nodes]
-    ys = [y for _, y in nodes]
-    width = max(xs) - min(xs) + 1 + left + right
-    height = max(ys) - min(ys) + 1 + below + above
-    grid.origin_x = min(xs) - left
-    grid.origin_y = min(ys) - below
-    grid.width = width
-    grid.height = height
-    grid.cells = bytearray(width * height)
-    grid.array = np.frombuffer(grid.cells, dtype=np.int8).reshape(height, width)
-    grid.direction_offsets = tuple(dy * width + dx for dx, dy in DIRECTIONS)
-    grid.ring_offsets = tuple(
-        tuple(dy * width + dx for dx, dy in ring) for ring in RING_OFFSETS
-    )
-    for node in nodes:
-        grid.cells[grid.flat_index(node)] = 1
+    bounding box of ``nodes``.  ``from_coordinates`` leaves the same
+    margin of more than :data:`GUARD_BAND` cells on every side, so the
+    window is built around two corner nodes that margin inside it, and
+    then painted with ``nodes`` alone."""
+    xs, ys = np.array(nodes, dtype=np.int64).T
+    margin = GUARD_BAND + 1
+    corner_xs = np.array([xs.min() - left + margin, xs.max() + right - margin])
+    corner_ys = np.array([ys.min() - below + margin, ys.max() + above - margin])
+    assert corner_xs[0] <= corner_xs[1] and corner_ys[0] <= corner_ys[1], "window too small"
+    grid = OccupancyGrid.from_coordinates(corner_xs, corner_ys, margin=margin)
+    grid.array.fill(0)
+    grid.array.reshape(-1)[grid.flat_indices(xs, ys)] = 1
     return grid
 
 

@@ -27,22 +27,42 @@ def small_sweep_jobs():
     )
 
 
+def _valid(job_type, **defaults):
+    """A builder of one valid ``job_type``, with keyword overrides."""
+    return lambda **overrides: job_type(**{**defaults, **overrides})
+
+
 #: One valid job of each type, with keyword overrides.
 JOB_TYPES = {
-    "chain": lambda **kw: ChainJob(
-        job_id="a", lam=4.0, seed=0, n=10, iterations=100, **kw
+    "chain": _valid(ChainJob, job_id="a", lam=4.0, seed=0, n=10, iterations=100),
+    "amoebot": _valid(AmoebotJob, job_id="a", lam=4.0, seed=0, n=10, activations=100),
+    "separation": _valid(
+        SeparationJob, job_id="a", lam=4.0, gamma=2.0, seed=0, n=10, iterations=100
     ),
-    "amoebot": lambda **kw: AmoebotJob(
-        job_id="a", lam=4.0, seed=0, n=10, activations=100, **kw
-    ),
-    "separation": lambda **kw: SeparationJob(
-        job_id="a", lam=4.0, gamma=2.0, seed=0, n=10, iterations=100, **kw
-    ),
-    "bridging": lambda **kw: BridgingJob(
-        job_id="a", lam=4.0, gamma=2.0, seed=0, n=10, arm_length=4,
-        iterations=100, **kw
+    "bridging": _valid(
+        BridgingJob, job_id="a", lam=4.0, gamma=2.0, seed=0, n=10, arm_length=4,
+        iterations=100,
     ),
 }
+
+
+@pytest.mark.parametrize(
+    "job_type, bias, value",
+    [
+        ("chain", "lam", -1),
+        ("amoebot", "lam", 0),
+        ("separation", "gamma", -2),
+        ("bridging", "gamma", 0),
+    ],
+)
+def test_nonpositive_bias_rejected_at_construction(job_type, bias, value):
+    """A job with lambda <= 0 (or gamma <= 0 on the extension jobs) is
+    refused when it is built, not quarantined later by a worker."""
+    name = "lambda" if bias == "lam" else bias
+    with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
+        JOB_TYPES[job_type](**{bias: value})
+    with pytest.raises(ConfigurationError, match="lambda must be positive"):
+        JOB_TYPES[job_type](lam=float("nan"))
 
 
 @pytest.mark.parametrize("record_every", [0, -5])

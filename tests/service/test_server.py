@@ -7,6 +7,7 @@ fast-engine job, get the bit-exact result back through the wire.
 
 from __future__ import annotations
 
+import json
 import socket
 import time
 
@@ -113,6 +114,35 @@ def test_undecodable_job_payload_is_bad_job(service, connect):
     client = connect(server)
     with pytest.raises(SerializationError):
         client.submit({"job_id": "x", "not_a_field": True})
+
+
+def test_nonpositive_lambda_job_is_bad_job(service, connect):
+    """``job_from_json`` maps the job's ConfigurationError to a
+    SerializationError, so the job is refused at submit instead of
+    failing later in a worker."""
+    server = service()
+    client = connect(server)
+    payload = job_to_json(make_jobs(replicas=1)[0])
+    payload["lam"] = -1.0
+    with pytest.raises(SerializationError, match="lambda must be positive"):
+        client.submit(payload)
+
+
+def test_stored_nonpositive_lambda_job_is_skipped_on_recovery(tmp_path):
+    """A job document stored before jobs checked lambda takes the
+    unreadable-document path of ``recover``: it is skipped, and the
+    other jobs are requeued."""
+    state = ServiceState(tmp_path / "svc")
+    jobs = make_jobs(replicas=2)
+    for job in jobs:
+        state.submit(job_to_json(job), "c")
+    stored = state.jobs_dir / f"{jobs[0].job_id}.json"
+    document = json.loads(stored.read_text())
+    document["job"]["lam"] = 0.0
+    stored.write_text(json.dumps(document))
+    restarted = ServiceState(tmp_path / "svc")
+    assert restarted.recover() == (0, 1)
+    assert list(restarted.records) == [jobs[1].job_id]
 
 
 # --------------------------------------------------------------------- #

@@ -119,13 +119,6 @@ class TestBatchedMoveDrawLanes:
         for _ in range(16):
             assert double.draw2()[:3] == single.draw()
 
-    def test_multiblock_refill_keeps_two_lane_stream(self):
-        """refill(blocks=k) must equal k single-block refills, lanes included."""
-        wide = BatchedMoveDraws(np.random.default_rng(9), n=6, block=4, lanes=2)
-        wide.refill(blocks=3)
-        narrow = BatchedMoveDraws(np.random.default_rng(9), n=6, block=4, lanes=2)
-        assert [wide.draw2() for _ in range(12)] == [narrow.draw2() for _ in range(12)]
-
     def test_draw2_requires_two_lanes(self):
         with pytest.raises(ValueError):
             BatchedMoveDraws(np.random.default_rng(0), n=4).draw2()
@@ -146,69 +139,3 @@ class TestBatchedMoveDrawLanes:
     def test_lane_count_validation(self):
         with pytest.raises(ValueError):
             BatchedMoveDraws(np.random.default_rng(0), n=4, lanes=3)
-
-
-class TestLargeMultiblockRefill:
-    """refill(blocks=k) at large k: stream identity and memory behavior.
-
-    Long runs at large n amortize per-refill overhead with wide refills,
-    so the k~O(10^2) regime needs the same guarantees the docstring
-    promises for small k: the generator stream (and therefore
-    every seeded trajectory) is unchanged, and materialization does not
-    balloon far beyond the tape payload itself.
-    """
-
-    BLOCK = 512
-
-    def _concatenated_single_refills(self, seed, blocks, lanes):
-        tape = BatchedMoveDraws(
-            np.random.default_rng(seed), n=100, block=self.BLOCK, lanes=lanes
-        )
-        parts = []
-        for _ in range(blocks):
-            tape.refill()
-            fields = [tape.indices, tape.directions, tape.uniforms]
-            if lanes == 2:
-                fields.append(tape.uniforms2)
-            parts.append([field.copy() for field in fields])
-        return [np.concatenate(chunks) for chunks in zip(*parts)]
-
-    @pytest.mark.parametrize("blocks", [16, 64, 257])
-    @pytest.mark.parametrize("lanes", [1, 2])
-    def test_stream_unchanged_at_large_block_counts(self, blocks, lanes):
-        wide = BatchedMoveDraws(
-            np.random.default_rng(97), n=100, block=self.BLOCK, lanes=lanes
-        )
-        wide.refill(blocks=blocks)
-        assert wide.size == blocks * self.BLOCK
-        expected = self._concatenated_single_refills(97, blocks, lanes)
-        np.testing.assert_array_equal(wide.indices, expected[0])
-        np.testing.assert_array_equal(wide.directions, expected[1])
-        np.testing.assert_array_equal(wide.uniforms, expected[2])
-        if lanes == 2:
-            np.testing.assert_array_equal(wide.uniforms2, expected[3])
-        # The tape keeps replaying the same stream after the wide refill.
-        wide.refill()
-        narrow = BatchedMoveDraws(
-            np.random.default_rng(97), n=100, block=self.BLOCK, lanes=lanes
-        )
-        for _ in range(blocks + 1):
-            narrow.refill()
-        np.testing.assert_array_equal(wide.uniforms, narrow.uniforms)
-
-    def test_peak_memory_stays_near_the_tape_payload(self):
-        import tracemalloc
-
-        blocks = 128
-        tape = BatchedMoveDraws(
-            np.random.default_rng(3), n=100, block=self.BLOCK, lanes=2
-        )
-        payload = 4 * blocks * self.BLOCK * 8  # four float64/int64 planes
-        tracemalloc.start()
-        tape.refill(blocks=blocks)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        # A refill writes into lanes of exactly the payload's size (numpy,
-        # on the fallback, adds one block of draws at a time); 3x is the
-        # regression tripwire.
-        assert peak < 3 * payload

@@ -21,6 +21,8 @@ be tested) and on the no-compiler fallback, reached by patching
 would.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,9 @@ PARTICLE_COUNTS = (
 )
 BLOCKS = (1, 3, 4, 1024)
 SEEDS = (0, 1, 2, 3, 4)
-#: ``refill(blocks=k)`` in this order: every k of {1, 3, 16}, a repeated
-#: width (the lanes are refilled in place) and shrinking widths (the
-#: lanes are reallocated).
-REFILLS = (1, 3, 16, 16, 3, 1, 1)
+#: Refills per seed: every one must draw into the lanes allocated at
+#: construction.
+REFILLS = 41
 
 
 @pytest.fixture(params=["compiled", "fallback"])
@@ -54,19 +55,16 @@ def build(request, monkeypatch):
     _native.load_library.cache_clear()
 
 
-def numpy_blocks(twin, n, block, blocks, lanes):
-    """The lanes of ``blocks`` refills, drawn by numpy's calls in tape order."""
-    parts = []
-    for _ in range(blocks):
-        lane_parts = [
-            twin.integers(0, n, size=block),
-            twin.integers(0, 6, size=block),
-            twin.random(block),
-        ]
-        if lanes == 2:
-            lane_parts.append(twin.random(block))
-        parts.append(lane_parts)
-    return [np.concatenate(lane) for lane in zip(*parts)]
+def numpy_block(twin, n, block, lanes):
+    """The lanes of one refill, drawn by numpy's calls in tape order."""
+    lanes_drawn = [
+        twin.integers(0, n, size=block),
+        twin.integers(0, 6, size=block),
+        twin.random(block),
+    ]
+    if lanes == 2:
+        lanes_drawn.append(twin.random(block))
+    return lanes_drawn
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -77,22 +75,20 @@ def test_move_tape_replays_numpy(build, n, block, lanes):
         tape = BatchedMoveDraws(np.random.default_rng(seed), n=n, block=block, lanes=lanes)
         assert (tape._fill is not None) == (build == "compiled" and n <= 2**32)
         twin = np.random.default_rng(seed)
-        previous_width = None
-        for blocks in REFILLS:
-            lanes_before = tape.indices
-            tape.refill(blocks=blocks)
-            expected = numpy_blocks(twin, n, block, blocks, lanes)
+        allocated = tape.indices, tape.directions, tape.uniforms, tape.uniforms2
+        for refill in range(REFILLS):
+            tape.refill()
+            expected = numpy_block(twin, n, block, lanes)
             drawn = [tape.indices, tape.directions, tape.uniforms]
             if lanes == 2:
                 drawn.append(tape.uniforms2)
             for lane, want in zip(drawn, expected):
                 assert lane.dtype == want.dtype and lane.flags.c_contiguous
-                np.testing.assert_array_equal(lane, want, err_msg=f"seed {seed}, blocks {blocks}")
+                np.testing.assert_array_equal(lane, want, err_msg=f"seed {seed}, refill {refill}")
             assert tape._rng.bit_generator.state == twin.bit_generator.state
-            assert tape.size == blocks * block and tape.cursor == 0
-            if blocks == previous_width:
-                assert tape.indices is lanes_before, "an equal-width refill reallocated"
-            previous_width = blocks
+            assert tape.size == block and tape.cursor == 0
+            lanes_now = tape.indices, tape.directions, tape.uniforms, tape.uniforms2
+            assert all(map(operator.is_, lanes_now, allocated)), "a refill reallocated"
 
 
 @pytest.mark.parametrize("block", (*BLOCKS, 4096))
@@ -111,15 +107,16 @@ def test_activation_tape_replays_numpy(build, block):
 
 
 def test_draws_replay_numpy_across_mixed_consumers(build):
-    """Draws interleaved with wide refills and direct generator calls stay
-    on numpy's stream: the tape holds no generator state of its own."""
+    """Draws interleaved with refills and direct generator calls stay on
+    numpy's stream: the tape holds no generator state of its own."""
     rng = np.random.default_rng(11)
     twin = np.random.default_rng(11)
     tape = BatchedMoveDraws(rng, n=97, block=5, lanes=2)
-    for blocks in (1, 4, 2):
-        tape.refill(blocks=blocks)
-        expected = numpy_blocks(twin, 97, 5, blocks, 2)
-        assert [tape.draw2() for _ in range(5 * blocks)] == list(
-            zip(*(lane.tolist() for lane in expected))
-        )
+    for refills in (1, 4, 2):
+        for _ in range(refills):
+            tape.refill()
+            expected = numpy_block(twin, 97, 5, 2)
+            assert [tape.draw2() for _ in range(5)] == list(
+                zip(*(lane.tolist() for lane in expected))
+            )
         assert rng.integers(0, 1000, size=3).tolist() == twin.integers(0, 1000, size=3).tolist()

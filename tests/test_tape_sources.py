@@ -21,6 +21,8 @@ generator where they leave it:
 ``chain_loops.c`` (a sanitizer build, say).
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -57,20 +59,21 @@ def state(generator):
     return plain(generator.bit_generator.state)
 
 
-def assert_tape_replays_numpy(tape, twin, n, lanes, refills=(1, 3, 1)):
+def assert_tape_replays_numpy(tape, twin, n, lanes, refills=5):
     block = tape.block
-    for blocks in refills:
-        tape.refill(blocks=blocks)
-        for start in range(0, blocks * block, block):
-            expected = [
-                twin.integers(0, n, size=block),
-                twin.integers(0, 6, size=block),
-                twin.random(block),
-            ] + ([twin.random(block)] if lanes == 2 else [])
-            drawn = [tape.indices, tape.directions, tape.uniforms, tape.uniforms2][: len(expected)]
-            for lane, want in zip(drawn, expected):
-                np.testing.assert_array_equal(lane[start : start + block], want)
+    allocated = tape.indices, tape.directions, tape.uniforms, tape.uniforms2
+    for _ in range(refills):
+        tape.refill()
+        expected = [
+            twin.integers(0, n, size=block),
+            twin.integers(0, 6, size=block),
+            twin.random(block),
+        ] + ([twin.random(block)] if lanes == 2 else [])
+        drawn = [tape.indices, tape.directions, tape.uniforms, tape.uniforms2]
+        for lane, want in zip(drawn, expected):
+            np.testing.assert_array_equal(lane, want)
         assert state(tape._rng) == state(twin)
+        assert all(map(operator.is_, drawn, allocated)), "a refill reallocated"
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
