@@ -234,6 +234,43 @@ class TestOccupancyGrid:
         grid.array.reshape(-1)[grid.flat_index((2, 0))] = 1
         assert grid.cells[grid.flat_index((2, 0))] == 1
 
+    def test_far_apart_nodes_share_one_window(self):
+        grid = grid_of([(0, 0), (500, -300)])
+        assert grid.contains((0, 0)) and grid.contains((500, -300))
+        assert occupied_nodes(grid) == [(0, 0), (500, -300)]
+
+    def test_window_is_the_bounding_box_plus_margin(self):
+        """Every node sits ``margin`` cells inside the window, clear of the
+        guard band, so offset reads from it need no bounds checks."""
+        from repro.core.fast_chain import DEFAULT_GRID_MARGIN, GUARD_BAND
+
+        nodes = [(0, 0), (4, 0), (2, 10)]
+        grid = grid_of(nodes)
+        margin = DEFAULT_GRID_MARGIN
+        assert (grid.origin_x, grid.origin_y) == (-margin, -margin)
+        assert (grid.width, grid.height) == (5 + 2 * margin, 11 + 2 * margin)
+        assert margin > GUARD_BAND
+        for node in nodes:
+            assert not grid.in_guard_band(grid.flat_index(node))
+
+    def test_reuse_with_the_same_nodes_keeps_the_grid(self):
+        nodes = sorted(random_connected(25, seed=2).nodes)
+        grid = grid_of(nodes)
+        origin = grid.origin_x, grid.origin_y
+        assert grid_of(nodes, reuse=grid) is grid
+        assert (grid.origin_x, grid.origin_y) == origin
+        assert occupied_nodes(grid) == nodes
+
+    def test_from_coordinates_validation(self):
+        from repro.core.fast_chain import GUARD_BAND
+
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="at least one occupied node"):
+            OccupancyGrid.from_coordinates(empty, empty)
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="guard band"):
+            OccupancyGrid.from_coordinates(one, one, margin=GUARD_BAND)
+
     def test_reuse_repaints_in_place_when_dims_unchanged(self):
         """A pure drift (same bounding box size) must not reallocate: the
         reused grid's planes are repainted in place and its origin moves."""

@@ -119,6 +119,41 @@ class TestBatchedMoveDrawLanes:
         for _ in range(16):
             assert double.draw2()[:3] == single.draw()
 
+    def test_refill_discards_the_unread_remainder(self):
+        """A refill after a partial read starts the next block on the
+        generator's stream; the rest of the current block is never read."""
+        tape = BatchedMoveDraws(np.random.default_rng(9), n=6, block=4, lanes=2)
+        twin = np.random.default_rng(9)
+        blocks = []
+        for _ in range(2):
+            indices = twin.integers(0, 6, size=4).tolist()
+            directions = twin.integers(0, 6, size=4).tolist()
+            uniforms = twin.random(4).tolist()
+            uniforms2 = twin.random(4).tolist()
+            blocks.append(list(zip(indices, directions, uniforms, uniforms2)))
+        assert tape.draw2() == blocks[0][0]
+        tape.refill()
+        assert tape.cursor == 0 and tape.size == 4
+        assert [tape.draw2() for _ in range(4)] == blocks[1]
+        assert tape._rng.bit_generator.state == twin.bit_generator.state
+
+    def test_refills_stay_within_one_block_of_memory(self):
+        """Refills write into the lanes allocated at construction: many
+        refills in a row never hold more than one block's payload."""
+        import tracemalloc
+
+        block = 512
+        tape = BatchedMoveDraws(np.random.default_rng(3), n=100, block=block, lanes=2)
+        payload = 4 * block * 8  # four int64/float64 lanes of one block
+        tracemalloc.start()
+        for _ in range(128):
+            tape.refill()
+            tape.uniforms  # draws a deferred lane, if any
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        # numpy, on the fallback, draws one lane of a block at a time.
+        assert peak < payload
+
     def test_draw2_requires_two_lanes(self):
         with pytest.raises(ValueError):
             BatchedMoveDraws(np.random.default_rng(0), n=4).draw2()
