@@ -24,18 +24,13 @@ fresh processes.
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import _emit
-import repro
+from _fresh import PROCESSES, in_fresh_processes, spread
 from _starts import compact_disc
 from repro.amoebot.system import AmoebotSystem
 from repro.core import _native
@@ -203,10 +198,6 @@ def test_run_call_n100(python_loops):
     )
 
 
-#: Fresh interpreters per multi-process row.  On a 2-vCPU VM the disc
-#: loop ran at one of two speeds per process, so a process is one sample.
-PROCESSES = 3
-
 _RUN_CHAIN_CHILD = """
 import json, sys, time
 from _starts import compact_disc
@@ -252,39 +243,6 @@ print(json.dumps(phases))
 """
 
 
-def _in_fresh_processes(script: str, *args: int):
-    """What ``script`` printed as JSON in each of :data:`PROCESSES` new interpreters."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [
-            str(Path(__file__).parent),
-            str(Path(repro.__file__).resolve().parents[1]),
-            env.get("PYTHONPATH", ""),
-        ]
-    )
-    outputs = []
-    for _ in range(PROCESSES):
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *map(str, args)],
-            capture_output=True, text=True, env=env, timeout=600, check=True,
-        )
-        outputs.append(json.loads(proc.stdout))
-    return outputs
-
-
-def _spread(per_process: list, scale: float) -> dict:
-    """Best, median and quartiles over every round, and each process's median."""
-    rounds = scale * np.concatenate(per_process)
-    low, high = np.percentile(rounds, [25, 75])
-    return {
-        "best": float(rounds.min()),
-        "median": float(np.median(rounds)),
-        "q1": float(low),
-        "q3": float(high),
-        "process_medians": [float(scale * np.median(times)) for times in per_process],
-    }
-
-
 def test_run_chain_disc_n200467():
     """Nanoseconds per iteration of ``run(2_000_000)`` on the n = 200,467 disc.
 
@@ -297,10 +255,10 @@ def test_run_chain_disc_n200467():
     over all of them, the quartiles, and each process's median.  No
     gate: the row tracks the compiled loop with the draws it makes."""
     n, iterations, rounds = 200_467, 2_000_000, 7
-    per_process = _in_fresh_processes(_RUN_CHAIN_CHILD, n, iterations, rounds)
+    per_process = in_fresh_processes(_RUN_CHAIN_CHILD, n, iterations, rounds)
     if None in per_process:
         pytest.skip("chain_loops.c did not build: no compiled run() to time")
-    spread = _spread(per_process, 1e9 / iterations)
+    spread = spread(per_process, 1e9 / iterations)
     _emit.record(
         "run_chain_disc_n200467",
         n=n,
@@ -327,10 +285,10 @@ def test_disc_setup_n200467():
     has built the move tables.  No gate: the row tracks the setup that
     ``perfbench`` reports as ``setup_s``."""
     radius, rounds = 258, 7
-    per_process = _in_fresh_processes(_DISC_SETUP_CHILD, radius, rounds)
+    per_process = in_fresh_processes(_DISC_SETUP_CHILD, radius, rounds)
     phases = []
     for phase in ("construct", "engine_init"):
-        spread = _spread([times[phase] for times in per_process], 1.0)
+        spread = spread([times[phase] for times in per_process], 1.0)
         phases.append(
             {
                 "phase": phase,

@@ -11,7 +11,9 @@ algorithms, so the tape is the one numpy would have drawn; and
 ``run_chain``, ``fill_tape`` and ``draw_deferred`` take the tape as a
 :class:`Tape` struct, which the tape owns: ``run_chain`` reads proposals
 from its cursor on and refills it one block at a time, so a ``run()`` of
-the engine is one call into C.  ``fill_tape`` draws through the
+the engine is one call into C; given a sample buffer it also writes the
+edge delta after every ``stride`` proposals, so a traced run is one call
+too.  ``fill_tape`` draws through the
 generator's ``bitgen_t`` function pointers, or, for a
 :class:`numpy.random.PCG64` whose state :func:`pcg64_layout_matches`
 has read correctly, through its own copy of numpy's PCG64 step, kept in
@@ -161,7 +163,7 @@ _I = ctypes.c_int64
 
 #: Argument types of each function; see the signatures in ``chain_loops.c``.
 SIGNATURES = {
-    "run_chain": (_P, _I, _I, _P, _P, _P, _P, ctypes.c_double, _P),
+    "run_chain": (_P, _I, _I, _P, _P, _P, _P, ctypes.c_double, _P, _I, _I, _P),
     "flood": (_P, _I, _I, _I, _I, _P, _P),
     "fill_tape": (_P,),
     "draw_deferred": (_P,),

@@ -645,13 +645,17 @@ static inline ALWAYS_INLINE double read_uniform(
 /* `count` proposals in kernel mode `mode` off the tape, from its cursor
  * on: one run_mode call per tape span, and a one-block refill whenever
  * the cursor reaches the end of the tape.  A PCG64 tape defers the
- * uniform lane of the blocks it refills here (defer_block). */
+ * uniform lane of the blocks it refills here (defer_block).  With
+ * `samples`, spans are also cut after proposal `first` of the call and
+ * after every `stride` proposals from there, and each cut writes
+ * counters[EDGE_DELTA] to the next entry of `samples`. */
 static inline ALWAYS_INLINE int64_t run_tape(
     int mode, tape_t *tape, int64_t count, const grid_t *g, uint8_t *plane,
     const double *rows, const double *swap_acceptance, double swap_probability,
-    int64_t *counters)
+    int64_t *counters, int64_t stride, int64_t first, int64_t *samples)
 {
     int64_t done = 0;
+    int64_t cut = samples ? first : count;
 #ifdef __SIZEOF_INT128__
     jumps_t jumps;
     jumps.ready = 0;
@@ -669,6 +673,8 @@ static inline ALWAYS_INLINE int64_t run_tape(
         int64_t span = tape->size - at;
         if (span > count - done)
             span = count - done;
+        if (span > cut - done)
+            span = cut - done;
         const double *uniforms2 = mode == EDGE_COLOR ? tape->uniforms2 + at : NULL;
         int64_t consumed;
 #ifdef __SIZEOF_INT128__
@@ -687,30 +693,37 @@ static inline ALWAYS_INLINE int64_t run_tape(
                 swap_probability, counters);
         tape->cursor = at + consumed;
         done += consumed;
+        if (done == cut && samples) {
+            *samples++ = counters[EDGE_DELTA];
+            cut += stride;
+        }
     }
     return done;
 }
 
 /* Resolve `count` proposals in kernel mode `mode` (see run_mode) off the
  * tape and return how many were consumed: `count`, or fewer when an
- * accepted move lands in the guard band.  The caller holds the
- * generator's lock.  Each case inlines run_tape with a constant mode, so
- * the tests of the other modes compile away. */
+ * accepted move lands in the guard band.  A non-NULL `samples` receives
+ * the edge delta so far after proposal `first` >= 1 and every `stride`
+ * >= 1 proposals after it (see run_tape), so a traced run is one call;
+ * NULL samples nothing.  The caller holds the generator's lock.  Each
+ * case inlines run_tape with a constant mode, so the tests of the other
+ * modes compile away. */
 int64_t run_chain(
     tape_t *tape, int64_t mode, int64_t count, const grid_t *g, uint8_t *plane,
     const double *rows, const double *swap_acceptance, double swap_probability,
-    int64_t *counters)
+    int64_t *counters, int64_t stride, int64_t first, int64_t *samples)
 {
     switch (mode) {
     case EDGE:
         return run_tape(EDGE, tape, count, g, plane, rows, swap_acceptance,
-                        swap_probability, counters);
+                        swap_probability, counters, stride, first, samples);
     case EDGE_SITE:
         return run_tape(EDGE_SITE, tape, count, g, plane, rows, swap_acceptance,
-                        swap_probability, counters);
+                        swap_probability, counters, stride, first, samples);
     case EDGE_COLOR:
         return run_tape(EDGE_COLOR, tape, count, g, plane, rows, swap_acceptance,
-                        swap_probability, counters);
+                        swap_probability, counters, stride, first, samples);
     }
     return 0; /* the engine rejects unknown modes when it is built */
 }

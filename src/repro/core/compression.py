@@ -286,6 +286,7 @@ class CompressionSimulation:
             self.trace,
             self.trace_sink,
             until,
+            sampled_run(chain),
         )
 
 
@@ -300,6 +301,21 @@ def engine_metrics(engine) -> Tuple[int, int, int, int]:
     return engine.iterations, engine.perimeter(), engine.edge_count, engine.hole_count()
 
 
+def sampled_run(engine) -> Optional[Callable[[int, int], List[int]]]:
+    """``engine.run(k, sample_every=stride)`` for an engine that samples its
+    edge count inside one run call (:class:`FastCompressionChain`), else
+    ``None``.  The bound method is looked up at each call."""
+    if isinstance(engine, FastCompressionChain):
+        return lambda steps, stride: engine.run(steps, sample_every=stride)
+    return None
+
+
+#: Most points one sampled run call records: one default trace-store
+#: segment (:data:`repro.io.trace_store.DEFAULT_ROWS_PER_SEGMENT`), so a
+#: sink still streams a long run segment by segment.
+SAMPLES_PER_CALL = 4096
+
+
 def record_trace(
     run: Callable[[int], object],
     sample: Callable[[], Tuple[int, int, int, int]],
@@ -308,6 +324,7 @@ def record_trace(
     trace: CompressionTrace,
     sink: Optional[object] = None,
     until: Optional[Callable[[], bool]] = None,
+    run_sampled: Optional[Callable[[int, int], List[int]]] = None,
 ) -> CompressionTrace:
     """Advance a chain in blocks, recording a :class:`TracePoint` after each.
 
@@ -321,6 +338,15 @@ def record_trace(
     consumes no randomness, so streamed and in-memory runs are identical.
     ``until`` is checked after each recorded point and ends the loop early
     once it returns true.
+
+    ``run_sampled(k, stride)`` (:func:`sampled_run`), when given, advances
+    the chain ``k`` steps and returns its edge count after every
+    ``stride``-th step.  Without ``until``, on a hole-free chain, the
+    blocks then run through it, up to :data:`SAMPLES_PER_CALL` of them per
+    call, and each point is ``(iteration, 3n - 3 - e, e, 0)``: a chain
+    without holes never makes one (Lemma 3.2), and that is the perimeter
+    ``sample()`` reports.  The points are the ones the per-block loop
+    records.
     """
     if iterations < 0:
         raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
@@ -332,7 +358,9 @@ def record_trace(
     pmax = max_perimeter(trace.n)
 
     def record() -> None:
-        iteration, perimeter, edges, holes = sample()
+        record_point(*sample())
+
+    def record_point(iteration: int, perimeter: int, edges: int, holes: int) -> None:
         point = TracePoint(
             iteration=iteration,
             perimeter=perimeter,
@@ -348,6 +376,18 @@ def record_trace(
     if not trace.points:
         record()
     remaining = iterations
+    if run_sampled is not None and until is None and remaining > 0:
+        iteration, _, _, holes = sample()
+        if holes == 0:
+            top = 3 * trace.n - 3
+            while remaining > 0:
+                steps = min(remaining, SAMPLES_PER_CALL * record_every)
+                for edges in run_sampled(steps, record_every):
+                    iteration += record_every
+                    record_point(iteration, top - edges, edges, 0)
+                remaining -= steps
+                if steps % record_every:
+                    record()
     while remaining > 0:
         block = min(record_every, remaining)
         run(block)

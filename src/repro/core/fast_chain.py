@@ -14,10 +14,10 @@ engine) but is built for long runs at large ``n``:
   occupancy pattern of the eight-node ring around the move edge
   (:func:`repro.core.properties.joint_neighborhood`).  The engine packs
   that pattern into an 8-bit mask and resolves the whole legality check
-  with three 256-entry table lookups.  The tables are *generated from the
-  reference implementation* at first use, so the two engines agree by
-  construction — there is no second, hand-derived copy of the paper's
-  Properties 1 and 2 to keep in sync.
+  with three 256-entry table lookups.  The tables ship as literals that
+  the tests regenerate from the *reference implementation*, so the two
+  engines agree by construction — there is no second, hand-derived copy
+  of the paper's Properties 1 and 2 to keep in sync.
 * **Batched randomness.**  Randomness is consumed through the shared
   :class:`repro.rng.BatchedMoveDraws` tape (one ``(index, direction,
   uniform)`` triple per iteration, pre-generated in blocks).  Given the
@@ -71,7 +71,11 @@ reference engine's one-block-at-a-time refills
 after an accepted move that lands in the grid's guard band; ``run()``
 then re-centers the grid in numpy (:meth:`_reallocate`) and makes the
 next call.  Re-centering is invisible in node space, so trajectories are
-unaffected.
+unaffected.  ``run(k, sample_every=s)`` passes ``run_chain`` a sample
+buffer too: the loop cuts its spans at every ``s``-th proposal and writes
+the edge count there, which is how
+:func:`~repro.core.compression.record_trace` gets a whole trace of a
+hole-free chain from one call.
 
 The C source is compiled with the system C compiler on the first
 construction in a process and cached (:mod:`repro.core._native`).  The
@@ -128,7 +132,7 @@ from repro.core.kernels import (
     WeightKernel,
 )
 from repro.core.markov_chain import StepResult
-from repro.core.moves import RING_OFFSETS, Move, move_tables
+from repro.core.moves import MOVE_TABLE_BYTES, RING_OFFSETS, Move, move_tables
 from repro.rng import DEFAULT_DRAW_BLOCK, BatchedMoveDraws, RandomState, make_rng
 
 #: Free border (in cells) left around the occupied bounding box whenever an
@@ -157,6 +161,12 @@ _OUTCOMES = COUNTERS.index("swapped") + 1
 #: The rejections that read the ring around the move edge, and so report
 #: the move's edge delta.
 _RING_REJECTIONS = ("five_neighbors", "property_failed", "metropolis_rejected")
+#: Read-only uint8 views of the move tables, shared by every engine of a
+#: process: the compiled loop reads them through raw pointers.
+_MOVE_TABLE_ARRAYS = tuple(np.frombuffer(table, dtype=np.uint8) for table in MOVE_TABLE_BYTES)
+#: ``run_chain``'s sampling arguments ``(stride, first, samples)`` of an
+#: unsampled call.
+_NO_SAMPLES = (0, 0, None)
 
 
 class OccupancyGrid:
@@ -472,10 +482,6 @@ class FastCompressionChain:
         """Build the arrays the compiled loop reads through raw pointers."""
         self._mode_index = KERNEL_MODES.index(self._mode)
         self._counters = np.zeros(len(COUNTERS), dtype=np.int64)
-        self._move_tables = [
-            np.array(table, dtype=np.uint8)
-            for table in (self._nb_before, self._nb_after, self._property_ok)
-        ]
         self._rows_array = np.array(self._rows, dtype=np.float64)
         self._swap_array = (
             None if self._swap_acceptance is None
@@ -633,8 +639,11 @@ class FastCompressionChain:
         return StepResult(reason == "moved", move, edge_delta, reason)
 
     def run(
-        self, iterations: int, callback: Optional[Callable[[int, StepResult], None]] = None
-    ) -> None:
+        self,
+        iterations: int,
+        callback: Optional[Callable[[int, StepResult], None]] = None,
+        sample_every: int = 0,
+    ) -> Optional[List[int]]:
         """Run the chain for a number of iterations.
 
         Without a callback this is the engine's hot path: one call into the
@@ -643,30 +652,76 @@ class FastCompressionChain:
         compiled fill.  With a callback every proposal goes
         through :meth:`step`, and the callback receives its
         :class:`~repro.core.markov_chain.StepResult`.
+
+        With ``sample_every=k`` the run also returns the edge count
+        ``e(sigma)`` after every ``k``-th of its iterations
+        (``iterations // k`` ints); the compiled loop writes them in the
+        same call, so a traced run
+        (:func:`~repro.core.compression.record_trace`) is one call too.
         """
         if iterations < 0:
             raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
+        if sample_every < 0 or (sample_every and callback is not None):
+            raise ConfigurationError(
+                f"sample_every must be non-negative and without a callback, got {sample_every}"
+            )
         if callback is not None:
             for _ in range(iterations):
                 result = self.step()
                 callback(self._iterations, result)
-            return
-        counts = self._advance(iterations)
+            return None
+        if sample_every:
+            return self._run_sampled(iterations, sample_every)
+        self._run(iterations)
+        return None
+
+    def _run(
+        self, iterations: int, stride: int = 0, samples: Optional[np.ndarray] = None
+    ) -> None:
+        """Advance ``iterations`` steps and add their counts to the engine's."""
+        counts = self._advance(iterations, stride, samples)
         self._iterations += iterations
         self._flush(counts)
 
-    def _advance(self, iterations: int) -> List[int]:
+    def _run_sampled(self, iterations: int, stride: int) -> List[int]:
+        """:meth:`run` with the edge count read after every ``stride`` steps."""
+        points = iterations // stride
+        if self._library is None:
+            edges = []
+            for _ in range(points):
+                self._run(stride)
+                edges.append(self._edge_count)
+            self._run(iterations - points * stride)
+            return edges
+        samples = np.empty(points, dtype=np.int64)
+        start = self._edge_count
+        self._run(iterations, stride, samples)
+        samples += start
+        return samples.tolist()
+
+    def _advance(
+        self, iterations: int, stride: int = 0, samples: Optional[np.ndarray] = None
+    ) -> List[int]:
         """Run the loop ``iterations`` times, re-centering the grid after
-        each guard-band hit; returns the counts in :data:`COUNTERS` order."""
+        each guard-band hit; returns the counts in :data:`COUNTERS` order.
+
+        On the compiled build a ``samples`` array (int64) receives the edge
+        delta after every ``stride`` iterations; each call after a
+        reallocation resumes the cuts where the last one left them.
+        """
         if self._library is None:
             return self._run_python(iterations)
         run_compiled = self._draws.run_compiled
         counters = self._counters
         counters.fill(0)
-        remaining = iterations
-        while remaining > 0:
+        address = None if samples is None else samples.ctypes.data
+        done = 0
+        while done < iterations:
             run_chain, mode, loop_args = self._call
-            remaining -= run_compiled(run_chain, mode, remaining, *loop_args)
+            sampling = _NO_SAMPLES if address is None else (
+                stride, stride - done % stride, address + 8 * (done // stride)
+            )
+            done += run_compiled(run_chain, mode, iterations - done, *loop_args, *sampling)
             if counters[_GUARD_HIT]:
                 counters[_GUARD_HIT] = 0
                 self._reallocate()
@@ -841,7 +896,7 @@ class FastCompressionChain:
             np.array(grid.direction_offsets, dtype=np.int64),
             np.array(grid.ring_offsets, dtype=np.int64),
         )
-        nb_before, nb_after, property_ok = self._move_tables
+        nb_before, nb_after, property_ok = _MOVE_TABLE_ARRAYS
         self._grid_struct = _native.Grid(
             pos=self._pos.buffer_info()[0],
             cells=grid.array.ctypes.data,

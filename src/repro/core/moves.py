@@ -41,18 +41,60 @@ RING_OFFSETS: Tuple[Tuple[Node, ...], ...] = tuple(
     joint_neighborhood((0, 0), delta) for delta in DIRECTIONS
 )
 
+#: The three move tables of :func:`move_tables`, one byte per 8-bit ring
+#: mask.  Shipped as literals rather than derived in every process; the
+#: move-table tests of ``tests/core/test_fast_chain_equivalence.py``
+#: regenerate them from the reference property code.
+_NEIGHBORS_BEFORE = bytes.fromhex(
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+    "0001010201020203010202030203030401020203020303040203030403040405"
+)
+
+_NEIGHBORS_AFTER = bytes.fromhex(
+    "0001000100010001000100010001000101020102010201020102010201020102"
+    "0102010201020102010201020102010202030203020302030203020302030203"
+    "0102010201020102010201020102010202030203020302030203020302030203"
+    "0203020302030203020302030203020303040304030403040304030403040304"
+    "0102010201020102010201020102010202030203020302030203020302030203"
+    "0203020302030203020302030203020303040304030403040304030403040304"
+    "0203020302030203020302030203020303040304030403040304030403040304"
+    "0304030403040304030403040304030404050405040504050405040504050405"
+)
+
+_PROPERTY_OK = bytes.fromhex(
+    "0001000100000001000000000000000101010001000000010101000101010101"
+    "0000010001000100010000000100010001010001000000010101000101010101"
+    "0000010001000100010000000100010000000000000000000000000000000000"
+    "0000010001000100010000000100010001010001000000010101000101010101"
+    "0001010101000101010000000100010100010001000000010001000100010001"
+    "0000000000000000000000000000000000010001000000010001000100010001"
+    "0001010101000101010000000100010100010001000000010001000100010001"
+    "0001010101000101010000000100010101010001000000010101000101010101"
+)
+
+#: The same tables in the order of :func:`move_tables`, as bytes: the
+#: compiled loop reads them through uint8 views of these objects.
+MOVE_TABLE_BYTES: Tuple[bytes, bytes, bytes] = (_NEIGHBORS_BEFORE, _NEIGHBORS_AFTER, _PROPERTY_OK)
+
 _MOVE_TABLES: Optional[Tuple[List[int], List[int], List[bool]]] = None
 
 
 def move_tables() -> Tuple[List[int], List[int], List[bool]]:
-    """Return the three 256-entry move-resolution tables, building them once.
+    """Return the three 256-entry move-resolution tables as lists.
 
     For every 8-bit occupancy mask of the ring around a move edge the
     tables give, in order: the particle's neighbor count at the source
     (``e`` in Algorithm M's Condition (3)), its neighbor count at the
     target (``e'``), and whether the pair satisfies Property 1 or
-    Property 2.  The property entries are computed by running the
-    *reference* property implementation on an explicit node set, which is
+    Property 2.  They are the literals :data:`MOVE_TABLE_BYTES`, which the
+    tests regenerate by running the *reference* property implementation
+    on an explicit node set for every mask and every direction: that is
     what guarantees fast/reference equivalence.
 
     Both properties and the neighbor counts are invariant under lattice
@@ -65,25 +107,16 @@ def move_tables() -> Tuple[List[int], List[int], List[bool]]:
     :class:`~repro.amoebot.fast_system.FastAmoebotSystem` resolves the
     expanded step of Algorithm A through the very same masks (the
     expanded particle's tail/head pair is the move edge and the
-    ``N*``-effective occupancy of the ring is the mask).
+    ``N*``-effective occupancy of the ring is the mask).  The lists are
+    built once per process and shared.
     """
     global _MOVE_TABLES
     if _MOVE_TABLES is None:
-        ring = RING_OFFSETS[0]
-        source: Node = (0, 0)
-        target: Node = DIRECTIONS[0]
-        source_bits = [k for k, node in enumerate(ring) if node in neighbors(source)]
-        target_bits = [k for k, node in enumerate(ring) if node in neighbors(target)]
-        neighbors_before: List[int] = []
-        neighbors_after: List[int] = []
-        property_ok: List[bool] = []
-        for mask in range(256):
-            neighbors_before.append(sum(mask >> k & 1 for k in source_bits))
-            neighbors_after.append(sum(mask >> k & 1 for k in target_bits))
-            occupied = {source}
-            occupied.update(ring[k] for k in range(8) if mask >> k & 1)
-            property_ok.append(satisfies_either_property(occupied, source, target))
-        _MOVE_TABLES = (neighbors_before, neighbors_after, property_ok)
+        _MOVE_TABLES = (
+            list(_NEIGHBORS_BEFORE),
+            list(_NEIGHBORS_AFTER),
+            [bool(ok) for ok in _PROPERTY_OK],
+        )
     return _MOVE_TABLES
 
 

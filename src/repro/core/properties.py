@@ -24,7 +24,7 @@ functions exclude ``l`` and ``l'`` from every neighborhood.
 
 These checks are evaluated in two places that must agree: literally, per
 proposal, by the reference engine, and once per 8-bit ring mask when the
-fast engine generates its 256-entry move tables
+tests regenerate the fast engines' 256-entry move tables
 (:func:`repro.core.moves.move_tables`) — together with the perimeter
 identity ``p = 3n - 3 - e + 3h`` they are the entire local theory the
 engines rely on.  The doctests below are the executable spec for the

@@ -37,8 +37,14 @@ leaves one of two states:
 * the new manifest — every listed segment was durably and completely
   written before the manifest rename could happen.
 
-A short trace costs three fsyncs: the empty manifest committed at open,
-its one segment, and the closing manifest.
+A short trace streamed through a :class:`TraceStoreSink` (or exported
+by :func:`write_trace`) costs two fsyncs: its one segment, then the
+complete manifest.  The sink's writer writes nothing, not even the
+directory, until its first segment fills or it closes, so a job that
+dies before either leaves no manifest and :func:`iter_trace_stores`
+skips its directory.  A :class:`TraceStoreWriter` constructed directly
+commits an empty manifest first, so its store is readable from the
+start: three fsyncs.
 
 Either way a :class:`TraceStoreReader` recovers **exactly** the committed
 segments: never a partial row, and never fewer rows than the last
@@ -65,6 +71,7 @@ before this module existed.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import operator
@@ -166,6 +173,18 @@ def _npy_bytes(array: np.ndarray) -> bytes:
     return buffer.getvalue()
 
 
+@functools.lru_cache(maxsize=64)
+def _npy_header(dtype: np.dtype, rows: int) -> bytes:
+    """The ``.npy`` header :func:`_npy_bytes` writes for ``rows`` rows of
+    ``dtype``: format 1.0, padded so the payload starts aligned."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer,
+        {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (rows,)},
+    )
+    return buffer.getvalue()
+
+
 def _segment_file(index: int) -> str:
     return f"seg-{index:05d}.npy"
 
@@ -236,6 +255,37 @@ class TraceStoreWriter:
         rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
+        self._setup(directory, columns, rows_per_segment, meta)
+        self._write_files([self._manifest_file(complete=False)], rows=0)
+
+    @classmethod
+    def _deferred(
+        cls,
+        directory: PathLike,
+        rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> "TraceStoreWriter":
+        """A standard-schema writer that commits no empty manifest.
+
+        Nothing is written, the directory included, until the first
+        segment fills or the writer closes; that first commit is the
+        segment file, then its manifest.  Until then no reader finds a
+        store there.  Previous store content is removed at once, as by
+        the constructor.  Behind :class:`TraceStoreSink` and
+        :func:`write_trace`.
+        """
+        writer = cls.__new__(cls)
+        writer._setup(directory, TRACE_COLUMNS, rows_per_segment, meta)
+        return writer
+
+    def _setup(
+        self,
+        directory: PathLike,
+        columns: Sequence[Sequence[str]],
+        rows_per_segment: int,
+        meta: Optional[Dict[str, Any]],
+    ) -> None:
+        """Validate the arguments, clear any previous store and start empty."""
         if rows_per_segment < 1:
             raise ConfigurationError(
                 f"rows_per_segment must be positive, got {rows_per_segment}"
@@ -244,8 +294,8 @@ class TraceStoreWriter:
         self.columns = _normalize_columns(columns)
         self.rows_per_segment = int(rows_per_segment)
         self.meta = dict(meta) if meta else {}
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._discard_previous_store()
+        if self.directory.is_dir():
+            self._discard_previous_store()
         #: Buffered rows.  On the standard schema they are trace points,
         #: which a flush reads column by column; on other schemas, value
         #: lists in column order, which a flush transposes.
@@ -259,7 +309,6 @@ class TraceStoreWriter:
         self._commit_thread: Optional[threading.Thread] = None
         self._commit_error: Optional[BaseException] = None
         self.closed = False
-        self._write_files([self._manifest_file(complete=False)], rows=0)
 
     # ------------------------------------------------------------------ #
     # Appending
@@ -393,6 +442,7 @@ class TraceStoreWriter:
             self._commit_error = exc
 
     def _write_files(self, files: List[Tuple[Path, bytes]], rows: int) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
         for path, data in files:
             _write_atomic(path, data)
         self._committed_rows += rows
@@ -451,7 +501,8 @@ class TraceStoreWriter:
             "meta": self.meta,
         }
         try:
-            data = json.dumps(manifest, indent=1, sort_keys=True).encode("utf-8")
+            # Compact: an indent would force json's pure-Python encoder.
+            data = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise SerializationError(
                 f"trace store meta is not JSON-serializable: {exc}"
@@ -549,11 +600,30 @@ class TraceStoreReader:
 
     def _load(self, index: int, name: str, dtype: np.dtype) -> np.ndarray:
         """Load one ``.npy`` file of segment ``index`` and check it holds
-        exactly the committed rows, as a 1-D array of ``dtype``."""
+        exactly the committed rows, as a 1-D array of ``dtype``.
+
+        A file that starts with the header the writer emits for ``dtype``
+        and the committed row count (:func:`_npy_header`) is read
+        straight off its payload; any other header goes through numpy's
+        full parse and the checks below.  Either way the payload must
+        end where the array does.
+        """
         path = self.directory / name
+        rows = self.segments[index]
+        header = _npy_header(dtype, rows)
         try:
             with open(path, "rb") as handle:
-                array = np.lib.format.read_array(handle, allow_pickle=False)
+                data = bytearray(os.fstat(handle.fileno()).st_size)
+                size = handle.readinto(data)
+            if data.startswith(header):
+                array = np.frombuffer(data, dtype=dtype, count=rows, offset=len(header))
+                end = len(header) + array.nbytes
+            else:
+                buffer = io.BytesIO(data)
+                array = np.lib.format.read_array(buffer, allow_pickle=False)
+                end = buffer.tell()
+            if size != len(data) or end != size:
+                raise ValueError(f"{size} bytes on disk, the array ends at byte {end}")
         except (OSError, ValueError) as exc:
             raise SerializationError(
                 f"committed segment file {path} is missing or corrupt: {exc}"
@@ -645,8 +715,12 @@ class TraceStoreSink:
     Parameters
     ----------
     target:
-        A store directory (a writer is created over it with the standard
-        trace schema) or an existing :class:`TraceStoreWriter`.
+        A store directory or an existing :class:`TraceStoreWriter`.  Over
+        a directory the sink's writer has the standard trace schema and
+        writes nothing until its first segment fills or the sink closes:
+        a trace shorter than one segment is committed at :meth:`close`,
+        segment then manifest (two fsyncs), and a sink that is never
+        closed leaves no manifest.
     every:
         Streaming cadence: persist one recorded point in ``every`` (the
         first recorded point always included).  ``every=1`` (default)
@@ -668,9 +742,7 @@ class TraceStoreSink:
         if isinstance(target, TraceStoreWriter):
             self.writer = target
         else:
-            self.writer = TraceStoreWriter(
-                target, rows_per_segment=rows_per_segment, meta=meta
-            )
+            self.writer = TraceStoreWriter._deferred(target, rows_per_segment, meta)
         self.every = int(every)
         self.appended = 0
 
@@ -709,11 +781,10 @@ def write_trace(
     merged = {"n": trace.n, "lambda": trace.lam}
     if meta:
         merged.update(meta)
-    with TraceStoreWriter(
-        directory, rows_per_segment=rows_per_segment, meta=merged
-    ) as writer:
-        for point in trace.points:
-            writer.append_point(point)
+    writer = TraceStoreWriter._deferred(directory, rows_per_segment, merged)
+    for point in trace.points:
+        writer.append_point(point)
+    writer.close()
     return Path(directory)
 
 

@@ -32,6 +32,7 @@ from repro.core.compression import (
     CompressionTrace,
     engine_metrics,
     record_trace,
+    sampled_run,
 )
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
@@ -667,6 +668,7 @@ def _trace_engine(engine, job: "Job", sink) -> CompressionTrace:
         job.record_every,
         CompressionTrace(n=engine.n, lam=job.lam),
         sink,
+        run_sampled=sampled_run(engine),
     )
 
 

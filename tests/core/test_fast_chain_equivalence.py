@@ -28,7 +28,7 @@ import pytest
 
 from repro.core.fast_chain import FastCompressionChain, OccupancyGrid
 from repro.core.markov_chain import CompressionMarkovChain
-from repro.core.moves import RING_OFFSETS, move_tables
+from repro.core.moves import MOVE_TABLE_BYTES, RING_OFFSETS, move_tables
 from repro.core.properties import satisfies_either_property
 from repro.core.vector_chain import VectorCompressionChain
 from repro.errors import ConfigurationError
@@ -177,6 +177,31 @@ def test_constructor_error_parity():
 
 
 class TestMoveTables:
+    def test_the_literals_are_the_reference_derivation(self):
+        """The shipped tables, regenerated for the East edge from the
+        reference properties and neighbor sets, mask by mask."""
+        ring = RING_OFFSETS[0]
+        source, target = (0, 0), DIRECTIONS[0]
+        derived = ([], [], [])
+        for mask in range(256):
+            occupied = {source}
+            occupied.update(ring[k] for k in range(8) if mask >> k & 1)
+            derived[0].append(sum(node in occupied for node in neighbors(source)))
+            derived[1].append(sum(node in occupied - {source} for node in neighbors(target)))
+            derived[2].append(satisfies_either_property(occupied, source, target))
+        assert move_tables() == derived
+        assert MOVE_TABLE_BYTES == tuple(bytes(table) for table in derived)
+        assert all(type(ok) is bool for ok in move_tables()[2])
+
+    def test_engines_share_one_copy_of_the_tables(self):
+        chains = [FastCompressionChain(line(5), lam=4.0, seed=seed) for seed in range(2)]
+        assert chains[0]._nb_before is chains[1]._nb_before is move_tables()[0]
+        if chains[0]._library is not None:
+            pointers = [
+                (chain._grid_struct.nb_before, chain._grid_struct.property_ok) for chain in chains
+            ]
+            assert pointers[0] == pointers[1]
+
     def test_property_table_matches_reference_in_every_direction(self):
         """One table serves all six directions (rotation invariance)."""
         _, _, property_ok = move_tables()

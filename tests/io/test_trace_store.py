@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +525,171 @@ def test_sink_wraps_existing_writer_and_validates(tmp_path):
     assert writer.closed
     with pytest.raises(ConfigurationError, match="every"):
         TraceStoreSink(tmp_path / "other", every=0)
+
+
+def count_fsyncs(monkeypatch):
+    """Count the store's fsyncs; returns the list they are logged in."""
+    calls = []
+    original = os.fsync
+
+    def counted(fd):
+        calls.append(fd)
+        return original(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    return calls
+
+
+def test_a_short_sink_commits_once_at_close(tmp_path, monkeypatch):
+    """Segment, then the complete manifest: two fsyncs, and nothing on
+    disk (not even the directory) before ``close``."""
+    fsyncs = count_fsyncs(monkeypatch)
+    trace = make_trace(101)
+    sink = TraceStoreSink(tmp_path / "store", meta={"n": 12, "lambda": 4.0})
+    for point in trace.points:
+        sink.append(point)
+    assert not (tmp_path / "store").exists()
+    assert fsyncs == []
+    sink.close()
+    assert len(fsyncs) == 2
+    assert sorted(path.name for path in (tmp_path / "store").iterdir()) == [
+        "manifest.json", "seg-00000.npy",
+    ]
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.complete and reader.segments == [101]
+    assert reader.read_trace() == trace
+
+
+def test_write_trace_commits_a_short_trace_once(tmp_path, monkeypatch):
+    fsyncs = count_fsyncs(monkeypatch)
+    write_trace(make_trace(5), tmp_path / "store")
+    assert len(fsyncs) == 2
+    write_trace(make_trace(0), tmp_path / "empty")
+    assert len(fsyncs) == 3  # the manifest alone
+    assert TraceStoreReader(tmp_path / "empty").complete
+
+
+def test_a_sink_that_fills_a_segment_streams(tmp_path, monkeypatch):
+    fsyncs = count_fsyncs(monkeypatch)
+    points = make_trace(10).points
+    sink = TraceStoreSink(tmp_path / "store", rows_per_segment=4, meta={"n": 12, "lambda": 4.0})
+    for point in points[:3]:
+        sink.append(point)
+    assert not (tmp_path / "store").exists()
+    sink.append(points[3])
+    assert sink.writer.committed_rows == 4  # waits for the background commit
+    assert len(fsyncs) == 2
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.segments == [4] and not reader.complete
+    for point in points[4:]:
+        sink.append(point)
+    sink.close()
+    assert len(fsyncs) == 6
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.segments == [4, 4, 2] and reader.complete
+    assert reader.read_trace().points == points
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_a_sink_that_never_closes_leaves_no_manifest(tmp_path, previous):
+    """A job that raises before ``close`` leaves no store to read, also
+    where an earlier run left a complete one, and the ensemble scan skips
+    its directory."""
+    root = tmp_path / "stores"
+    write_trace(make_trace(3), root / "done")
+    if previous:
+        write_trace(make_trace(3), root / "crashed")
+    with pytest.raises(RuntimeError, match="job failed"):
+        with TraceStoreSink(root / "crashed", meta={"n": 12, "lambda": 4.0}) as sink:
+            for point in make_trace(8).points:
+                sink.append(point)
+            raise RuntimeError("job failed")
+    assert not (root / "crashed" / "manifest.json").exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [reader.directory.name for reader in iter_trace_stores(root)] == ["done"]
+
+
+def test_manifests_are_compact_json(tmp_path):
+    meta = {"n": 12, "lambda": 4.0, "nested": {"b": [1, 2], "a": "x"}}
+    write_trace(make_trace(2), tmp_path / "store", meta=meta)
+    text = (tmp_path / "store" / "manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    assert manifest["meta"] == meta and manifest["complete"]
+
+
+# --------------------------------------------------------------------- #
+# Segment headers
+# --------------------------------------------------------------------- #
+def count_full_parses(monkeypatch):
+    calls = []
+    original = np.lib.format.read_array
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.format, "read_array", counted)
+    return calls
+
+
+def test_writer_segments_load_without_the_full_parse(tmp_path, monkeypatch, rewrite_as_v1):
+    parses = count_full_parses(monkeypatch)
+    trace = make_trace(10)
+    write_trace(trace, tmp_path / "v2", rows_per_segment=4)
+    assert read_trace(tmp_path / "v2") == trace
+    write_trace(trace, tmp_path / "v1", rows_per_segment=4)
+    rewrite_as_v1(tmp_path / "v1")
+    assert read_trace(tmp_path / "v1") == trace
+    assert parses == []
+    array = TraceStoreReader(tmp_path / "v2").segment_column(0, "alpha")
+    array[0] = 2.0  # a loaded column is the caller's own, writable array
+
+
+def test_a_segment_with_another_header_loads_through_the_full_parse(tmp_path, monkeypatch):
+    """A valid ``.npy`` whose header is not the writer's (format 2.0 here)
+    still loads, through numpy's parse."""
+    trace = make_trace(6)
+    write_trace(trace, tmp_path / "store", rows_per_segment=4)
+    segment = tmp_path / "store" / "seg-00001.npy"
+    records = np.load(segment, allow_pickle=False)
+    with open(segment, "wb") as handle:
+        np.lib.format.write_array(handle, records, version=(2, 0))
+    parses = count_full_parses(monkeypatch)
+    assert read_trace(tmp_path / "store") == trace
+    assert len(parses) == 1
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0)])
+@pytest.mark.parametrize("change", ["one row short", "one byte short", "one row extra", "one byte extra"])
+def test_a_payload_of_the_wrong_length_is_refused(tmp_path, change, version):
+    write_trace(make_trace(6), tmp_path / "store", rows_per_segment=3)
+    segment = tmp_path / "store" / "seg-00001.npy"
+    records = np.load(segment, allow_pickle=False)
+    with open(segment, "wb") as handle:
+        np.lib.format.write_array(handle, records, version=version)
+    data = segment.read_bytes()
+    row = records.dtype.itemsize
+    segment.write_bytes({
+        "one row short": data[:-row],
+        "one byte short": data[:-1],
+        "one row extra": data + data[-row:],
+        "one byte extra": data + b"\0",
+    }[change])
+    reader = TraceStoreReader(tmp_path / "store")
+    with pytest.raises(SerializationError, match="missing or corrupt"):
+        reader.segment(1)
+    assert reader.segment(0)["iteration"].shape == (3,)
+
+
+def test_a_segment_of_another_dtype_is_refused(tmp_path):
+    write_trace(make_trace(3), tmp_path / "store")
+    segment = tmp_path / "store" / "seg-00000.npy"
+    records = np.load(segment, allow_pickle=False)
+    np.save(segment, records.astype([(name, "<f8") for name, _ in TRACE_COLUMNS]))
+    with pytest.raises(SerializationError, match="dtype"):
+        TraceStoreReader(tmp_path / "store").segment(0)
 
 
 # --------------------------------------------------------------------- #
