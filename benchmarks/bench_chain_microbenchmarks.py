@@ -258,7 +258,7 @@ def test_run_chain_disc_n200467():
     per_process = in_fresh_processes(_RUN_CHAIN_CHILD, n, iterations, rounds)
     if None in per_process:
         pytest.skip("chain_loops.c did not build: no compiled run() to time")
-    spread = spread(per_process, 1e9 / iterations)
+    summary = spread(per_process, 1e9 / iterations)
     _emit.record(
         "run_chain_disc_n200467",
         n=n,
@@ -266,11 +266,11 @@ def test_run_chain_disc_n200467():
         iterations=iterations,
         processes=PROCESSES,
         rounds=rounds,
-        best_ns_per_it=spread["best"],
-        median_ns_per_it=spread["median"],
-        q1_ns_per_it=spread["q1"],
-        q3_ns_per_it=spread["q3"],
-        process_median_ns_per_it=spread["process_medians"],
+        best_ns_per_it=summary["best"],
+        median_ns_per_it=summary["median"],
+        q1_ns_per_it=summary["q1"],
+        q3_ns_per_it=summary["q3"],
+        process_median_ns_per_it=summary["process_medians"],
     )
 
 
@@ -288,15 +288,15 @@ def test_disc_setup_n200467():
     per_process = in_fresh_processes(_DISC_SETUP_CHILD, radius, rounds)
     phases = []
     for phase in ("construct", "engine_init"):
-        spread = spread([times[phase] for times in per_process], 1.0)
+        summary = spread([times[phase] for times in per_process], 1.0)
         phases.append(
             {
                 "phase": phase,
-                "best_s": spread["best"],
-                "median_s": spread["median"],
-                "q1_s": spread["q1"],
-                "q3_s": spread["q3"],
-                "process_median_s": spread["process_medians"],
+                "best_s": summary["best"],
+                "median_s": summary["median"],
+                "q1_s": summary["q1"],
+                "q3_s": summary["q3"],
+                "process_median_s": summary["process_medians"],
             }
         )
     _emit.record(

@@ -303,9 +303,10 @@ def engine_metrics(engine) -> Tuple[int, int, int, int]:
 
 def sampled_run(engine) -> Optional[Callable[[int, int], List[int]]]:
     """``engine.run(k, sample_every=stride)`` for an engine that samples its
-    edge count inside one run call (:class:`FastCompressionChain`), else
-    ``None``.  The bound method is looked up at each call."""
-    if isinstance(engine, FastCompressionChain):
+    edge count inside one run call (a :class:`FastCompressionChain` on the
+    compiled build), else ``None``.  The bound method is looked up at each
+    call."""
+    if isinstance(engine, FastCompressionChain) and engine._library is not None:
         return lambda steps, stride: engine.run(steps, sample_every=stride)
     return None
 

@@ -658,6 +658,8 @@ class FastCompressionChain:
         (``iterations // k`` ints); the compiled loop writes them in the
         same call, so a traced run
         (:func:`~repro.core.compression.record_trace`) is one call too.
+        Only the compiled build samples; the Python loop refuses it, and
+        ``record_trace`` samples it block by block.
         """
         if iterations < 0:
             raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
@@ -665,6 +667,8 @@ class FastCompressionChain:
             raise ConfigurationError(
                 f"sample_every must be non-negative and without a callback, got {sample_every}"
             )
+        if sample_every and self._library is None:
+            raise ConfigurationError("sample_every needs the compiled run_chain, which did not build")
         if callback is not None:
             for _ in range(iterations):
                 result = self.step()
@@ -685,15 +689,7 @@ class FastCompressionChain:
 
     def _run_sampled(self, iterations: int, stride: int) -> List[int]:
         """:meth:`run` with the edge count read after every ``stride`` steps."""
-        points = iterations // stride
-        if self._library is None:
-            edges = []
-            for _ in range(points):
-                self._run(stride)
-                edges.append(self._edge_count)
-            self._run(iterations - points * stride)
-            return edges
-        samples = np.empty(points, dtype=np.int64)
+        samples = np.empty(iterations // stride, dtype=np.int64)
         start = self._edge_count
         self._run(iterations, stride, samples)
         samples += start
@@ -705,7 +701,7 @@ class FastCompressionChain:
         """Run the loop ``iterations`` times, re-centering the grid after
         each guard-band hit; returns the counts in :data:`COUNTERS` order.
 
-        On the compiled build a ``samples`` array (int64) receives the edge
+        A ``samples`` array (int64, compiled build only) receives the edge
         delta after every ``stride`` iterations; each call after a
         reallocation resumes the cuts where the last one left them.
         """

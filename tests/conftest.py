@@ -99,11 +99,14 @@ def build_engine(python_loops):
 
 @pytest.fixture
 def native_build(request, monkeypatch):
-    """The compiled build under test: ``--native-library`` if given, else the cache."""
+    """The compiled build under test: ``--native-library`` if given, else the cache.
+
+    Its value is the ``--native-library`` path, or None for the cached build."""
     path = request.config.getoption("--native-library")
     if path is not None:
         library = _native.open_library(path)
         monkeypatch.setattr(_native, "load_library", lambda: library)
+    return path
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ proposal and writes the edge count there, so a whole trace is one call
 here must equal the one the per-block loop records from a twin engine
 (one ``run(record_every)`` and one sample per point), and the two engines
 must end in the same state, for every kernel mode, on the compiled build
-and on the Python loops:
+and on the Python loops, which refuse ``sample_every`` and so keep the
+per-block loop:
 
 * strides that divide the run and strides that leave a short last block;
 * a guard-band reallocation inside a sampled span;
@@ -66,6 +67,17 @@ def count_runs(engine):
     return calls
 
 
+def per_block_calls(iterations, record_every):
+    """The ``run`` calls of the per-block loop."""
+    full, rest = divmod(iterations, record_every)
+    return [record_every] * full + ([rest] if rest else [])
+
+
+def sampled_calls(build, iterations, record_every):
+    """The ``run`` calls ``record_trace`` makes on a hole-free start."""
+    return [iterations] if build == "compiled" else per_block_calls(iterations, record_every)
+
+
 def record(engine, iterations, record_every, sampled, sink=None):
     trace = CompressionTrace(n=engine.n, lam=engine.lam)
     return record_trace(
@@ -102,7 +114,7 @@ def test_a_sampled_trace_is_the_per_block_trace(mode, build, record_every, pytho
     assert trace == expected, context
     assert trace.points[-1].iteration == 20_000, context
     assert all(type(value) is int for value in (trace.points[-1].edges, trace.points[1].edges))
-    assert calls == [20_000], context
+    assert calls == sampled_calls(build, 20_000, record_every), context
     assert_same_engines(per_block, sampled, context)
     # A second run continues both the trace and the chain alike.
     assert record(sampled, 5_000, record_every, sampled=True) == record(
@@ -149,7 +161,7 @@ def test_a_holey_start_keeps_the_per_block_loop(build, python_loops):
     expected = record(per_block, 3_000, 100, sampled=False)
     trace = record(sampled, 3_000, 100, sampled=True)
     assert trace == expected
-    assert calls == [100] * 30
+    assert calls == per_block_calls(3_000, 100)
     assert_same_engines(per_block, sampled, build)
 
 
@@ -161,7 +173,10 @@ def test_one_call_records_at_most_one_segment_of_points(build, python_loops):
     iterations = 2 * SAMPLES_PER_CALL + 5
     expected = record(per_block, iterations, 1, sampled=False)
     assert record(sampled, iterations, 1, sampled=True) == expected
-    assert calls == [SAMPLES_PER_CALL, SAMPLES_PER_CALL, 5]
+    if build == "compiled":
+        assert calls == [SAMPLES_PER_CALL, SAMPLES_PER_CALL, 5]
+    else:
+        assert calls == per_block_calls(iterations, 1)
 
 
 @pytest.mark.parametrize("build", BUILDS)
@@ -185,6 +200,8 @@ def test_a_sink_stores_the_per_block_rows(mode, build, python_loops, tmp_path):
 
 def test_run_refuses_a_bad_stride():
     engine = FastCompressionChain(line(5), lam=4.0, seed=0)
+    if engine._library is None:
+        pytest.skip("no compiled loop to sample: chain_loops.c did not build")
     with pytest.raises(ConfigurationError, match="sample_every"):
         engine.run(10, sample_every=-1)
     with pytest.raises(ConfigurationError, match="sample_every"):
@@ -195,3 +212,12 @@ def test_run_refuses_a_bad_stride():
     assert engine.run(0, sample_every=3) == []
     assert engine.run(10) is None
     assert engine.iterations == 20
+
+
+def test_the_python_loop_refuses_a_stride(python_loops):
+    with python_loops():
+        engine = FastCompressionChain(line(5), lam=4.0, seed=0)
+    assert sampled_run(engine) is None
+    with pytest.raises(ConfigurationError, match="sample_every"):
+        engine.run(10, sample_every=3)
+    assert engine.iterations == 0

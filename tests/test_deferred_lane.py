@@ -26,8 +26,10 @@ trajectory must be the reference engine's:
 
 ``pytest --native-library PATH`` runs it against another build of
 ``chain_loops.c`` (a sanitizer build, say).  A build without 128-bit
-integers never defers the lane; there, every test of a deferred lane is
-skipped, and the MT19937 test still runs.
+integers never defers the lane: when such a build is passed with
+``--native-library``, every test of a deferred lane is skipped and the
+MT19937 test still runs.  The cached build must defer it; there, a tape
+that never defers fails every test of a deferred lane.
 """
 
 from array import array
@@ -44,22 +46,27 @@ from repro.lattice.shapes import random_connected
 pytestmark = pytest.mark.usefixtures("native_build")
 
 
-def build_defers():
-    """Whether the build under test defers a PCG64 tape's uniform lane,
-    probed on a two-particle engine after one ``run``."""
+@pytest.fixture
+def deferring_build(native_build):
+    """The build under test, probed on a two-particle engine after one
+    ``run``: a test of a deferred lane skips without a compiled build or
+    on a ``--native-library`` build that never defers the lane, and
+    fails on a cached build that never defers it."""
     probe = FastCompressionChain(ParticleConfiguration([(0, 0), (1, 0)]), lam=4.0, seed=0)
+    if probe._library is None:
+        pytest.skip("chain_loops.c did not build: there is no deferred lane to test")
     probe.run(1)
-    return bool(probe._draws._fill.tape.deferred)
+    if probe._draws._fill.tape.deferred:
+        return
+    if native_build is None:
+        pytest.fail("the cached build of chain_loops.c never defers a PCG64 tape's uniform lane")
+    pytest.skip(f"{native_build} never defers the lane (a build without 128-bit integers)")
 
 
 def engines(initial, kernel, seed, block=1024):
     """(reference, compiled) engines, seeded alike."""
     reference = CompressionMarkovChain(initial, seed=seed, kernel=kernel, draw_block=block)
     compiled = FastCompressionChain(initial, seed=seed, kernel=kernel, draw_block=block)
-    if compiled._library is None:
-        pytest.skip("chain_loops.c did not build: there is no deferred lane to test")
-    if not build_defers():
-        pytest.skip("this build of chain_loops.c has no 128-bit integers: it never defers the lane")
     return reference, compiled
 
 
@@ -170,6 +177,7 @@ def assert_same_chain(reference, compiled, context):
 
 
 @pytest.mark.parametrize("gaps", sorted(GAPS))
+@pytest.mark.usefixtures("deferring_build")
 def test_reads_at_chosen_gaps_match_the_reference(gaps):
     """Each read decides a swap with probability 1/3 or 1, so a wrong
     uniform shows in the colors or the counters; twelve seeds make a
@@ -200,6 +208,7 @@ def test_reads_at_chosen_gaps_match_the_reference(gaps):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("first_read", ["uniforms", "lists", "step"])
 @pytest.mark.parametrize("block", [1, 16, 17, 1023, 1024])
+@pytest.mark.usefixtures("deferring_build")
 def test_the_lane_replays_numpy_after_runs_of_every_length(block, first_read):
     """The jump past a lane of 1023 takes 15 steps from the short-gap
     table and every power of two from 16 to 512, and the generator state
@@ -233,6 +242,7 @@ def tighten_window(chain):
     chain._bind_grid()
 
 
+@pytest.mark.usefixtures("deferring_build")
 def test_a_reallocation_mid_block_keeps_the_lane():
     initial = random_connected(12, seed=2)
     reference, compiled = engines(initial, CompressionKernel(4.0), 5)
@@ -257,6 +267,7 @@ def test_a_reallocation_mid_block_keeps_the_lane():
 # --------------------------------------------------------------------- #
 # The two-lane tape
 # --------------------------------------------------------------------- #
+@pytest.mark.usefixtures("deferring_build")
 def test_lane_2_is_drawn_after_the_jump():
     initial = random_connected(30, seed=3)
     colors = {node: index % 3 for index, node in enumerate(sorted(initial.nodes))}
@@ -277,6 +288,7 @@ def test_lane_2_is_drawn_after_the_jump():
 # The generator's state reassigned mid-block
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("then", ["step", "run"])
+@pytest.mark.usefixtures("deferring_build")
 def test_a_reassigned_state_leaves_the_deferred_block_alone(then):
     """The rest of the deferred block comes from the state and increment
     saved when it was drawn, and the next block from the new state."""
