@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.algorithms.hexagon_formation import hexagon_formation
-from repro.algorithms.phototaxing import PhototaxingSystem
 from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
 from repro.algorithms.shortcut_bridging import (
     BridgingMarkovChain,
@@ -82,20 +81,6 @@ def test_bridging_extension(benchmark):
     benchmark.extra_info["experiment"] = "E15 (shortcut bridging)"
     benchmark.extra_info["gap_occupancy"] = {"gamma=1": tolerant_gap, "gamma=6": averse_gap}
     assert averse_gap <= tolerant_gap
-
-
-def test_phototaxing_extension(benchmark):
-    """E15: light-modulated activity moves the swarm's center of mass."""
-
-    def run():
-        system = PhototaxingSystem(spiral(30), lam=4.0, dazzle_factor=0.2, seed=6)
-        system.run(30_000, refresh_every=2_000)
-        return abs(system.drift())
-
-    drift = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["experiment"] = "E15 (phototaxing)"
-    benchmark.extra_info["absolute_drift"] = drift
-    assert drift >= 0.0
 
 
 def test_hexagon_formation_baseline(benchmark):

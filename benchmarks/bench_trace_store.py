@@ -14,18 +14,26 @@ Measurement style follows ``bench_vector_chain.py``: paired
 machine noise can only inflate a measured overhead, so the minimum over
 a few rounds is the robust estimate of the sink's actual cost.  The
 cadence under test (a recorded point every 500 iterations, default
-4096-row segments) is denser than any production long run — the default
-trace cadence is ``iterations // 100`` — and the window is sized so at
-least one full segment commit (segment file + manifest, both fsynced)
-lands inside the timed region.  The engine behind ``engine="fast"`` runs
-the compiled loops, so the 2.1M-iteration window lasts a few tenths of
-a second and reaches a recorded point every ~40 µs.  The writer keeps
-that hot path short: the sink buffers the trace point itself (a list
-append, no per-point dict), and a full segment's file and manifest are
-written by a background thread while the engine keeps running
-(write-behind), so the commit's fsyncs overlap the chain instead of
-stalling it.  The window still holds only about one commit, so the
-measured overhead is noisy; the best-of-rounds rule absorbs that.
+4096-row segments, so one segment commit per 2,048,000 iterations) is
+denser than any production long run — the default trace cadence is
+``iterations // 100``.  The engine behind ``engine="fast"`` runs the
+compiled loops and reaches a recorded point every few tens of µs.  The
+writer keeps that hot path short: the sink buffers the trace point
+itself (a list append, no per-point dict), and a full segment's array,
+file and manifest are built and written by a background thread while the
+engine keeps running (write-behind), so the commit overlaps the chain
+instead of stalling it.
+
+The window is sized by time: a plain calibration run measures the
+machine's rate, and each round's window then lasts at least
+:data:`_WINDOW_SECONDS` of plain running, in whole slices of four segment
+commits (segment file + manifest, both fsynced).  Within a round the
+plain and the streaming run advance alternately, a slice at a time, so
+both see the same machine: on a shared 2-vCPU host back-to-back 1-s
+plain runs were seen to differ by up to 40%, far more than the 5% under
+test.  The streaming slice's last commit is awaited outside the timing,
+so it never runs into the plain slice that follows; its other commits
+overlap its own run, as in one long run.
 
 ``test_store_job_fixed_cost_n100`` (no gate) records the ledger row
 ``store_job_fixed_cost_n100`` in ``BENCH_ensemble.json``: what one job of
@@ -35,6 +43,7 @@ processes.
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -44,26 +53,54 @@ import pytest
 import _emit
 from _fresh import PROCESSES, in_fresh_processes, spread
 from repro.core.compression import CompressionSimulation
-from repro.io.trace_store import TraceStoreSink, TraceStoreWriter
+from repro.io.trace_store import DEFAULT_ROWS_PER_SEGMENT, TraceStoreSink, TraceStoreWriter
 from repro.lattice.shapes import line
 
-#: Iterations measured per round (after warmup) — sized so the streaming
-#: run flushes at least one full default-size segment inside the window.
-_WINDOW = 2_100_000
 _WARMUP = 2_000
 #: Streaming cadence under test: one recorded point per _RECORD_EVERY
 #: iterations, committed in default-size (4096-row) segments.
 _RECORD_EVERY = 500
+#: Iterations of one slice of a round: four segment commits at that cadence.
+_SLICE_ITERATIONS = 4 * DEFAULT_ROWS_PER_SEGMENT * _RECORD_EVERY
+#: Iterations of the calibration run.
+_CALIBRATION_WINDOW = 2_100_000
+#: Each round's window lasts at least this long on a plain run.
+_WINDOW_SECONDS = 1.0
 
 
-def _measured_rate(n, sink, lam=4.0, seed=0):
+def _warm_simulation(n, sink):
     simulation = CompressionSimulation(
-        line(n), lam=lam, seed=seed, engine="fast", trace_sink=sink
+        line(n), lam=4.0, seed=0, engine="fast", trace_sink=sink
     )
     simulation.run(_WARMUP, record_every=_RECORD_EVERY)
+    return simulation
+
+
+def _seconds(simulation, iterations):
     started = time.perf_counter()
-    simulation.run(_WINDOW, record_every=_RECORD_EVERY)
-    return _WINDOW / (time.perf_counter() - started)
+    simulation.run(iterations, record_every=_RECORD_EVERY)
+    return time.perf_counter() - started
+
+
+def _window_slices(n):
+    """Slices per window: :data:`_WINDOW_SECONDS` of a plain run at the
+    rate a calibration run measures, and at least one."""
+    seconds = _seconds(_warm_simulation(n, None), _CALIBRATION_WINDOW)
+    rate = _CALIBRATION_WINDOW / seconds
+    return max(1, math.ceil(rate * _WINDOW_SECONDS / _SLICE_ITERATIONS))
+
+
+def _paired_rates(n, sink, slices):
+    """Plain and streaming iterations per second over ``slices`` slices
+    each, the two runs advanced alternately a slice at a time."""
+    plain, streaming = _warm_simulation(n, None), _warm_simulation(n, sink)
+    plain_seconds = streaming_seconds = 0.0
+    for _ in range(slices):
+        plain_seconds += _seconds(plain, _SLICE_ITERATIONS)
+        streaming_seconds += _seconds(streaming, _SLICE_ITERATIONS)
+        sink.writer.committed_rows  # waits for the slice's last commit, untimed
+    window = slices * _SLICE_ITERATIONS
+    return window / plain_seconds, window / streaming_seconds
 
 
 def test_trace_store_write_throughput(tmp_path):
@@ -94,13 +131,13 @@ def test_trace_store_write_throughput(tmp_path):
 @pytest.mark.slow
 def test_trace_overhead_n1000(tmp_path):
     """Acceptance gate: streaming costs < 5% of fast-engine throughput at n=1000."""
+    slices = _window_slices(1000)
     rounds = []
     for index in range(3):
-        plain_rate = _measured_rate(1000, sink=None)
         sink = TraceStoreSink(
             tmp_path / f"round-{index}", meta={"n": 1000, "lambda": 4.0}
         )
-        streaming_rate = _measured_rate(1000, sink=sink)
+        plain_rate, streaming_rate = _paired_rates(1000, sink, slices)
         sink.close()
         rounds.append((plain_rate, streaming_rate, 1.0 - streaming_rate / plain_rate))
     plain_rate, streaming_rate, overhead = min(rounds, key=lambda r: r[2])
@@ -108,6 +145,7 @@ def test_trace_overhead_n1000(tmp_path):
         "trace_overhead_n1000",
         n=1000,
         record_every=_RECORD_EVERY,
+        window_iterations=slices * _SLICE_ITERATIONS,
         plain_iterations_per_second=plain_rate,
         streaming_iterations_per_second=streaming_rate,
         overhead_fraction=overhead,

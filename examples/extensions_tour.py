@@ -1,4 +1,4 @@
-"""A tour of the stochastic-approach extensions: separation, bridging, phototaxing.
+"""A tour of the stochastic-approach extensions: separation and bridging.
 
 Run with::
 
@@ -6,8 +6,8 @@ Run with::
 
 Section 6 of the paper argues the compression machinery generalizes to any
 objective expressible as a locally computable energy function; the
-follow-up works [2], [9] and [50] did exactly that.  This example runs a
-small instance of each extension and prints its headline metric.
+follow-up works [2] and [9] did exactly that.  This example runs a small
+instance of each extension and prints its headline metric.
 
 Separation and bridging now run as *weight kernels* on the shared engine
 stack (see :mod:`repro.core.kernels`), so they get the same
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import time
 
-from repro.algorithms.phototaxing import PhototaxingSystem
 from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
 from repro.algorithms.shortcut_bridging import (
     BridgingMarkovChain,
@@ -100,17 +99,6 @@ def bridging_demo() -> None:
     )
 
 
-def phototaxing_demo() -> None:
-    print("\n=== Phototaxing ([50]): light-modulated activity drifts the swarm ===")
-    control = PhototaxingSystem(spiral(40), lam=4.0, dazzle_factor=1.0, seed=4)
-    lit = PhototaxingSystem(spiral(40), lam=4.0, dazzle_factor=0.2, seed=4)
-    control.run(60_000, refresh_every=2_000)
-    lit.run(60_000, refresh_every=2_000)
-    print(f"  centroid displacement without light response: {control.drift():+.2f}")
-    print(f"  centroid displacement with light response   : {lit.drift():+.2f}")
-
-
 if __name__ == "__main__":
     separation_demo()
     bridging_demo()
-    phototaxing_demo()

@@ -12,8 +12,7 @@ The package provides:
 * :mod:`repro.amoebot` — the geometric amoebot model and the distributed
   local algorithm (Algorithm A), with fault injection;
 * :mod:`repro.algorithms` — the expansion regime, ergodicity witnesses, a
-  leader-based baseline and the separation / bridging / phototaxing
-  extensions;
+  leader-based baseline and the separation and bridging extensions;
 * :mod:`repro.analysis` — metrics, counting, partition-function bounds,
   Peierls thresholds, mixing diagnostics, scaling studies and the
   experiment harness;

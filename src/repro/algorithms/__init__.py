@@ -12,8 +12,6 @@
   extension of [9] (colored particles, two biases).
 * :mod:`repro.algorithms.shortcut_bridging` — the shortcut bridging
   extension of [2] (gap/land terrain, weighted objective).
-* :mod:`repro.algorithms.phototaxing` — the phototaxing behaviour of [50]
-  (light-dependent activation rates produce collective drift).
 """
 
 from repro.algorithms.expansion import ExpansionSimulation
@@ -26,7 +24,6 @@ from repro.algorithms.shortcut_bridging import (
     initial_bridge_configuration,
     v_shaped_terrain,
 )
-from repro.algorithms.phototaxing import PhototaxingSystem
 
 __all__ = [
     "ExpansionSimulation",
@@ -40,5 +37,4 @@ __all__ = [
     "Terrain",
     "initial_bridge_configuration",
     "v_shaped_terrain",
-    "PhototaxingSystem",
 ]

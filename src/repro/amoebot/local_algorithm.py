@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, Optional, Union
 
-import numpy as np
-
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.core.properties import satisfies_either_property
 from repro.errors import AlgorithmError
@@ -129,23 +127,11 @@ class CompressionAlgorithm:
             raise AlgorithmError(f"lambda must be positive, got {lam}")
         self.lam = float(lam)
 
-    def on_activate(self, view: NeighborhoodView, rng: np.random.Generator) -> Action:
-        """Execute one activation of Algorithm A, drawing directly from ``rng``.
-
-        Convenience entry point for callers that drive activations
-        themselves (e.g. the phototaxing wrapper): one direction and one
-        uniform are drawn unconditionally, mirroring the engines' batched
-        one-pair-per-activation protocol, and passed to :meth:`decide`.
-        """
-        direction_index = int(rng.integers(0, 6))
-        uniform = float(rng.random())
-        return self.decide(view, direction_index, uniform)
-
     def decide(self, view: NeighborhoodView, direction_index: int, uniform: float) -> Action:
         """Execute one activation of Algorithm A as a pure function of its draws.
 
-        Both amoebot engines feed this rule one ``(direction, uniform)``
-        pair per activation from the shared
+        The rule's one entry point.  Both amoebot engines feed it one
+        ``(direction, uniform)`` pair per activation from the shared
         :class:`repro.rng.BatchedActivationDraws` tape — a contracted
         particle consumes the direction, an expanded one the uniform —
         which is what keeps their seeded trajectories bit-identical.

@@ -16,9 +16,10 @@ Layout of a store directory (format version 2)::
         ...
 
 Format version 1 wrote one ``seg-NNNNN.<column>.npy`` file per column of
-each segment.  The writer emits only version 2; :class:`TraceStoreReader`
-still reads version 1, so stores already on disk (and the checkpoints that
-reference them) stay usable.
+each segment.  The writer emits only version 2, with the columns of
+:data:`TRACE_COLUMNS`; :class:`TraceStoreReader` still reads version 1 and
+any manifest's columns, so stores already on disk (and the checkpoints
+that reference them) stay usable.
 
 The crash-recovery contract
 ---------------------------
@@ -37,25 +38,22 @@ leaves one of two states:
 * the new manifest — every listed segment was durably and completely
   written before the manifest rename could happen.
 
-A short trace streamed through a :class:`TraceStoreSink` (or exported
-by :func:`write_trace`) costs two fsyncs: its one segment, then the
-complete manifest.  The sink's writer writes nothing, not even the
+A short trace costs two fsyncs: its one segment, then the complete
+manifest.  A :class:`TraceStoreWriter` writes nothing, not even the
 directory, until its first segment fills or it closes, so a job that
 dies before either leaves no manifest and :func:`iter_trace_stores`
-skips its directory.  A :class:`TraceStoreWriter` constructed directly
-commits an empty manifest first, so its store is readable from the
-start: three fsyncs.
+skips its directory.
 
-Either way a :class:`TraceStoreReader` recovers **exactly** the committed
+A :class:`TraceStoreReader` recovers **exactly** the committed
 segments: never a partial row, and never fewer rows than the last
-successful commit.  A full segment is committed by a background thread
-(write-behind), so that its fsyncs overlap the engine instead of stalling
-it; at most one such commit is in flight, and the next commit, ``flush``,
-``close`` or a read of ``committed_rows`` waits for it, so the files still
-land in the same order.  ``tests/io/test_trace_store_crash.py`` pins this by
-killing writers (both by exception and by ``os._exit``) at randomized byte
-offsets and checking the recovered prefix against the writer's own commit
-log.
+successful commit.  A full segment is built and committed by a background
+thread (write-behind), so that its array and its fsyncs overlap the
+engine instead of stalling it; at most one such commit is in flight, and
+the next commit, ``flush``, ``close`` or a read of ``committed_rows``
+waits for it, so the files still land in the same order.
+``tests/io/test_trace_store_crash.py`` pins this by killing writers (both
+by exception and by ``os._exit``) at randomized byte offsets and checking
+the recovered prefix against the writer's own commit log.
 
 Streaming into a store
 ----------------------
@@ -63,10 +61,9 @@ Engines do not talk to the writer directly; they take a ``trace_sink=``
 object with an ``append(point)`` method (see
 :class:`~repro.core.compression.CompressionSimulation` and the job runners
 in :mod:`repro.runtime.jobs`).  :class:`TraceStoreSink` adapts a
-:class:`TraceStoreWriter` to that hook at a configurable cadence
-(``every=k`` keeps one recorded point in *k*).  The default for every
-engine remains ``trace_sink=None`` — in-memory traces, byte-identical to
-before this module existed.
+:class:`TraceStoreWriter` to that hook and stores every recorded point.
+The default for every engine remains ``trace_sink=None`` — in-memory
+traces, byte-identical to before this module existed.
 """
 
 from __future__ import annotations
@@ -77,9 +74,8 @@ import json
 import operator
 import os
 import threading
-from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -199,6 +195,25 @@ def _record_dtype(columns: Sequence[Tuple[str, str]]) -> np.dtype:
     return np.dtype([(name, dtype) for name, dtype in columns])
 
 
+#: The segment dtype of :data:`TRACE_COLUMNS`, the one schema the writer emits.
+_TRACE_DTYPE = _record_dtype(TRACE_COLUMNS)
+
+
+def _segment_bytes(points: List[TracePoint]) -> bytes:
+    """The ``.npy`` bytes of one segment: ``points`` as a structured array."""
+    records = np.empty(len(points), dtype=_TRACE_DTYPE)
+    for name, dtype in TRACE_COLUMNS:
+        try:
+            records[name] = np.fromiter(
+                map(operator.attrgetter(name), points), dtype=dtype, count=len(points)
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SerializationError(
+                f"column {name!r} holds a value that is not a {dtype} scalar: {exc}"
+            ) from None
+    return _npy_bytes(records)
+
+
 def _normalize_columns(columns: Sequence[Sequence[str]]) -> Tuple[Tuple[str, str], ...]:
     normalized: List[Tuple[str, str]] = []
     seen = set()
@@ -222,18 +237,15 @@ def _normalize_columns(columns: Sequence[Sequence[str]]) -> Tuple[Tuple[str, str
 
 
 class TraceStoreWriter:
-    """Append rows to a trace store directory, committing in segments.
+    """Append trace points to a trace store directory, committing in segments.
 
     Parameters
     ----------
     directory:
-        The store directory (created if missing).  Any previous store
-        content in it — a crashed run's remnants included — is removed:
-        a writer always starts a fresh trace.  Use
+        The store directory (created at the first commit).  Any previous
+        store content in it — a crashed run's remnants included — is
+        removed at once: a writer always starts a fresh trace.  Use
         :class:`TraceStoreReader` to consume an existing store.
-    columns:
-        The columnar schema as ``(name, dtype)`` pairs; defaults to the
-        standard compression-trace schema :data:`TRACE_COLUMNS`.
     rows_per_segment:
         Rows buffered in memory before a segment is flushed and committed.
     meta:
@@ -241,67 +253,30 @@ class TraceStoreWriter:
         runners store the job fingerprint here, which is what the
         checkpoint layer's refusal path validates on resume).
 
-    The writer commits an empty manifest on construction, so a store
-    directory is readable from the instant it exists; ``append`` buffers,
-    a full segment is committed on a background thread while appends
-    continue (write-behind), and :meth:`close` flushes the final short
-    segment and marks the manifest complete.
+    Rows have the compression-trace schema :data:`TRACE_COLUMNS`.  The
+    writer writes nothing, not even the directory, until its first
+    segment fills or it closes; that first commit is the segment file,
+    then its manifest, and until then no reader finds a store there.
+    ``append`` buffers, a full segment is committed on a background thread
+    while appends continue (write-behind), and :meth:`close` flushes the
+    final short segment and marks the manifest complete.
     """
 
     def __init__(
         self,
         directory: PathLike,
-        columns: Sequence[Sequence[str]] = TRACE_COLUMNS,
         rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self._setup(directory, columns, rows_per_segment, meta)
-        self._write_files([self._manifest_file(complete=False)], rows=0)
-
-    @classmethod
-    def _deferred(
-        cls,
-        directory: PathLike,
-        rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> "TraceStoreWriter":
-        """A standard-schema writer that commits no empty manifest.
-
-        Nothing is written, the directory included, until the first
-        segment fills or the writer closes; that first commit is the
-        segment file, then its manifest.  Until then no reader finds a
-        store there.  Previous store content is removed at once, as by
-        the constructor.  Behind :class:`TraceStoreSink` and
-        :func:`write_trace`.
-        """
-        writer = cls.__new__(cls)
-        writer._setup(directory, TRACE_COLUMNS, rows_per_segment, meta)
-        return writer
-
-    def _setup(
-        self,
-        directory: PathLike,
-        columns: Sequence[Sequence[str]],
-        rows_per_segment: int,
-        meta: Optional[Dict[str, Any]],
-    ) -> None:
-        """Validate the arguments, clear any previous store and start empty."""
         if rows_per_segment < 1:
             raise ConfigurationError(
                 f"rows_per_segment must be positive, got {rows_per_segment}"
             )
         self.directory = Path(directory)
-        self.columns = _normalize_columns(columns)
         self.rows_per_segment = int(rows_per_segment)
         self.meta = dict(meta) if meta else {}
-        if self.directory.is_dir():
-            self._discard_previous_store()
-        #: Buffered rows.  On the standard schema they are trace points,
-        #: which a flush reads column by column; on other schemas, value
-        #: lists in column order, which a flush transposes.
-        self._rows: List[Any] = []
-        self._standard = self.columns == TRACE_COLUMNS
-        self._segment_dtype = _record_dtype(self.columns)
+        #: Buffered trace points, which a flush reads column by column.
+        self._rows: List[TracePoint] = []
         self._segment_rows: List[int] = []
         self._committed_rows = 0
         #: The background commit of the last automatic flush, if one is
@@ -309,6 +284,8 @@ class TraceStoreWriter:
         self._commit_thread: Optional[threading.Thread] = None
         self._commit_error: Optional[BaseException] = None
         self.closed = False
+        if self.directory.is_dir():
+            self._discard_previous_store()
 
     # ------------------------------------------------------------------ #
     # Appending
@@ -330,31 +307,24 @@ class TraceStoreWriter:
         return self._committed_rows
 
     def append(self, row: Dict[str, Any]) -> None:
-        """Buffer one row (a mapping with exactly the schema's columns)."""
+        """Buffer one row (a mapping with the schema's columns)."""
         try:
-            values = [row[name] for name, _ in self.columns]
+            values = [row[name] for name, _ in TRACE_COLUMNS]
         except KeyError as exc:
             raise SerializationError(f"row is missing column {exc.args[0]!r}") from None
-        self._buffer(TracePoint(*values) if self._standard else values)
+        self.append_point(TracePoint(*values))
 
     def append_point(self, point: TracePoint) -> None:
         """Buffer one :class:`TracePoint`.
 
         This is the streaming hot path: with the compiled engine a trace
-        point can arrive every few tens of microseconds.  On the standard
-        schema the (immutable) point itself is buffered; other schemas take
-        its fields as a mapping.
+        point can arrive every few tens of microseconds, so the (immutable)
+        point itself is buffered.
         """
-        if self._standard:
-            self._buffer(point)
-        else:
-            self.append(asdict(point))
-
-    def _buffer(self, row: Any) -> None:
         if self.closed:
             raise SerializationError("cannot append to a closed trace store writer")
         rows = self._rows
-        rows.append(row)
+        rows.append(point)
         if len(rows) >= self.rows_per_segment:
             self._commit(complete=False, background=True)
 
@@ -406,22 +376,26 @@ class TraceStoreWriter:
         background commit.  A commit that fails closes the writer, since
         its segment list names a segment that may not have landed; the
         failure of a background commit is raised here, by the next commit.
-        A non-final commit with nothing buffered writes nothing.
+        A non-final commit with nothing buffered writes nothing.  A
+        background commit also builds the segment's array, so that work
+        overlaps the engine too.
         """
         self._await_commit()
-        rows = len(self._rows)
-        if rows == 0 and not complete:
-            return
-        files = [self._next_segment()] if rows else []
-        files.append(self._manifest_file(complete))
-        if background:
-            self._commit_thread = threading.Thread(
-                target=self._write_in_background, args=(files, rows)
-            )
-            self._commit_thread.start()
+        points, self._rows = self._rows, []
+        if not points and not complete:
             return
         try:
-            self._write_files(files, rows)
+            index = len(self._segment_rows)
+            if points:
+                self._segment_rows.append(len(points))
+            manifest = self._manifest_file(complete)
+            if background:
+                self._commit_thread = threading.Thread(
+                    target=self._write_in_background, args=(index, points, manifest)
+                )
+                self._commit_thread.start()
+                return
+            self._write_files(index, points, manifest)
         except BaseException:
             self.closed = True
             raise
@@ -435,42 +409,25 @@ class TraceStoreWriter:
             self.closed = True
             raise error
 
-    def _write_in_background(self, files: List[Tuple[Path, bytes]], rows: int) -> None:
+    def _write_in_background(
+        self, index: int, points: List[TracePoint], manifest: Tuple[Path, bytes]
+    ) -> None:
         try:
-            self._write_files(files, rows)
+            self._write_files(index, points, manifest)
         except BaseException as exc:  # re-raised by the next commit
             self._commit_error = exc
 
-    def _write_files(self, files: List[Tuple[Path, bytes]], rows: int) -> None:
+    def _write_files(
+        self, index: int, points: List[TracePoint], manifest: Tuple[Path, bytes]
+    ) -> None:
+        """Write segment ``index`` of ``points`` (none if empty), then
+        ``manifest``: the order the crash-recovery contract rests on."""
+        segment = _segment_bytes(points) if points else None
         self.directory.mkdir(parents=True, exist_ok=True)
-        for path, data in files:
-            _write_atomic(path, data)
-        self._committed_rows += rows
-
-    def _next_segment(self) -> Tuple[Path, bytes]:
-        """Turn the buffered rows into the next segment's file (path and
-        ``.npy`` bytes of one structured array) and empty the buffer."""
-        rows = len(self._rows)
-        index = len(self._segment_rows)
-        records = np.empty(rows, dtype=self._segment_dtype)
-        for (name, dtype), values in zip(self.columns, self._column_values()):
-            try:
-                records[name] = np.fromiter(values, dtype=dtype, count=rows)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SerializationError(
-                    f"column {name!r} holds a value that is not a {dtype} scalar: {exc}"
-                ) from None
-        self._segment_rows.append(rows)
-        self._rows = []
-        return self.directory / _segment_file(index), _npy_bytes(records)
-
-    def _column_values(self) -> Iterator[Iterable[Any]]:
-        """Each column's buffered values, in schema order."""
-        if self._standard:
-            for name, _ in self.columns:
-                yield map(operator.attrgetter(name), self._rows)
-        else:
-            yield from zip(*self._rows)
+        if segment is not None:
+            _write_atomic(self.directory / _segment_file(index), segment)
+        _write_atomic(*manifest)
+        self._committed_rows += len(points)
 
     def _discard_previous_store(self) -> None:
         """Remove any previous store content (manifest, segments, tmp files)."""
@@ -493,7 +450,7 @@ class TraceStoreWriter:
         manifest = {
             "format_version": STORE_FORMAT_VERSION,
             "kind": STORE_KIND,
-            "columns": [[name, dtype] for name, dtype in self.columns],
+            "columns": [[name, dtype] for name, dtype in TRACE_COLUMNS],
             "rows_per_segment": self.rows_per_segment,
             "segments": list(self._segment_rows),
             "total_rows": sum(self._segment_rows),
@@ -710,51 +667,31 @@ class TraceStoreReader:
 
 
 class TraceStoreSink:
-    """Adapt a :class:`TraceStoreWriter` to the engines' ``trace_sink=`` hook.
+    """Stream an engine's trace points into a store: the ``trace_sink=`` hook.
 
-    Parameters
-    ----------
-    target:
-        A store directory or an existing :class:`TraceStoreWriter`.  Over
-        a directory the sink's writer has the standard trace schema and
-        writes nothing until its first segment fills or the sink closes:
-        a trace shorter than one segment is committed at :meth:`close`,
-        segment then manifest (two fsyncs), and a sink that is never
-        closed leaves no manifest.
-    every:
-        Streaming cadence: persist one recorded point in ``every`` (the
-        first recorded point always included).  ``every=1`` (default)
-        streams the full trace, making the store row-for-row equal to the
-        in-memory trace — which is what the lockstep tests pin.
-    rows_per_segment, meta:
-        Forwarded to the writer when ``target`` is a directory.
+    The sink's :class:`TraceStoreWriter` over ``directory`` (with
+    ``rows_per_segment`` and ``meta``) stores every recorded point, so the
+    store is row for row the in-memory trace, which is what the lockstep
+    tests pin.  A trace shorter than one segment is committed at
+    :meth:`close`, segment then manifest (two fsyncs), and a sink that is
+    never closed leaves no manifest.
     """
 
     def __init__(
         self,
-        target: Union[PathLike, TraceStoreWriter],
-        every: int = 1,
+        directory: PathLike,
         rows_per_segment: int = DEFAULT_ROWS_PER_SEGMENT,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if every < 1:
-            raise ConfigurationError(f"every must be positive, got {every}")
-        if isinstance(target, TraceStoreWriter):
-            self.writer = target
-        else:
-            self.writer = TraceStoreWriter._deferred(target, rows_per_segment, meta)
-        self.every = int(every)
-        self.appended = 0
+        self.writer = TraceStoreWriter(directory, rows_per_segment, meta)
 
     @property
     def directory(self) -> Path:
         return self.writer.directory
 
     def append(self, point: TracePoint) -> None:
-        """Record one trace point (subject to the cadence)."""
-        if self.appended % self.every == 0:
-            self.writer.append_point(point)
-        self.appended += 1
+        """Record one trace point."""
+        self.writer.append_point(point)
 
     def close(self) -> None:
         """Flush and mark the underlying store complete."""
@@ -781,7 +718,7 @@ def write_trace(
     merged = {"n": trace.n, "lambda": trace.lam}
     if meta:
         merged.update(meta)
-    writer = TraceStoreWriter._deferred(directory, rows_per_segment, merged)
+    writer = TraceStoreWriter(directory, rows_per_segment, merged)
     for point in trace.points:
         writer.append_point(point)
     writer.close()

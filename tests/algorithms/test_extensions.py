@@ -5,7 +5,6 @@ import pytest
 from repro.algorithms.expansion import ExpansionSimulation
 from repro.algorithms.hexagon_formation import hexagon_formation
 from repro.algorithms.line_formation import moves_to_line
-from repro.algorithms.phototaxing import PhototaxingSystem
 from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
 from repro.algorithms.shortcut_bridging import (
     BridgingMarkovChain,
@@ -166,23 +165,3 @@ class TestShortcutBridging:
         with pytest.raises(AlgorithmError):
             initial_bridge_configuration(terrain, 10_000)
 
-
-class TestPhototaxing:
-    def test_control_run_without_light_response(self):
-        system = PhototaxingSystem(spiral(25), lam=4.0, dazzle_factor=1.0, seed=6)
-        system.run(5000)
-        assert system.configuration.is_connected
-
-    def test_light_response_produces_samples_and_keeps_invariants(self):
-        system = PhototaxingSystem(spiral(25), lam=4.0, dazzle_factor=0.2, seed=7)
-        system.run(10_000, refresh_every=1000)
-        assert len(system.samples) >= 10
-        assert system.configuration.is_connected
-        assert system.configuration.n == 25
-        assert isinstance(system.drift(), float)
-
-    def test_parameter_validation(self):
-        with pytest.raises(AlgorithmError):
-            PhototaxingSystem(spiral(10), dazzle_factor=0.0)
-        with pytest.raises(AlgorithmError):
-            PhototaxingSystem(spiral(10), light_direction=(0.0, 0.0))

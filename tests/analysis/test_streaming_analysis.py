@@ -206,7 +206,7 @@ class TestEnsembleSummaryFromStores:
         from_readers = ensemble_summary_from_stores(readers, "alpha")
         assert from_readers == ensemble_summary_from_stores(str(root), "alpha")
         # An empty (still-warming-up) store counts as missing, not an error.
-        TraceStoreWriter(tmp_path / "warming")
+        TraceStoreWriter(tmp_path / "warming").close()
         rows = ensemble_summary_from_stores(
             [*readers, TraceStoreReader(tmp_path / "warming")], "alpha"
         )
@@ -271,7 +271,7 @@ class TestResampledCiFromStores:
         from repro.io.trace_store import TraceStoreWriter, iter_trace_stores
 
         readers = list(iter_trace_stores(store_ensemble))
-        TraceStoreWriter(tmp_path / "warming")
+        TraceStoreWriter(tmp_path / "warming").close()
         rows = resampled_ci_from_stores(
             [*readers, TraceStoreReader(tmp_path / "warming")], "alpha"
         )

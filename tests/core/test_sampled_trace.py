@@ -185,7 +185,7 @@ def test_a_sink_stores_the_per_block_rows(mode, build, python_loops, tmp_path):
     per_block, sampled = twin_engines(line(30), mode, build, python_loops)
     meta = {"n": 30, "lambda": 4.0}
     sinks = [
-        TraceStoreSink(tmp_path / name, every=2, rows_per_segment=16, meta=meta)
+        TraceStoreSink(tmp_path / name, rows_per_segment=16, meta=meta)
         for name in ("per_block", "sampled")
     ]
     record(per_block, 12_000, 150, sampled=False, sink=sinks[0])
@@ -194,8 +194,8 @@ def test_a_sink_stores_the_per_block_rows(mode, build, python_loops, tmp_path):
         sink.close()
     rows = [list(TraceStoreReader(sink.directory).iter_rows()) for sink in sinks]
     assert rows[0] == rows[1]
-    assert len(rows[0]) == 41  # every other point of 81
-    assert TraceStoreReader(sinks[1].directory).num_segments == 3
+    assert len(rows[0]) == 81
+    assert TraceStoreReader(sinks[1].directory).segments == [16] * 5 + [1]
 
 
 def test_run_refuses_a_bad_stride():

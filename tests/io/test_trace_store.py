@@ -1,8 +1,8 @@
 """Unit and property tests for :mod:`repro.io.trace_store`.
 
 Covers the format (segments, manifest, validation on both ends), the
-sink's cadence, trace interop, and property-based round-trips including
-NaN/inf floats and byte-identical re-serialization.
+sink, trace interop, and property-based round-trips including NaN/inf
+floats and byte-identical re-serialization.
 """
 
 from __future__ import annotations
@@ -46,6 +46,35 @@ def make_trace(num_points, n=12, lam=4.0):
             )
         )
     return trace
+
+
+def write_store_by_hand(directory, columns, rows, rows_per_segment=4):
+    """A complete version-2 store of any schema, laid out as the writer
+    lays one out: a structured-array file per segment, then the manifest.
+
+    The writer only writes :data:`TRACE_COLUMNS`; stores of other
+    schemas reach the reader from disk, so its checks are tested on
+    these.  ``rows`` holds one tuple per row, in ``columns`` order.
+    """
+    directory.mkdir(parents=True)
+    dtype = np.dtype([(name, kind) for name, kind in columns])
+    segments = []
+    for index, start in enumerate(range(0, len(rows), rows_per_segment)):
+        part = rows[start : start + rows_per_segment]
+        np.save(directory / f"seg-{index:05d}.npy", np.array(part, dtype=dtype))
+        segments.append(len(part))
+    manifest = {
+        "format_version": 2,
+        "kind": "trace_store",
+        "columns": [list(column) for column in columns],
+        "rows_per_segment": rows_per_segment,
+        "segments": segments,
+        "total_rows": len(rows),
+        "complete": True,
+        "meta": {},
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    return directory
 
 
 # --------------------------------------------------------------------- #
@@ -168,13 +197,18 @@ def test_meta_round_trip(tmp_path):
 # --------------------------------------------------------------------- #
 # Writer behavior
 # --------------------------------------------------------------------- #
-def test_writer_commits_empty_manifest_on_construction(tmp_path):
+def test_writer_writes_nothing_before_its_first_commit(tmp_path):
+    """No manifest (not even the directory) until the writer commits;
+    ``close`` with no rows leaves a complete, empty store."""
     writer = TraceStoreWriter(tmp_path / "store")
-    reader = TraceStoreReader(tmp_path / "store")
-    assert reader.num_rows == 0
-    assert not reader.complete
+    assert not (tmp_path / "store").exists()
+    with pytest.raises(SerializationError, match="manifest"):
+        TraceStoreReader(tmp_path / "store")
     writer.close()
-    assert TraceStoreReader(tmp_path / "store").complete
+    reader = TraceStoreReader(tmp_path / "store")
+    assert reader.complete
+    assert reader.num_rows == 0 and reader.segments == []
+    assert sorted(path.name for path in (tmp_path / "store").iterdir()) == ["manifest.json"]
 
 
 def test_writer_autoflush_and_committed_rows(tmp_path):
@@ -206,7 +240,7 @@ def test_full_segment_commits_behind_the_appends(tmp_path, monkeypatch):
     writer.append_point(points[1])  # fills the segment; its commit is held
     writer.append_point(points[2])
     assert writer.buffered_rows == 1
-    assert TraceStoreReader(tmp_path / "store").num_rows == 0
+    assert not (tmp_path / "store" / "manifest.json").exists()
     release.set()
     assert writer.committed_rows == 2
     writer.close()
@@ -228,8 +262,7 @@ def test_failed_background_commit_raises_on_the_next_commit(tmp_path, monkeypatc
     assert writer.closed and writer.committed_rows == 0
     with pytest.raises(SerializationError, match="closed"):
         writer.append_point(points[0])
-    reader = TraceStoreReader(tmp_path / "store")
-    assert reader.num_rows == 0 and not reader.complete
+    assert not (tmp_path / "store" / "manifest.json").exists()
 
 
 def test_background_commits_under_thread_contention(tmp_path):
@@ -286,17 +319,6 @@ def test_standard_columns_follow_the_trace_point_fields():
     ]
 
 
-def test_append_point_fills_a_custom_schema_from_point_fields(tmp_path):
-    points = make_trace(3).points
-    columns = [("perimeter", "<i8"), ("alpha", "<f8")]
-    with TraceStoreWriter(tmp_path / "store", columns=columns) as writer:
-        for point in points:
-            writer.append_point(point)
-    reader = TraceStoreReader(tmp_path / "store")
-    assert reader.column("perimeter").tolist() == [p.perimeter for p in points]
-    assert reader.column("alpha").tolist() == [p.alpha for p in points]
-
-
 def test_writer_refuses_after_close(tmp_path):
     writer = TraceStoreWriter(tmp_path / "store")
     writer.close()
@@ -311,6 +333,17 @@ def test_writer_rejects_missing_column(tmp_path):
     writer = TraceStoreWriter(tmp_path / "store")
     with pytest.raises(SerializationError, match="missing column"):
         writer.append({"iteration": 1})
+
+
+def test_writer_refuses_a_value_of_the_wrong_type(tmp_path):
+    """A value no column dtype holds is refused by the commit that
+    builds its segment, which closes the writer."""
+    writer = TraceStoreWriter(tmp_path / "store")
+    writer.append({name: 0 for name, _ in TRACE_COLUMNS} | {"alpha": "high"})
+    with pytest.raises(SerializationError, match="'alpha' holds a value"):
+        writer.close()
+    assert writer.closed
+    assert not (tmp_path / "store").exists()
 
 
 def test_writer_discards_previous_store(tmp_path, rewrite_as_v1):
@@ -340,14 +373,13 @@ def test_writer_discards_previous_store_v2(tmp_path):
 def test_writer_validates_arguments(tmp_path):
     with pytest.raises(ConfigurationError, match="rows_per_segment"):
         TraceStoreWriter(tmp_path / "s", rows_per_segment=0)
-    with pytest.raises(ConfigurationError, match="at least one column"):
-        TraceStoreWriter(tmp_path / "s", columns=[])
-    with pytest.raises(ConfigurationError, match="invalid column name"):
-        TraceStoreWriter(tmp_path / "s", columns=[("a.b", "<f8")])
-    with pytest.raises(ConfigurationError, match="duplicate column"):
-        TraceStoreWriter(tmp_path / "s", columns=[("a", "<f8"), ("a", "<i8")])
+    # Meta is encoded by the first commit, which a failure closes.
+    writer = TraceStoreWriter(tmp_path / "s", meta={"bad": object()})
+    writer.append_point(make_trace(1).points[0])
     with pytest.raises(SerializationError, match="not JSON-serializable"):
-        TraceStoreWriter(tmp_path / "s", meta={"bad": object()})
+        writer.close()
+    assert writer.closed
+    assert not (tmp_path / "s").exists()
 
 
 def test_writer_context_manager_closes_on_clean_exit_only(tmp_path):
@@ -359,9 +391,8 @@ def test_writer_context_manager_closes_on_clean_exit_only(tmp_path):
         with TraceStoreWriter(tmp_path / "dirty") as writer:
             writer.append_point(make_trace(1).points[0])
             raise RuntimeError("boom")
-    reader = TraceStoreReader(tmp_path / "dirty")
-    assert not reader.complete  # crash semantics: last committed manifest stands
-    assert reader.num_rows == 0
+    # Crash semantics: the last committed manifest stands (here, none).
+    assert not (tmp_path / "dirty" / "manifest.json").exists()
 
 
 # --------------------------------------------------------------------- #
@@ -377,6 +408,25 @@ def test_reader_refuses_missing_or_foreign_manifest(tmp_path):
         TraceStoreReader(store)
     (store / "manifest.json").write_text("{not json")
     with pytest.raises(SerializationError, match="manifest"):
+        TraceStoreReader(store)
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ([], "at least one column"),
+        ([("a.b", "<f8")], "invalid column name"),
+        ([("a/b", "<f8")], "invalid column name"),
+        ([("a", "<f8"), ("a", "<i8")], "duplicate column"),
+        ([("a",)], "pairs"),
+    ],
+)
+def test_reader_refuses_bad_manifest_columns(tmp_path, columns, message):
+    store = write_store_by_hand(tmp_path / "store", [("a", "<f8")], [(1.0,)])
+    manifest = json.loads((store / "manifest.json").read_text())
+    manifest["columns"] = [list(column) for column in columns]
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SerializationError, match=message):
         TraceStoreReader(store)
 
 
@@ -486,45 +536,26 @@ def test_reader_rejects_bad_requests(tmp_path):
         reader.segment_column(1, "alpha")
     with pytest.raises(SerializationError, match="unknown column"):
         reader.segment_column(0, "nope")
+    custom = write_store_by_hand(tmp_path / "custom", [("x", "<f8")], [(1.0,)])
     with pytest.raises(SerializationError, match="compression-trace schema"):
-        custom = tmp_path / "custom"
-        with TraceStoreWriter(custom, columns=[("x", "<f8")]) as writer:
-            writer.append({"x": 1.0})
         TraceStoreReader(custom).read_trace(n=2, lam=1.0)
 
 
 # --------------------------------------------------------------------- #
 # Sink
 # --------------------------------------------------------------------- #
-def test_sink_every_one_matches_trace(tmp_path):
+def test_sink_stores_every_point(tmp_path):
     trace = make_trace(9)
-    with TraceStoreSink(tmp_path / "store", meta={"n": 12, "lambda": 4.0}) as sink:
-        for point in trace.points:
-            sink.append(point)
-    assert read_trace(tmp_path / "store") == trace
-
-
-@pytest.mark.parametrize("every", [2, 3, 7])
-def test_sink_cadence_subsamples(tmp_path, every):
-    trace = make_trace(20)
     with TraceStoreSink(
-        tmp_path / "store", every=every, meta={"n": 12, "lambda": 4.0}
+        tmp_path / "store", rows_per_segment=4, meta={"n": 12, "lambda": 4.0}
     ) as sink:
         for point in trace.points:
             sink.append(point)
-    kept = read_trace(tmp_path / "store").points
-    assert kept == trace.points[::every]  # first point always included
-
-
-def test_sink_wraps_existing_writer_and_validates(tmp_path):
-    writer = TraceStoreWriter(tmp_path / "store", rows_per_segment=2)
-    sink = TraceStoreSink(writer)
-    assert sink.directory == writer.directory
-    sink.append(make_trace(1).points[0])
-    sink.close()
-    assert writer.closed
-    with pytest.raises(ConfigurationError, match="every"):
-        TraceStoreSink(tmp_path / "other", every=0)
+    assert sink.directory == tmp_path / "store" and sink.writer.closed
+    assert TraceStoreReader(tmp_path / "store").segments == [4, 4, 1]
+    assert read_trace(tmp_path / "store") == trace
+    with pytest.raises(ConfigurationError, match="rows_per_segment"):
+        TraceStoreSink(tmp_path / "other", rows_per_segment=0)
 
 
 def count_fsyncs(monkeypatch):
@@ -771,13 +802,12 @@ def test_store_round_trip_property(tmp_path_factory, points, rows_per_segment):
 )
 def test_custom_column_store_property(tmp_path_factory, values, rows_per_segment):
     tmp_path = tmp_path_factory.mktemp("custom")
-    with TraceStoreWriter(
+    write_store_by_hand(
         tmp_path / "s",
-        columns=[("value", "<f8"), ("index", "<i8")],
+        [("value", "<f8"), ("index", "<i8")],
+        [(value, i) for i, value in enumerate(values)],
         rows_per_segment=rows_per_segment,
-    ) as writer:
-        for i, value in enumerate(values):
-            writer.append({"value": value, "index": np.int64(i)})  # numpy scalars OK
+    )
     reader = TraceStoreReader(tmp_path / "s")
     np.testing.assert_array_equal(
         reader.column("value"), np.array(values, dtype="<f8")

@@ -134,7 +134,8 @@ def crash_after(budget, original):
 
 def assert_recovers_exactly(crash_dir, committed, rows, total_rows):
     """The contract: the reader yields exactly the committed prefix, or refuses
-    the directory outright when not even the initial manifest landed."""
+    the directory outright when no manifest landed (a writer commits none
+    before its first segment fills or it closes)."""
     if not (Path(crash_dir) / "manifest.json").exists():
         assert committed == 0
         with pytest.raises(SerializationError):

@@ -89,9 +89,12 @@ def test_plain_directories_still_ignored_silently(tmp_path, recwarn):
 
 def test_require_complete_skips_open_store_with_warning(tmp_path):
     write_trace(make_trace(), tmp_path / "a-closed")
-    writer = TraceStoreWriter(tmp_path / "b-open", meta={"n": 12, "lambda": 4.0})
+    writer = TraceStoreWriter(
+        tmp_path / "b-open", rows_per_segment=1, meta={"n": 12, "lambda": 4.0}
+    )
     writer.append_point(make_trace(1).points[0])
-    # Never closed: the construction-time manifest is committed but
+    assert writer.committed_rows == 1
+    # Never closed: the first segment's manifest is committed but
     # carries complete=False.
     default_scan = list(iter_trace_stores(tmp_path))
     assert [r.directory.name for r in default_scan] == ["a-closed", "b-open"]

@@ -115,19 +115,6 @@ class TestLockstep:
         assert streamed.trace == plain.trace
         assert TraceStoreReader(tmp_path / "s").read_trace() == plain.trace
 
-    def test_engine_hook_cadence(self, tmp_path):
-        """``every=k`` keeps one recorded point in k, first always included."""
-        from repro.lattice.shapes import line
-
-        sink = TraceStoreSink(tmp_path / "s", every=3, meta={"n": 12, "lambda": 4.0})
-        simulation = CompressionSimulation(
-            line(12), lam=4.0, seed=3, engine="fast", trace_sink=sink
-        )
-        simulation.run(1200, record_every=60)
-        sink.close()
-        kept = TraceStoreReader(tmp_path / "s").read_trace().points
-        assert kept == simulation.trace.points[::3]
-
 
 class TestCheckpointIntegration:
     def jobs(self, root):
