@@ -7,13 +7,13 @@ The package provides:
   configurations, perimeters, holes, enumeration, the hexagonal dual and
   self-avoiding walks;
 * :mod:`repro.core` — the compression Markov chain (Algorithm M), its move
-  rules (Properties 1 and 2), the Metropolis machinery, the high-level
+  rules (Properties 1 and 2), its weight kernels, the high-level
   simulation API and exact stationary-distribution analysis;
 * :mod:`repro.amoebot` — the geometric amoebot model and the distributed
   local algorithm (Algorithm A), with fault injection;
 * :mod:`repro.algorithms` — the expansion regime, ergodicity witnesses, a
   leader-based baseline and the separation and bridging extensions;
-* :mod:`repro.analysis` — metrics, counting, partition-function bounds,
+* :mod:`repro.analysis` — counting, partition-function bounds,
   Peierls thresholds, mixing diagnostics, scaling studies and the
   experiment harness;
 * :mod:`repro.runtime` — the parallel ensemble runner: lambda sweeps,

@@ -22,9 +22,8 @@ class ExpansionSimulation(CompressionSimulation):
     """A compression-chain simulation intended for the expansion regime.
 
     Identical dynamics to :class:`CompressionSimulation`; the constructor
-    warns (via an exception if ``strict``) when the supplied bias lies in
-    the proven compression regime, because that almost certainly indicates
-    a mixed-up experiment.
+    refuses a bias in the proven compression regime, because that almost
+    certainly indicates a mixed-up experiment.
     """
 
     def __init__(
@@ -32,13 +31,12 @@ class ExpansionSimulation(CompressionSimulation):
         initial: ParticleConfiguration,
         lam: float,
         seed: RandomState = None,
-        strict: bool = True,
         engine: str = "reference",
     ) -> None:
-        if strict and lam >= EXPANSION_THRESHOLD:
+        if lam >= EXPANSION_THRESHOLD:
             raise ConfigurationError(
                 f"lambda={lam} is not in the proven expansion regime "
-                f"(lambda < {EXPANSION_THRESHOLD:.3f}); pass strict=False to override"
+                f"(lambda < {EXPANSION_THRESHOLD:.3f})"
             )
         super().__init__(initial, lam=lam, seed=seed, engine=engine)
 
@@ -48,13 +46,12 @@ class ExpansionSimulation(CompressionSimulation):
         n: int,
         lam: float,
         seed: RandomState = None,
-        strict: bool = True,
         engine: str = "reference",
     ) -> "ExpansionSimulation":
         """``n`` particles starting in a line, as in Figure 10 (``lambda = 2``)."""
         from repro.lattice.shapes import line
 
-        return cls(line(n), lam=lam, seed=seed, strict=strict, engine=engine)
+        return cls(line(n), lam=lam, seed=seed, engine=engine)
 
     def run_until_expanded(
         self,

@@ -1,11 +1,5 @@
-"""Analysis toolkit: metrics, counting, bounds, mixing and experiment harness."""
+"""Analysis toolkit: counting, bounds, mixing, statistics and experiment harness."""
 
-from repro.analysis.metrics import (
-    achieved_alpha,
-    achieved_beta,
-    is_alpha_compressed,
-    is_beta_expanded,
-)
 from repro.analysis.counting import (
     configuration_count_upper_bound,
     perimeter_counts,
@@ -51,10 +45,6 @@ from repro.analysis.experiments import (
 )
 
 __all__ = [
-    "achieved_alpha",
-    "achieved_beta",
-    "is_alpha_compressed",
-    "is_beta_expanded",
     "configuration_count_upper_bound",
     "perimeter_counts",
     "staircase_lower_bound",

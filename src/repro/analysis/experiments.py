@@ -2,11 +2,11 @@
 
 Every experiment returns an :class:`ExperimentRecord` that carries the
 parameters actually used, the measured series/rows, and the paper's
-qualitative expectation, so that EXPERIMENTS.md can be regenerated
-directly from harness output.  The benchmarks under ``benchmarks/`` call
-these functions with reduced default workloads; passing ``full_scale=True``
-reproduces the paper's original parameters (100 particles, millions of
-iterations) at the cost of minutes-to-hours of runtime.
+qualitative expectation, so a run can be read side by side with the
+paper.  The defaults are reduced workloads; the paper's original
+parameters (100 particles, millions of iterations) are a matter of
+passing larger ``n`` and ``iterations``, at the cost of
+minutes-to-hours of runtime.
 
 Multi-chain experiments (the lambda sweep here, the scaling study in
 :mod:`repro.analysis.convergence`) submit their runs through the parallel
@@ -36,7 +36,8 @@ class ExperimentRecord:
     Attributes
     ----------
     experiment_id:
-        The identifier from DESIGN.md's per-experiment index (e.g. ``"E1"``).
+        The experiment's short identifier, as its ``run_*`` docstring
+        names it (e.g. ``"E1"``).
     description:
         What the experiment reproduces.
     parameters:
@@ -45,7 +46,7 @@ class ExperimentRecord:
         Measured values (series, tables, summary statistics).
     expectation:
         The qualitative behaviour the paper reports, for side-by-side
-        comparison in EXPERIMENTS.md.
+        comparison with the measured results.
     """
 
     experiment_id: str

@@ -3,7 +3,7 @@
 Compression traces are autocorrelated Markov chain output; these helpers
 provide the standard corrections (autocorrelation functions, batch means,
 bootstrap confidence intervals) used when reporting measured perimeters and
-compression times in EXPERIMENTS.md.
+compression times.
 
 :func:`ensemble_summary` is the bridge from the parallel ensemble runner:
 it consumes the per-chain :class:`~repro.runtime.results.ResultsTable`

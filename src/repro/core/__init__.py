@@ -2,7 +2,8 @@
 
 This subpackage implements Algorithm M (the centralized Markov chain for
 compression, Section 3.1), the move-legality Properties 1 and 2, the
-Metropolis filter machinery, the high-level simulation API, and exact
+weight kernels whose acceptance tables both engines read, the high-level
+simulation API, and exact
 stationary-distribution analysis for small systems.
 
 The two engines
@@ -70,14 +71,6 @@ from repro.core.moves import (
     move_edge_delta,
     neighbor_count,
 )
-from repro.core.energy import (
-    CompressionEnergy,
-    edge_hamiltonian,
-    log_weight,
-    perimeter_weight,
-    weight,
-)
-from repro.core.metropolis import MetropolisFilter, acceptance_probability
 from repro.core.kernels import (
     KERNEL_MODES,
     MOVEMENT_REJECTION_REASONS,
@@ -114,13 +107,6 @@ __all__ = [
     "is_valid_move",
     "move_edge_delta",
     "neighbor_count",
-    "CompressionEnergy",
-    "edge_hamiltonian",
-    "log_weight",
-    "perimeter_weight",
-    "weight",
-    "MetropolisFilter",
-    "acceptance_probability",
     "KERNEL_MODES",
     "MOVEMENT_REJECTION_REASONS",
     "SWAP_REJECTION_REASONS",

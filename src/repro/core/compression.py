@@ -116,8 +116,8 @@ class CompressionSimulation:
     trace_sink:
         Optional streaming hook: an object with an ``append(point)``
         method (e.g. :class:`repro.io.trace_store.TraceStoreSink`) that
-        receives every recorded :class:`TracePoint` as it is recorded, at
-        whatever cadence the sink implements.  ``None`` (default) changes
+        receives every recorded :class:`TracePoint` as it is recorded.
+        ``None`` (default) changes
         nothing: the in-memory trace is maintained either way, and the
         chain's trajectory never depends on the sink (it consumes no
         randomness) — streamed runs are byte-identical to in-memory runs,

@@ -85,10 +85,9 @@ same results, several times slower), for more than ``2**32`` particles,
 and as the oracle of the differential fuzz in
 ``tests/core/test_native_loops.py``, which builds an engine with
 :func:`repro.core._native.load_library` patched to return ``None``.
-:meth:`step` (and so ``run(callback=...)``) is one pass of the same
-loop, whichever the build runs, with its
-:class:`~repro.core.markov_chain.StepResult` read off what the pass
-changed; the move rule has no per-proposal copy.
+:meth:`step` is one pass of the same loop, whichever the build runs,
+with its :class:`~repro.core.markov_chain.StepResult` read off what the
+pass changed; the move rule has no per-proposal copy.
 
 How construction works
 ----------------------
@@ -115,7 +114,7 @@ from __future__ import annotations
 import ctypes
 import itertools
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -638,20 +637,12 @@ class FastCompressionChain:
         move = Move(source=grid.node_at(source), target=grid.node_at(target))
         return StepResult(reason == "moved", move, edge_delta, reason)
 
-    def run(
-        self,
-        iterations: int,
-        callback: Optional[Callable[[int, StepResult], None]] = None,
-        sample_every: int = 0,
-    ) -> Optional[List[int]]:
+    def run(self, iterations: int, sample_every: int = 0) -> Optional[List[int]]:
         """Run the chain for a number of iterations.
 
-        Without a callback this is the engine's hot path: one call into the
-        compiled ``run_chain``, plus one more after each guard-band
-        reallocation, or :meth:`_run_python` when the tape has no
-        compiled fill.  With a callback every proposal goes
-        through :meth:`step`, and the callback receives its
-        :class:`~repro.core.markov_chain.StepResult`.
+        This is the engine's hot path: one call into the compiled
+        ``run_chain``, plus one more after each guard-band reallocation,
+        or :meth:`_run_python` when the tape has no compiled fill.
 
         With ``sample_every=k`` the run also returns the edge count
         ``e(sigma)`` after every ``k``-th of its iterations
@@ -663,17 +654,10 @@ class FastCompressionChain:
         """
         if iterations < 0:
             raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
-        if sample_every < 0 or (sample_every and callback is not None):
-            raise ConfigurationError(
-                f"sample_every must be non-negative and without a callback, got {sample_every}"
-            )
+        if sample_every < 0:
+            raise ConfigurationError(f"sample_every must be non-negative, got {sample_every}")
         if sample_every and self._library is None:
             raise ConfigurationError("sample_every needs the compiled run_chain, which did not build")
-        if callback is not None:
-            for _ in range(iterations):
-                result = self.step()
-                callback(self._iterations, result)
-            return None
         if sample_every:
             return self._run_sampled(iterations, sample_every)
         self._run(iterations)

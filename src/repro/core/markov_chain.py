@@ -40,7 +40,7 @@ random stream) is bit-identical to the pre-kernel engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -372,26 +372,12 @@ class CompressionMarkovChain:
         colors[source], colors[target] = colors[target], colors[source]
         return after - before
 
-    def run(self, iterations: int, callback: Optional[Callable[[int, StepResult], None]] = None) -> None:
-        """Run the chain for a number of iterations.
-
-        Parameters
-        ----------
-        iterations:
-            Number of iterations of Algorithm M to perform.
-        callback:
-            Optional function called as ``callback(iteration_index, result)``
-            after every iteration (used by the tracing layer).
-        """
+    def run(self, iterations: int) -> None:
+        """Run the chain for ``iterations`` iterations of Algorithm M."""
         if iterations < 0:
             raise ConfigurationError(f"iterations must be non-negative, got {iterations}")
-        if callback is None:
-            for _ in range(iterations):
-                self.step()
-        else:
-            for _ in range(iterations):
-                result = self.step()
-                callback(self._iterations, result)
+        for _ in range(iterations):
+            self.step()
 
     # ------------------------------------------------------------------ #
     # Internals

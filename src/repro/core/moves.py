@@ -14,7 +14,8 @@ adjacent unoccupied location.  Algorithm M accepts a proposed move only if
 This module implements Conditions (1) and (2) — the deterministic
 "validity" part — together with the quantity ``e' - e`` needed by
 Condition (3).  The stochastic part lives in
-:mod:`repro.core.metropolis` and :mod:`repro.core.markov_chain`.
+:mod:`repro.core.kernels` (the acceptance tables) and
+:mod:`repro.core.markov_chain`.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import AnalysisError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.enumeration import enumerate_configurations
+from repro.core.kernels import CompressionKernel
 from repro.core.moves import Move, enumerate_valid_moves, move_edge_delta
 
 #: Practical cap on the enumerable system size (186 states at n=5, 814 at n=6).
@@ -95,11 +96,13 @@ def transition_matrix(space: StateSpace, lam: float) -> np.ndarray:
     From a configuration of ``n`` particles, Algorithm M picks one of the
     ``n`` particles and one of the six directions uniformly, so each valid
     move ``(l -> l')`` is proposed with probability ``1 / (6 n)`` and
-    accepted with probability ``min(1, lambda^(e' - e))``.  The remaining
-    probability mass stays on the diagonal.
+    accepted with probability ``min(1, lambda^(e' - e))``, read from the
+    :class:`~repro.core.kernels.CompressionKernel` table both engines
+    use.  The remaining probability mass stays on the diagonal.
     """
     if lam <= 0:
         raise AnalysisError(f"lambda must be positive, got {lam}")
+    acceptance_list = CompressionKernel(lam).acceptance_list()
     size = space.size
     matrix = np.zeros((size, size), dtype=float)
     proposal = 1.0 / (6.0 * space.n)
@@ -108,7 +111,7 @@ def transition_matrix(space: StateSpace, lam: float) -> np.ndarray:
         total_out = 0.0
         for move in enumerate_valid_moves(occupied):
             delta = move_edge_delta(occupied, move)
-            acceptance = min(1.0, lam ** delta)
+            acceptance = acceptance_list[delta + 6]
             successor = configuration.move(move.source, move.target).canonical()
             try:
                 column = space.index[successor]

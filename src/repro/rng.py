@@ -500,30 +500,14 @@ def make_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: RandomState, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent child generators.
-
-    Used by the distributed amoebot simulator to give each particle its own
-    stream while keeping the whole run reproducible from a single seed.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    root = np.random.SeedSequence(seed if isinstance(seed, int) else None)
-    if isinstance(seed, np.random.Generator):
-        # Derive children deterministically from the provided generator.
-        child_seeds = seed.integers(0, 2**63 - 1, size=count)
-        return [np.random.default_rng(int(s)) for s in child_seeds]
-    return [np.random.default_rng(s) for s in root.spawn(count)]
-
-
 def spawn_seeds(seed: RandomState, count: int) -> List[int]:
     """Derive ``count`` independent plain-integer seeds from one root seed.
 
     This is the seeding scheme of the parallel ensemble runner
-    (:mod:`repro.runtime`): unlike :func:`spawn_rngs`, the children are
-    returned as plain ``int`` values, so they can be embedded in picklable
-    job descriptions, serialized into checkpoint manifests, and handed to
-    worker processes — while remaining a pure function of ``(seed, count)``.
+    (:mod:`repro.runtime`): the children are returned as plain ``int``
+    values, so they can be embedded in picklable job descriptions,
+    serialized into checkpoint manifests, and handed to worker processes —
+    while remaining a pure function of ``(seed, count)``.
     Job ``k`` of an ensemble always receives ``spawn_seeds(base, count)[k]``
     regardless of worker count, which is what makes parallel ensembles
     bit-identical to serial ones.

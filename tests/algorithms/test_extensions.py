@@ -19,10 +19,9 @@ from repro.lattice.shapes import line, random_connected, ring, spiral
 
 
 class TestExpansionSimulation:
-    def test_strict_mode_rejects_compression_lambdas(self):
-        with pytest.raises(ConfigurationError):
+    def test_rejects_compression_lambdas(self):
+        with pytest.raises(ConfigurationError, match="proven expansion regime"):
             ExpansionSimulation.from_line(10, lam=4.0)
-        ExpansionSimulation.from_line(10, lam=4.0, strict=False)  # does not raise
 
     def test_low_lambda_system_stays_expanded(self):
         simulation = ExpansionSimulation.from_line(30, lam=1.2, seed=0)

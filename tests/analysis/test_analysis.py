@@ -1,4 +1,4 @@
-"""Tests for the analysis toolkit: metrics, counting, bounds, partition function."""
+"""Tests for the analysis toolkit: counting, bounds, partition function."""
 
 import math
 
@@ -20,12 +20,6 @@ from repro.analysis.counting import (
     staircase_lower_bound,
     verify_lemma_4_4,
 )
-from repro.analysis.metrics import (
-    achieved_alpha,
-    achieved_beta,
-    is_alpha_compressed,
-    is_beta_expanded,
-)
 from repro.analysis.partition import (
     exact_log_partition_function,
     exact_partition_function,
@@ -42,27 +36,6 @@ from repro.constants import (
     N50,
 )
 from repro.errors import AnalysisError
-from repro.lattice.shapes import line, spiral
-
-
-class TestMetrics:
-    def test_spiral_is_maximally_compressed(self):
-        configuration = spiral(30)
-        assert achieved_alpha(configuration) == pytest.approx(1.0)
-        assert is_alpha_compressed(configuration, 1.01)
-        assert not is_beta_expanded(configuration, 0.5)
-
-    def test_line_is_maximally_expanded(self):
-        configuration = line(30)
-        assert achieved_beta(configuration) == pytest.approx(1.0)
-        assert is_beta_expanded(configuration, 0.99)
-        assert not is_alpha_compressed(configuration, 2.0)
-
-    def test_argument_validation(self):
-        with pytest.raises(AnalysisError):
-            is_alpha_compressed(spiral(5), 1.0)
-        with pytest.raises(AnalysisError):
-            is_beta_expanded(spiral(5), 0.0)
 
 
 class TestThresholdConstants:

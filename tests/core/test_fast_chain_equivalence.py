@@ -136,15 +136,6 @@ def test_long_run_with_grid_reallocation_matches_reference(candidate, python_loo
     assert_same_final_state(engine, reference)
 
 
-@pytest.mark.parametrize("candidate", CANDIDATES)
-def test_callback_interface_matches_reference(candidate, python_loops):
-    seen_reference, seen_candidate = [], []
-    reference, engine = engine_pair(line(12), 4.0, 5, candidate, python_loops)
-    reference.run(200, callback=lambda i, r: seen_reference.append((i, r)))
-    engine.run(200, callback=lambda i, r: seen_candidate.append((i, r)))
-    assert seen_candidate == seen_reference
-
-
 def test_mixed_step_and_run_keeps_vector_engine_aligned(python_loops):
     """Interleaving scalar step() with compiled run() shares one tape."""
     with python_loops():

@@ -45,12 +45,6 @@ class TestStepAccounting:
             chain.run(200)
             assert chain.edge_count == chain.configuration.edge_count
 
-    def test_run_with_callback(self, line10):
-        seen = []
-        chain = CompressionMarkovChain(line10, lam=4.0, seed=3)
-        chain.run(50, callback=lambda iteration, result: seen.append(iteration))
-        assert seen == list(range(1, 51))
-
     def test_negative_iterations_rejected(self, line10):
         chain = CompressionMarkovChain(line10, lam=4.0, seed=0)
         with pytest.raises(ConfigurationError):

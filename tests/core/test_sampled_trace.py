@@ -204,8 +204,6 @@ def test_run_refuses_a_bad_stride():
         pytest.skip("no compiled loop to sample: chain_loops.c did not build")
     with pytest.raises(ConfigurationError, match="sample_every"):
         engine.run(10, sample_every=-1)
-    with pytest.raises(ConfigurationError, match="sample_every"):
-        engine.run(10, callback=lambda iteration, result: None, sample_every=2)
     assert engine.iterations == 0
     samples = engine.run(10, sample_every=3)
     assert len(samples) == 3 and all(type(value) is int for value in samples)
