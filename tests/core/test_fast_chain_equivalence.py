@@ -136,6 +136,17 @@ def test_long_run_with_grid_reallocation_matches_reference(candidate, python_loo
     assert_same_final_state(engine, reference)
 
 
+@pytest.mark.parametrize("candidate", CANDIDATES)
+def test_run_matches_the_stepped_reference(candidate, python_loops):
+    """run(k) ends where k reference step() calls end, result by result."""
+    reference, engine = engine_pair(line(12), 4.0, 5, candidate, python_loops)
+    results = [reference.step() for _ in range(200)]
+    engine.run(200)
+    assert engine.iterations == reference.iterations == 200
+    assert engine.accepted_moves == sum(result.moved for result in results)
+    assert_same_final_state(engine, reference)
+
+
 def test_mixed_step_and_run_keeps_vector_engine_aligned(python_loops):
     """Interleaving scalar step() with compiled run() shares one tape."""
     with python_loops():

@@ -45,6 +45,15 @@ class TestStepAccounting:
             chain.run(200)
             assert chain.edge_count == chain.configuration.edge_count
 
+    def test_step_advances_one_iteration(self, line10):
+        chain = CompressionMarkovChain(line10, lam=4.0, seed=3)
+        seen = []
+        for _ in range(50):
+            result = chain.step()
+            seen.append(chain.iterations)
+            assert chain.edge_count == chain.configuration.edge_count, result
+        assert seen == list(range(1, 51))
+
     def test_negative_iterations_rejected(self, line10):
         chain = CompressionMarkovChain(line10, lam=4.0, seed=0)
         with pytest.raises(ConfigurationError):

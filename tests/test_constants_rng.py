@@ -17,7 +17,7 @@ from repro.constants import (
     pmin_lower_bound,
     pmin_upper_bound,
 )
-from repro.rng import BatchedMoveDraws, make_rng
+from repro.rng import BatchedMoveDraws, make_rng, spawn_seeds
 
 
 class TestConstants:
@@ -56,6 +56,23 @@ class TestRng:
 
     def test_integer_seeds_are_reproducible(self):
         assert make_rng(5).integers(0, 1000, 10).tolist() == make_rng(5).integers(0, 1000, 10).tolist()
+
+    def test_spawned_seeds_give_distinct_but_reproducible_streams(self):
+        first = [make_rng(seed) for seed in spawn_seeds(3, 4)]
+        second = [make_rng(seed) for seed in spawn_seeds(3, 4)]
+        draws_first = [rng.integers(0, 10**9) for rng in first]
+        draws_second = [rng.integers(0, 10**9) for rng in second]
+        assert draws_first == draws_second
+        assert len(set(draws_first)) == 4
+
+    def test_spawn_from_generator(self):
+        children = spawn_seeds(np.random.default_rng(0), 3)
+        assert len(children) == 3 and all(type(seed) is int for seed in children)
+        assert children == spawn_seeds(np.random.default_rng(0), 3)
+
+    def test_spawn_validation(self):
+        with pytest.raises(ValueError):
+            spawn_seeds(0, -1)
 
 
 class TestBatchedMoveDrawLanes:

@@ -14,11 +14,42 @@ from repro import (
     CompressionMarkovChain,
     CompressionSimulation,
     ExpansionSimulation,
+    FastAmoebotSystem,
     ParticleConfiguration,
     line,
 )
 from repro.constants import COMPRESSION_THRESHOLD, EXPANSION_THRESHOLD
-from repro.lattice.geometry import min_perimeter
+from repro.errors import ConfigurationError
+from repro.lattice.geometry import max_perimeter, min_perimeter
+from repro.lattice.shapes import spiral
+
+
+class TestAchievedRatios:
+    """The alpha and beta each engine reports: p / pmin and p / pmax."""
+
+    def test_spiral_is_maximally_compressed(self):
+        simulation = CompressionSimulation(spiral(30), lam=4.0, seed=0)
+        assert simulation.compression_ratio() == pytest.approx(1.0)
+        assert simulation.is_alpha_compressed(1.01)
+        assert not simulation.is_beta_expanded(0.5)
+        for system in (AmoebotSystem, FastAmoebotSystem):
+            assert system(spiral(30), lam=4.0, seed=0).compression_ratio() == pytest.approx(1.0)
+
+    def test_line_is_maximally_expanded(self):
+        simulation = ExpansionSimulation.from_line(30, lam=1.5, seed=0)
+        assert simulation.expansion_ratio() == pytest.approx(1.0)
+        assert simulation.is_beta_expanded(0.99)
+        assert not simulation.is_alpha_compressed(2.0)
+        line_alpha = max_perimeter(30) / min_perimeter(30)
+        for system in (AmoebotSystem, FastAmoebotSystem):
+            assert system(line(30), lam=1.5, seed=0).compression_ratio() == pytest.approx(line_alpha)
+
+    def test_argument_validation(self):
+        simulation = ExpansionSimulation(spiral(5), lam=1.5, seed=0)
+        with pytest.raises(ConfigurationError):
+            simulation.is_alpha_compressed(1.0)
+        with pytest.raises(ConfigurationError):
+            simulation.is_beta_expanded(0.0)
 
 
 class TestHeadlineBehaviour:
