@@ -8,7 +8,7 @@ repo's perf trajectory is machine-readable.
 The headline comparison is reference vs. fast engine at ``n = 1000``:
 the fast engine must hold at least a 10x advantage
 (``test_fast_engine_speedup_at_n1000``), while the differential harness
-(``tests/core/test_fast_chain_equivalence.py``) guarantees the two
+(``tests/core/test_engine_contract.py``) guarantees the two
 engines produce identical seeded trajectories — speed, not semantics.
 
 ``test_tape_refill_speedup_n200467`` gates the compiled draw-tape fill at

@@ -24,10 +24,8 @@ host, so they hold wherever the Python/C cost balance resembles the
 baseline machine's, while the absolute rows record what the recording
 machine saw.
 
-The differential harnesses
-(``tests/algorithms/test_separation_engines.py`` /
-``test_bridging_engines.py``, ``tests/core/test_native_loops.py``)
-separately guarantee the engines and loops produce identical seeded
+The differential harnesses (``tests/core/test_engine_contract.py``,
+``tests/core/test_native_loops.py``) separately guarantee the engines and loops produce identical seeded
 trajectories, so this file is about speed, not semantics.  Like the
 other speedup gates, each gate interleaves paired measurement rounds and
 gates on the best round's ratio — machine noise can only lower a

@@ -26,7 +26,7 @@ loop — fastest at every n; ``"vector"`` is its alias key) selects the
 execution engine.  Both consume the two-lane batched draw tape, so for
 equal seeds they produce bit-identical trajectories — the same
 differential contract the compression engines obey
-(``tests/algorithms/test_separation_engines.py``).
+(``tests/core/test_engine_contract.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
-from repro.core.compression import ENGINES
+from repro.core.compression import engine_class
 from repro.core.kernels import SeparationKernel
 from repro.core.markov_chain import StepResult
 from repro.errors import AlgorithmError, ConfigurationError
@@ -151,13 +151,7 @@ class SeparationMarkovChain:
         engine: str = "reference",
         draw_block: int = DEFAULT_DRAW_BLOCK,
     ) -> None:
-        try:
-            engine_factory = ENGINES[engine]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown separation engine {engine!r}; "
-                f"expected one of {sorted(ENGINES)}"
-            ) from None
+        engine_factory = engine_class(engine)
         kernel = SeparationKernel(
             lam=lam,
             gamma=gamma,
@@ -169,10 +163,7 @@ class SeparationMarkovChain:
         self.gamma = kernel.gamma
         self.swap_probability = kernel.swap_probability
         self.chain = engine_factory(
-            initial.configuration,
-            seed=seed,
-            draw_block=draw_block,
-            kernel=kernel,
+            initial.configuration, seed=seed, draw_block=draw_block, kernel=kernel
         )
 
     # ------------------------------------------------------------------ #

@@ -28,7 +28,7 @@ or ``engine="fast"`` (terrain byte plane over the dense grid, read by
 the compiled ``edge_site`` loop — fastest at every n; ``"vector"`` is
 its alias key) selects the execution engine — bit-identical
 trajectories for equal seeds, enforced by
-``tests/algorithms/test_bridging_engines.py``.
+``tests/core/test_engine_contract.py``.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Set
 
-from repro.core.compression import ENGINES
+from repro.core.compression import engine_class
 from repro.core.kernels import BridgingKernel
-from repro.errors import AlgorithmError, ConfigurationError
+from repro.errors import AlgorithmError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.triangular import Node, neighbors
 from repro.rng import DEFAULT_DRAW_BLOCK, RandomState
@@ -180,23 +180,14 @@ class BridgingMarkovChain:
         engine: str = "reference",
         draw_block: int = DEFAULT_DRAW_BLOCK,
     ) -> None:
-        try:
-            engine_factory = ENGINES[engine]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown bridging engine {engine!r}; "
-                f"expected one of {sorted(ENGINES)}"
-            ) from None
+        engine_factory = engine_class(engine)
         kernel = BridgingKernel(lam=lam, gamma=gamma, land=terrain.land)
         self.terrain = terrain
         self.engine = engine
         self.lam = kernel.lam
         self.gamma = kernel.gamma
         self.chain = engine_factory(
-            initial,
-            seed=seed,
-            draw_block=draw_block,
-            kernel=kernel,
+            initial, seed=seed, draw_block=draw_block, kernel=kernel
         )
 
     # ------------------------------------------------------------------ #

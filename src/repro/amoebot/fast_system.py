@@ -62,6 +62,7 @@ from repro.amoebot.scheduler import PoissonScheduler
 from repro.amoebot.system import SystemStats
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.core.fast_chain import GUARD_BAND, OccupancyGrid, occupy, start_invariants
+from repro.core.kernels import CompressionKernel
 from repro.core.moves import move_tables
 from repro.errors import ConfigurationError, SchedulerError
 from repro.lattice.configuration import ParticleConfiguration
@@ -139,9 +140,8 @@ class FastAmoebotSystem:
         self.stats = SystemStats()
         self._pmin = min_perimeter(self.n)
         self._pmax = max_perimeter(self.n)
-        # Same expression per exponent as the reference rule's inline
-        # ``lam ** (nh - nt)`` so the Metropolis comparisons see equal floats.
-        self._acceptance = [self.lam ** delta for delta in range(-5, 6)]
+        # The table the reference rule reads, so both see equal floats.
+        self._acceptance = CompressionKernel(self.lam).acceptance_list()
         self._nb_before, self._nb_after, self._property_ok = move_tables()
         self._edge_count = edges
         self._hole_free = hole_free
@@ -437,7 +437,7 @@ class FastAmoebotSystem:
                         neighbors_at_tail = nb_before_table[mask]
                         if neighbors_at_tail != forbidden and property_table[mask]:
                             delta = nb_after_table[mask] - neighbors_at_tail
-                            if span_uniforms[k] < acceptance[delta + 5]:
+                            if span_uniforms[k] < acceptance[delta + 6]:
                                 occ[t] = 0
                                 eff[t] = 0
                                 expn[t] = 0

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, FrozenSet, Optional, Union
 
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
+from repro.core.kernels import CompressionKernel
 from repro.core.properties import satisfies_either_property
 from repro.errors import AlgorithmError
 from repro.lattice.triangular import DIRECTIONS, Node, add, neighbors
@@ -126,6 +127,9 @@ class CompressionAlgorithm:
         if lam <= 0:
             raise AlgorithmError(f"lambda must be positive, got {lam}")
         self.lam = float(lam)
+        # Algorithm M's table, min(1, lam ** delta) at [delta + 6]: every
+        # uniform is below 1, so the clip changes no decision.
+        self._acceptance = CompressionKernel(self.lam).acceptance_list()
 
     def decide(self, view: NeighborhoodView, direction_index: int, uniform: float) -> Action:
         """Execute one activation of Algorithm A as a pure function of its draws.
@@ -178,6 +182,6 @@ class CompressionAlgorithm:
             return ContractBack()
         if not satisfies_either_property(effective, tail, head):
             return ContractBack()
-        if uniform < self.lam ** (neighbors_at_head - neighbors_at_tail):
+        if uniform < self._acceptance[neighbors_at_head - neighbors_at_tail + 6]:
             return ContractForward()
         return ContractBack()

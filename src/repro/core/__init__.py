@@ -48,11 +48,10 @@ pair bound by the same differential contract.
 shared :class:`repro.rng.BatchedMoveDraws` protocol, so for equal seeds
 and draw-block sizes they produce bit-identical trajectories — identical
 move sequences, rejection reasons, edge counts and perimeters.  The
-differential harness (``tests/core/test_fast_chain_equivalence.py``), the
-randomized invariant suite (``tests/core/test_chain_invariants.py``) and
-a committed golden trace pin this contract down; optimizations that
-change any engine's behaviour fail those tests rather than silently
-diverging.  :class:`~repro.core.compression.CompressionSimulation`
+contract suite (``tests/core/test_engine_contract.py``: lockstep runs,
+randomized invariants and a committed golden trace per kernel) pins
+this contract down; optimizations that change any engine's behaviour
+fail those tests rather than silently diverging.  :class:`~repro.core.compression.CompressionSimulation`
 selects an engine via its ``engine="reference" | "fast"`` parameter.
 """
 

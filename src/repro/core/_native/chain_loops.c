@@ -1,4 +1,4 @@
-/* Sequential Algorithm M loop for the vector engine, and the draw tape it reads.
+/* Sequential Algorithm M loop for the fast engine, and the draw tape it reads.
  *
  * `run_chain` is a statement-for-statement port of
  * FastCompressionChain._run_python (repro/core/fast_chain.py), the one

@@ -41,6 +41,16 @@ ENGINES: Dict[str, type] = {
 }
 
 
+def engine_class(engine: str) -> type:
+    """The engine class of ``engine``, a key of :data:`ENGINES`."""
+    try:
+        return ENGINES[engine]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class TracePoint:
     """A single recorded sample of the simulation state.
@@ -132,14 +142,8 @@ class CompressionSimulation:
         engine: str = "reference",
         trace_sink: Optional[object] = None,
     ) -> None:
-        try:
-            engine_factory = ENGINES[engine]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
-            ) from None
         self.engine = engine
-        self.chain = engine_factory(initial, lam=lam, seed=seed)
+        self.chain = engine_class(engine)(initial, lam=lam, seed=seed)
         self.lam = float(lam)
         self.n = initial.n
         self._pmin = min_perimeter(self.n)

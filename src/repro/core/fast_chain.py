@@ -24,7 +24,7 @@ engine) but is built for long runs at large ``n``:
   same seed and block size, this engine and the reference engine
   therefore see bit-identical draws and produce bit-identical
   trajectories — the property enforced by
-  ``tests/core/test_fast_chain_equivalence.py``.
+  ``tests/core/test_engine_contract.py``.
 * **Incremental scalar metrics.**  The induced edge count ``e(sigma)`` is
   maintained by adding the accepted move's edge delta.  For hole-free
   configurations the perimeter follows from the Euler-formula identity

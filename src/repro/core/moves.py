@@ -44,7 +44,7 @@ RING_OFFSETS: Tuple[Tuple[Node, ...], ...] = tuple(
 
 #: The three move tables of :func:`move_tables`, one byte per 8-bit ring
 #: mask.  Shipped as literals rather than derived in every process; the
-#: move-table tests of ``tests/core/test_fast_chain_equivalence.py``
+#: move-table tests of ``tests/core/test_properties_moves.py``
 #: regenerate them from the reference property code.
 _NEIGHBORS_BEFORE = bytes.fromhex(
     "0001010201020203010202030203030401020203020303040203030403040405"

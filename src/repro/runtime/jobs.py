@@ -20,6 +20,7 @@ boundary, n-scaling studies, and replica ensembles for mixing estimates.
 
 from __future__ import annotations
 
+import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -55,6 +56,13 @@ BRIDGING_JOB_KIND = "bridging_trace"
 _JOB_ID_PATTERN = re.compile(r"^[A-Za-z0-9._\-]+$")
 
 
+#: The least value of each count field; a job type checks the ones it has.
+_COUNT_FLOORS = {
+    "seed": 0, "n": 1, "iterations": 0, "activations": 0, "max_iterations": 0,
+    "record_every": 1, "check_every": 1, "num_colors": 1, "arm_length": 2, "opening": 1,
+}
+
+
 def _number_label(value: float) -> str:
     """A job-id-safe compact rendering of a number (no ``+`` from ``%g``)."""
     return f"{value:g}".replace("+", "")
@@ -64,14 +72,16 @@ def _validate_job(
     job: "Job",
     engines: Sequence[str],
     kinds: Sequence[str],
-    steps: str = "iterations",
     start: Optional[str] = None,
 ) -> None:
     """The construction-time checks every job type shares.
 
-    ``engines`` and ``kinds`` are the job type's allowed values, ``steps``
-    names its step-count field, and ``start`` names the explicit-start
-    field that excludes ``n`` (``None`` when the type has no such field).
+    ``engines`` and ``kinds`` are the job type's allowed values, and
+    ``start`` names the explicit-start field that excludes ``n`` (``None``
+    when the type has no such field, and ``n`` is then required).  Each
+    count in :data:`_COUNT_FLOORS` the type has must pass ``operator.index``
+    (numpy integers do; bools and floats, such as a JSON client's
+    ``1000.0``, do not) and its floor.
     """
     if not _JOB_ID_PATTERN.match(job.job_id):
         raise ConfigurationError(
@@ -96,14 +106,20 @@ def _validate_job(
             f"job seeds must be plain integers (picklable, serializable), "
             f"got {type(job.seed).__name__}"
         )
-    if getattr(job, steps) < 0:
-        raise ConfigurationError(
-            f"{steps} must be non-negative, got {getattr(job, steps)}"
-        )
-    if job.record_every is not None and job.record_every <= 0:
-        raise ConfigurationError(
-            f"record_every must be positive, got {job.record_every}"
-        )
+    optional = {"seed", "record_every", "max_iterations"} | ({"n"} if start else set())
+    for key, floor in _COUNT_FLOORS.items():
+        value = getattr(job, key, floor)  # a field the type lacks passes
+        if value is None and key in optional:
+            continue
+        try:
+            count = operator.index(value)
+        except TypeError:
+            count = None
+        if count is None or isinstance(value, bool):
+            raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+        if count < floor:
+            bound = {0: "non-negative", 1: "positive"}.get(floor, f"at least {floor}")
+            raise ConfigurationError(f"{key} must be {bound}, got {value}")
     if job.trace_store is not None and not isinstance(job.trace_store, (str, Path)):
         raise ConfigurationError(
             f"trace_store must be a path string (picklable, serializable), "
@@ -213,7 +229,7 @@ class ChainJob:
         if self.kind == "compression_time":
             if self.alpha is None or self.alpha <= 1:
                 raise ConfigurationError("compression_time jobs need alpha > 1")
-            if self.max_iterations is None or self.max_iterations < 0:
+            if self.max_iterations is None:
                 raise ConfigurationError(
                     "compression_time jobs need a non-negative max_iterations budget"
                 )
@@ -389,13 +405,9 @@ class AmoebotJob:
     def __post_init__(self) -> None:
         from repro.amoebot import AMOEBOT_ENGINES
 
-        _validate_job(
-            self,
-            AMOEBOT_ENGINES,
-            (AMOEBOT_JOB_KIND,),
-            steps="activations",
-            start="initial_nodes",
-        )
+        _validate_job(self, AMOEBOT_ENGINES, (AMOEBOT_JOB_KIND,), start="initial_nodes")
+        if self.rates is not None and not all(rate > 0 for _, rate in self.rates):
+            raise ConfigurationError(f"every rate must be positive, got {self.rates}")
 
     def build_initial(self) -> ParticleConfiguration:
         """Materialize the starting configuration described by the job."""
@@ -512,6 +524,10 @@ class SeparationJob:
         _validate_job(self, ENGINES, (SEPARATION_JOB_KIND,), start="colored_nodes")
         if not self.gamma > 0:
             raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
+        if not 0 <= self.swap_probability <= 1:
+            raise ConfigurationError(
+                f"swap_probability must lie in [0, 1], got {self.swap_probability}"
+            )
         if self.coloring not in ("random", "halves"):
             raise ConfigurationError(
                 f"coloring must be 'random' or 'halves', got {self.coloring!r}"
@@ -607,12 +623,6 @@ class BridgingJob:
         _validate_job(self, ENGINES, (BRIDGING_JOB_KIND,))
         if not self.gamma > 0:
             raise ConfigurationError(f"gamma must be positive, got {self.gamma}")
-        if self.n < 1:
-            raise ConfigurationError(f"need at least one particle, got n={self.n}")
-        if self.arm_length < 2:
-            raise ConfigurationError(
-                f"arm_length must be at least 2, got {self.arm_length}"
-            )
 
     def build_terrain(self):
         """Materialize the V-shaped terrain described by the job."""

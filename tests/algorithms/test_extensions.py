@@ -110,9 +110,11 @@ class TestSeparation:
         b = ColoredConfiguration.random_colors(spiral(20), seed=1)
         assert a.colors == b.colors
 
-    def test_segregation_bias_increases_homogeneous_edges(self):
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_segregation_bias_increases_homogeneous_edges(self, engine):
+        """The headline behaviour of [9], on the reference and the production engine."""
         colored = ColoredConfiguration.random_colors(spiral(36), seed=2)
-        chain = SeparationMarkovChain(colored, lam=4.0, gamma=4.0, seed=3)
+        chain = SeparationMarkovChain(colored, lam=4.0, gamma=4.0, seed=3, engine=engine)
         start = chain.state.homogeneous_edges()
         chain.run(25_000)
         assert chain.state.homogeneous_edges() > start
@@ -146,16 +148,20 @@ class TestShortcutBridging:
         assert initial.is_connected
         assert terrain.gap_occupancy(initial) == 0
 
-    def test_gap_aversion_limits_bridge_size(self):
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_gap_aversion_limits_bridge_size(self, engine):
+        """The headline behaviour of [2], on the reference and the production engine."""
         terrain = v_shaped_terrain(5)
         initial = initial_bridge_configuration(terrain, 25)
-        tolerant = BridgingMarkovChain(initial, terrain, lam=4.0, gamma=1.0, seed=5)
-        averse = BridgingMarkovChain(initial, terrain, lam=4.0, gamma=6.0, seed=5)
+        tolerant = BridgingMarkovChain(initial, terrain, lam=4.0, gamma=1.0, seed=5, engine=engine)
+        averse = BridgingMarkovChain(initial, terrain, lam=4.0, gamma=6.0, seed=5, engine=engine)
         tolerant.run(20_000)
         averse.run(20_000)
         assert averse.gap_occupancy() <= tolerant.gap_occupancy()
+        assert averse.g_sigma() == averse.gap_occupancy()
         assert averse.configuration.is_connected
         assert tolerant.configuration.is_connected
+        assert averse.step() in (True, False)
 
     def test_terrain_validation(self):
         with pytest.raises(AlgorithmError):

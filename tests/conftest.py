@@ -139,7 +139,8 @@ def pytest_addoption(parser):
             "path to a build of repro/core/_native/chain_loops.c (for example "
             "a sanitizer build) that the suites using the native_build fixture "
             "run against instead of the cached build: the native differential "
-            "fuzz, the plane-invariant, tape, generator-position, "
-            "deferred-lane and sampled-trace suites, and the chain lockstep suites"
+            "fuzz, the plane-invariant, tape, generator-position, deferred-lane, "
+            "sampled-trace and exact-stationary suites, and the engine contract "
+            "suite (tests/core/test_engine_contract.py)"
         ),
     )

@@ -2,10 +2,32 @@
 
 import pytest
 
+from repro.algorithms.separation import ColoredConfiguration, SeparationMarkovChain
+from repro.algorithms.shortcut_bridging import (
+    BridgingMarkovChain,
+    initial_bridge_configuration,
+    v_shaped_terrain,
+)
 from repro.core.compression import CompressionSimulation, CompressionTrace, TracePoint
 from repro.errors import ConfigurationError
 from repro.lattice.geometry import max_perimeter, min_perimeter
 from repro.lattice.shapes import line, spiral
+
+
+def bridging_front_end(engine):
+    terrain = v_shaped_terrain(4)
+    initial = initial_bridge_configuration(terrain, 15)
+    return BridgingMarkovChain(initial, terrain, 4.0, 2.0, engine=engine)
+
+
+#: front end -> a builder of it over a small start, given the engine key.
+FRONT_ENDS = {
+    "compression": lambda engine: CompressionSimulation.from_line(10, 4.0, seed=0, engine=engine),
+    "separation": lambda engine: SeparationMarkovChain(
+        ColoredConfiguration.halves(line(8)), 4.0, 2.0, engine=engine
+    ),
+    "bridging": bridging_front_end,
+}
 
 
 class TestSetupAndMetrics:
@@ -42,12 +64,18 @@ class TestSetupAndMetrics:
         with pytest.raises(ConfigurationError):
             simulation.is_beta_expanded(1.5)
 
-    @pytest.mark.parametrize("engine", ["warp", "sharded"])
-    def test_unknown_engine_rejected(self, engine):
-        with pytest.raises(
-            ConfigurationError, match=r"expected one of \['fast', 'reference', 'vector'\]"
-        ):
-            CompressionSimulation.from_line(10, lam=4.0, seed=0, engine=engine)
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_engine_selection_and_unknown_engine(self, front_end):
+        """Every front end selects its engine by one lookup, with one error."""
+        build = FRONT_ENDS[front_end]
+        assert build(engine="fast").engine == "fast"
+        assert build(engine="vector").engine == "vector"
+        for engine in ("warp", "sharded"):
+            with pytest.raises(
+                ConfigurationError,
+                match=r"unknown engine '\w+'; expected one of \['fast', 'reference', 'vector'\]",
+            ):
+                build(engine=engine)
 
 
 class TestRunning:

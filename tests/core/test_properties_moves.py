@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.fast_chain import FastCompressionChain
 from repro.core.moves import (
+    MOVE_TABLE_BYTES,
+    RING_OFFSETS,
     Move,
     apply_move,
     classify_move,
@@ -11,6 +14,7 @@ from repro.core.moves import (
     enumerate_valid_moves,
     is_valid_move,
     move_edge_delta,
+    move_tables,
     neighbor_count,
 )
 from repro.core.properties import (
@@ -23,7 +27,7 @@ from repro.core.properties import (
 from repro.errors import InvalidMoveError, LatticeError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.shapes import hexagon, line, property2_witness, random_hole_free, ring
-from repro.lattice.triangular import are_adjacent, neighbors
+from repro.lattice.triangular import DIRECTIONS, are_adjacent, neighbors
 
 
 class TestJointNeighborhood:
@@ -172,3 +176,55 @@ def test_property_checks_only_depend_on_local_neighborhood(seed, n):
             satisfies_property_1(augmented, move.source, move.target)
         assert satisfies_property_2(occupied, move.source, move.target) == \
             satisfies_property_2(augmented, move.source, move.target)
+
+
+class TestMoveTables:
+    def test_the_literals_are_the_reference_derivation(self):
+        """The shipped tables, regenerated for the East edge from the
+        reference properties and neighbor sets, mask by mask."""
+        ring = RING_OFFSETS[0]
+        source, target = (0, 0), DIRECTIONS[0]
+        derived = ([], [], [])
+        for mask in range(256):
+            occupied = {source}
+            occupied.update(ring[k] for k in range(8) if mask >> k & 1)
+            derived[0].append(sum(node in occupied for node in neighbors(source)))
+            derived[1].append(sum(node in occupied - {source} for node in neighbors(target)))
+            derived[2].append(satisfies_either_property(occupied, source, target))
+        assert move_tables() == derived
+        assert MOVE_TABLE_BYTES == tuple(bytes(table) for table in derived)
+        assert all(type(ok) is bool for ok in move_tables()[2])
+
+    def test_engines_share_one_copy_of_the_tables(self):
+        chains = [FastCompressionChain(line(5), lam=4.0, seed=seed) for seed in range(2)]
+        assert chains[0]._nb_before is chains[1]._nb_before is move_tables()[0]
+        if chains[0]._library is not None:
+            pointers = [
+                (chain._grid_struct.nb_before, chain._grid_struct.property_ok) for chain in chains
+            ]
+            assert pointers[0] == pointers[1]
+
+    def test_property_table_matches_reference_in_every_direction(self):
+        """One table serves all six directions (rotation invariance)."""
+        _, _, property_ok = move_tables()
+        for direction, delta in enumerate(DIRECTIONS):
+            ring = RING_OFFSETS[direction]
+            for mask in range(256):
+                occupied = {(0, 0)}
+                occupied.update(ring[k] for k in range(8) if mask >> k & 1)
+                assert property_ok[mask] == satisfies_either_property(
+                    occupied, (0, 0), delta
+                ), f"direction {direction}, mask {mask:#010b}"
+
+    def test_neighbor_tables_count_ring_bits(self):
+        neighbors_before, neighbors_after, _ = move_tables()
+        ring = RING_OFFSETS[0]
+        source, target = (0, 0), DIRECTIONS[0]
+        for mask in range(256):
+            occupied = {ring[k] for k in range(8) if mask >> k & 1}
+            assert neighbors_before[mask] == sum(
+                1 for node in neighbors(source) if node in occupied
+            )
+            assert neighbors_after[mask] == sum(
+                1 for node in neighbors(target) if node in occupied
+            )

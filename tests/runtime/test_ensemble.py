@@ -1,5 +1,6 @@
 """Tests for the parallel ensemble runner: jobs, determinism, results table."""
 
+import numpy as np
 import pytest
 
 from repro.core.compression import CompressionSimulation
@@ -47,20 +48,37 @@ JOB_TYPES = {
 
 
 @pytest.mark.parametrize(
-    "job_type, bias, value",
+    "job_type, field, value, message",
     [
-        ("chain", "lam", -1),
-        ("amoebot", "lam", 0),
-        ("separation", "gamma", -2),
-        ("bridging", "gamma", 0),
+        ("chain", "lam", -1, "lambda must be positive"),
+        ("amoebot", "lam", 0, "lambda must be positive"),
+        ("separation", "gamma", -2, "gamma must be positive"),
+        ("bridging", "gamma", 0, "gamma must be positive"),
+        ("chain", "seed", -1, "seed must be non-negative"),
+        ("chain", "iterations", 1000.0, "iterations must be an integer"),
+        ("chain", "iterations", True, "iterations must be an integer"),
+        ("chain", "record_every", 10.0, "record_every must be an integer"),
+        ("chain", "n", 10.0, "^n must be an integer"),
+        ("chain", "n", 0, "^n must be positive"),
+        ("chain", "check_every", 0, "check_every must be positive"),
+        ("chain", "max_iterations", -1, "max_iterations must be non-negative"),
+        ("amoebot", "activations", 100.0, "activations must be an integer"),
+        ("amoebot", "rates", ((0, -1.0),), "every rate must be positive"),
+        ("separation", "num_colors", 0, "num_colors must be positive"),
+        ("separation", "swap_probability", 1.5, r"swap_probability must lie in \[0, 1\]"),
+        ("separation", "swap_probability", -0.1, r"swap_probability must lie in \[0, 1\]"),
+        ("bridging", "opening", 0, "opening must be positive"),
+        ("bridging", "n", 0, "^n must be positive"),
     ],
 )
-def test_nonpositive_bias_rejected_at_construction(job_type, bias, value):
-    """A job with lambda <= 0 (or gamma <= 0 on the extension jobs) is
-    refused when it is built, not quarantined later by a worker."""
-    name = "lambda" if bias == "lam" else bias
-    with pytest.raises(ConfigurationError, match=f"{name} must be positive"):
-        JOB_TYPES[job_type](**{bias: value})
+def test_nonpositive_bias_rejected_at_construction(job_type, field, value, message):
+    """A job with lambda <= 0 (or gamma <= 0 on the extension jobs), or
+    with a field its worker cannot run (a negative seed, a float or bool
+    count, a count below its floor, a swap probability outside [0, 1], a
+    non-positive rate), is refused when it is built, not quarantined later
+    by a worker."""
+    with pytest.raises(ConfigurationError, match=message):
+        JOB_TYPES[job_type](**{field: value})
     with pytest.raises(ConfigurationError, match="lambda must be positive"):
         JOB_TYPES[job_type](lam=float("nan"))
 
@@ -73,6 +91,8 @@ def test_record_every_rejected_at_construction(job_type, record_every):
     with pytest.raises(ConfigurationError, match="record_every must be positive"):
         JOB_TYPES[job_type](record_every=record_every)
     assert JOB_TYPES[job_type](record_every=None).record_every is None
+    # numpy integers pass operator.index, so they stay valid counts.
+    assert JOB_TYPES[job_type](record_every=np.int32(10)).record_every == 10
 
 
 class TestChainJob:

@@ -128,6 +128,17 @@ def test_nonpositive_lambda_job_is_bad_job(service, connect):
         client.submit(payload)
 
 
+def test_float_iterations_job_is_bad_job(service, connect):
+    """A JSON client can send ``1000.0`` for a count; the job is refused
+    at submit instead of failing later in a worker."""
+    server = service()
+    client = connect(server)
+    payload = job_to_json(make_jobs(replicas=1)[0])
+    payload["iterations"] = 1000.0
+    with pytest.raises(SerializationError, match="iterations must be an integer"):
+        client.submit(payload)
+
+
 def test_stored_nonpositive_lambda_job_is_skipped_on_recovery(tmp_path):
     """A job document stored before jobs checked lambda takes the
     unreadable-document path of ``recover``: it is skipped, and the
